@@ -7,7 +7,6 @@ arrays.
 from __future__ import annotations
 
 import struct
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,19 +67,6 @@ class SignalBatch:
         if self.sample_rate_hz <= 0:
             raise ValueError("sample rate must be positive")
 
-    @classmethod
-    def from_rows(cls, rows: list[Waveform]) -> "SignalBatch":
-        if not rows:
-            raise ValueError("empty batch")
-        rate = rows[0].sample_rate_hz
-        length = len(rows[0])
-        for w in rows:
-            if w.sample_rate_hz != rate:
-                raise ValueError("rows disagree on sample rate")
-            if len(w) != length:
-                raise ValueError("rows disagree on length")
-        return cls(np.stack([w.samples for w in rows]), rate)
-
     @property
     def batch_size(self) -> int:
         return self.data.shape[0]
@@ -88,9 +74,6 @@ class SignalBatch:
     @property
     def num_samples(self) -> int:
         return self.data.shape[1]
-
-    def row(self, i: int) -> Waveform:
-        return Waveform(self.data[i].copy(), self.sample_rate_hz)
 
 
 @dataclass(frozen=True)
@@ -111,17 +94,8 @@ class Permutation:
         return self.order.shape[0]
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n))
-
-    @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "Permutation":
         return cls(rng.permutation(n))
-
-    def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.order)
-        inv[self.order] = np.arange(len(self))
-        return Permutation(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +251,6 @@ def augment_bandmask(
     # Every retained sample sits in the constant-overlap region (norm == 1.5).
     kept = slice(left, left + length)
     return SignalBatch(out[:, kept] / norm[kept], rate)
-
-
-def augment_remix_noise(noise: SignalBatch, rng: np.random.Generator) -> SignalBatch:
-    """Shuffle the noise rows of a batch with a fresh random permutation."""
-    if noise.batch_size < 2:
-        warnings.warn("remix on a batch of size < 2 is a no-op", stacklevel=2)
-        return SignalBatch(noise.data.copy(), noise.sample_rate_hz)
-    return shuffle_rows(noise, Permutation.random(noise.batch_size, rng))
 
 
 # ---------------------------------------------------------------------------

@@ -11,36 +11,29 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 _seq_counter = itertools.count()
-_grad_enabled = True
-_finite_checks = False
+# Per context (so per thread): enhancement enters no_grad from worker threads.
+_grad_enabled: ContextVar[bool] = ContextVar("remixse_grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
     """Run ops without recording the graph (teacher inference, enhancement)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_enabled.reset(token)
 
 
 def grad_enabled() -> bool:
-    return _grad_enabled
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf assertions on every tensor creation (slow, for tests)."""
-    global _finite_checks
-    _finite_checks = enabled
+    return _grad_enabled.get()
 
 
 class Tensor:
@@ -54,8 +47,6 @@ class Tensor:
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        if _finite_checks and not np.all(np.isfinite(self.data)):
-            raise FloatingPointError("non-finite values in tensor")
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
@@ -74,7 +65,7 @@ class Tensor:
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if _grad_enabled:
+    if _grad_enabled.get():
         out._parents = parents
         out._backward = backward
     return out
@@ -207,20 +198,6 @@ def glu(x: Tensor, axis: int = 1) -> Tensor:
         _accum(x, np.concatenate([ga, gb], axis=axis))
 
     return _record(out, (x,), bwd)
-
-
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the channel axis (axis 1)."""
-    if a.data.shape[0] != b.data.shape[0] or a.data.shape[2:] != b.data.shape[2:]:
-        raise ValueError("concat_channels requires matching non-channel dims")
-    na = a.data.shape[1]
-    out = Tensor(np.concatenate([a.data, b.data], axis=1))
-
-    def bwd(g):
-        _accum(a, g[:, :na])
-        _accum(b, g[:, na:])
-
-    return _record(out, (a, b), bwd)
 
 
 def slice_time(x: Tensor, start: int, stop: int) -> Tensor:

@@ -10,8 +10,7 @@ input/target pairs per the selected strategy, and trains a student on them.
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import (
     NonFiniteLoss,
     ShapeMismatch,
     UnexpectedExtNoise,
+    UsageError,
 )
 from .model import DenoiserModel, ema_combine
 
@@ -152,10 +152,6 @@ def epoch_batches(num_utterances: int, batch_size: int, rng: np.random.Generator
         yield order[start : start + batch_size]
 
 
-def _loss_fn(kind: str):
-    return ad.mae_loss if kind == "mae" else ad.mse_loss
-
-
 def _gather_rows(corpus, indices, num_samples: int, rng: np.random.Generator) -> np.ndarray:
     rows = [crop_or_pad(corpus[int(i)], num_samples, rng).samples for i in indices]
     return np.stack(rows)
@@ -167,21 +163,60 @@ def _check_finite(value: float, epoch: int, step: int) -> float:
     return float(value)
 
 
-def _augment_pair(y: np.ndarray, x: np.ndarray, config: TrainConfig, rate: int, rng):
-    """Joint Shift plus noise-component BandMask on an (input, target) pair.
+def _augment(target: np.ndarray, noise: np.ndarray, config: TrainConfig, rate: int, rng):
+    """BandMask on the noise component, then joint Shift of the pair.
 
-    The noise component y - x is masked and re-added so the target never
-    contains content the input lacks.
+    Returns (input, target) with input = target + noise. Only the noise is
+    masked, so the target never contains content the input lacks.
     """
     if config.bandmask:
-        masked = augment_bandmask(SignalBatch(y - x, rate), config.bandmask_fraction, rng)
-        y = x + masked.data
+        noise = augment_bandmask(SignalBatch(noise, rate), config.bandmask_fraction, rng).data
+    y = target + noise
     if config.shift and config.shift_max_samples > 0:
         shifted_in, shifted_tg = augment_shift(
-            SignalBatch(y, rate), SignalBatch(x, rate), config.shift_max_samples, rng
+            SignalBatch(y, rate), SignalBatch(target, rate), config.shift_max_samples, rng
         )
-        y, x = shifted_in.data, shifted_tg.data
-    return y, x
+        y, target = shifted_in.data, shifted_tg.data
+    return y, target
+
+
+def _train(
+    model: DenoiserModel, num_utterances: int, make_batch, config: TrainConfig, rng, end_epoch=None
+) -> TrainStats:
+    """The supervised loop both trainers share.
+
+    Each epoch walks shuffled index batches of the corpus; make_batch(indices)
+    returns the (input, target) arrays for one Adam step of model on the
+    configured loss. end_epoch, if given, runs after each epoch's last step.
+    """
+    if num_utterances < config.batch_size:
+        raise UsageError(
+            f"corpus has {num_utterances} utterances, fewer than the batch size "
+            f"{config.batch_size}: no training step would run"
+        )
+    adam = ad.AdamState(step_size=config.learning_rate)
+    loss_fn = ad.mae_loss if config.loss == "mae" else ad.mse_loss
+    params = model.parameters()
+    stats = TrainStats()
+    for epoch in range(1, config.epochs + 1):
+        t0 = time.perf_counter()
+        epoch_losses: list[float] = []
+        for step, indices in enumerate(epoch_batches(num_utterances, config.batch_size, rng)):
+            y, target = make_batch(indices)
+            model.zero_grads()
+            loss = loss_fn(model.apply(y), target)
+            value = _check_finite(float(loss.data), epoch, step)
+            ad.backward(loss)
+            ad.adam_step(params, adam)
+            epoch_losses.append(value)
+            stats.step_losses.append(value)
+        if end_epoch is not None:
+            end_epoch()
+        stats.epochs.append(
+            EpochStats(epoch, float(np.mean(epoch_losses)), time.perf_counter() - t0, len(epoch_losses))
+        )
+    model.zero_grads()
+    return stats
 
 
 def bootstrap_nytt(
@@ -203,49 +238,19 @@ def bootstrap_nytt(
     if not ext_noise_corpus:
         raise EmptyCorpus("extraneous noise corpus is empty")
     rng = np.random.default_rng(config.seed)
-    adam = ad.AdamState(step_size=config.learning_rate)
-    loss_fn = _loss_fn(config.loss)
-    params = model.parameters()
-    stats = TrainStats()
     segment = config.segment_samples
 
-    for epoch in range(1, config.epochs + 1):
-        t0 = time.perf_counter()
-        epoch_losses: list[float] = []
-        for step, indices in enumerate(epoch_batches(len(noisy_corpus), config.batch_size, rng)):
-            x = _gather_rows(noisy_corpus, indices, segment, rng)
-            noise_idx = rng.integers(0, len(ext_noise_corpus), size=config.batch_size)
-            noise = _gather_rows(ext_noise_corpus, noise_idx, segment, rng)
-            snrs = rng.uniform(config.snr_low_db, config.snr_high_db, size=config.batch_size)
-            _, scaled = mix_batch_at_snr(x, noise, snrs)
-            if config.remix and config.batch_size >= 2:
-                scaled = scaled[rng.permutation(config.batch_size)]
-            if config.bandmask:
-                scaled = augment_bandmask(
-                    SignalBatch(scaled, sample_rate_hz), config.bandmask_fraction, rng
-                ).data
-            y = x + scaled
-            if config.shift and config.shift_max_samples > 0:
-                shifted_in, shifted_tg = augment_shift(
-                    SignalBatch(y, sample_rate_hz),
-                    SignalBatch(x, sample_rate_hz),
-                    config.shift_max_samples,
-                    rng,
-                )
-                y, x = shifted_in.data, shifted_tg.data
+    def make_batch(indices):
+        x = _gather_rows(noisy_corpus, indices, segment, rng)
+        noise_idx = rng.integers(0, len(ext_noise_corpus), size=config.batch_size)
+        noise = _gather_rows(ext_noise_corpus, noise_idx, segment, rng)
+        snrs = rng.uniform(config.snr_low_db, config.snr_high_db, size=config.batch_size)
+        _, scaled = mix_batch_at_snr(x, noise, snrs)
+        if config.remix and config.batch_size >= 2:
+            scaled = scaled[rng.permutation(config.batch_size)]
+        return _augment(x, scaled, config, sample_rate_hz, rng)
 
-            model.zero_grads()
-            pred = model.apply(y)
-            loss = loss_fn(pred, x)
-            value = _check_finite(float(loss.data), epoch, step)
-            ad.backward(loss)
-            ad.adam_step(params, adam)
-            epoch_losses.append(value)
-            stats.step_losses.append(value)
-        stats.epochs.append(
-            EpochStats(epoch, float(np.mean(epoch_losses)), time.perf_counter() - t0, len(epoch_losses))
-        )
-    model.zero_grads()
+    stats = _train(model, len(noisy_corpus), make_batch, config, rng)
     return model, stats
 
 
@@ -318,7 +323,6 @@ def update_teacher(
 class DistillResult:
     student: DenoiserModel
     teacher: DenoiserModel
-    teacher_trajectory: list[dict[str, np.ndarray]]
     stats: TrainStats
 
 
@@ -335,8 +339,8 @@ def distill(
     teacher without gradients to get the speech estimate and the in-domain
     noise estimate X - speech, build the strategy pair, and take one student
     Adam step. After each epoch the teacher-update protocol runs. The student
-    starts as a copy of the initial teacher. teacher_trajectory holds a
-    parameter snapshot per epoch boundary (index 0 = initial teacher).
+    starts as a copy of the initial teacher; the result holds the student and
+    the teacher as they stand after the last epoch.
     """
     if not noisy_corpus:
         raise EmptyCorpus("noisy corpus is empty")
@@ -349,59 +353,39 @@ def distill(
 
     rng = np.random.default_rng(config.seed)
     student = teacher.copy()
-    adam = ad.AdamState(step_size=config.learning_rate)
-    loss_fn = _loss_fn(config.loss)
-    params = student.parameters()
-    stats = TrainStats()
     segment = config.segment_samples
-    snapshot = lambda m: {name: p.data.copy() for name, p in m.params.items()}
-    trajectory = [snapshot(teacher)]
 
-    for epoch in range(1, config.epochs + 1):
-        t0 = time.perf_counter()
-        epoch_losses: list[float] = []
-        for step, indices in enumerate(epoch_batches(len(noisy_corpus), config.batch_size, rng)):
-            x = _gather_rows(noisy_corpus, indices, segment, rng)
-            perm = Permutation.random(config.batch_size, rng)
-            with ad.no_grad():
-                s_hat = teacher.apply(x).data
-            n_hat = x - s_hat
-            ext = None
-            if config.strategy.needs_ext_noise:
-                noise_idx = rng.integers(0, len(ext_noise_corpus), size=config.batch_size)
-                ext = SignalBatch(
-                    _gather_rows(ext_noise_corpus, noise_idx, segment, rng), sample_rate_hz
-                )
-            y_batch, t_batch = build_student_batch(
-                config.strategy,
-                SignalBatch(x, sample_rate_hz),
-                SignalBatch(s_hat, sample_rate_hz),
-                SignalBatch(n_hat, sample_rate_hz),
-                perm,
-                ext,
-                rng,
-                config.snr_low_db,
-                config.snr_high_db,
+    def make_batch(indices):
+        x = _gather_rows(noisy_corpus, indices, segment, rng)
+        perm = Permutation.random(config.batch_size, rng)
+        with ad.no_grad():
+            s_hat = teacher.apply(x).data
+        n_hat = x - s_hat
+        ext = None
+        if config.strategy.needs_ext_noise:
+            noise_idx = rng.integers(0, len(ext_noise_corpus), size=config.batch_size)
+            ext = SignalBatch(
+                _gather_rows(ext_noise_corpus, noise_idx, segment, rng), sample_rate_hz
             )
-            y, target = y_batch.data, t_batch.data
-            if config.augment_in_distill:
-                y, target = _augment_pair(y, target, config, sample_rate_hz, rng)
-
-            student.zero_grads()
-            pred = student.apply(y)
-            loss = loss_fn(pred, target)
-            value = _check_finite(float(loss.data), epoch, step)
-            ad.backward(loss)
-            ad.adam_step(params, adam)
-            epoch_losses.append(value)
-            stats.step_losses.append(value)
-
-        teacher = update_teacher(config.tup, teacher, student)
-        trajectory.append(snapshot(teacher))
-        stats.epochs.append(
-            EpochStats(epoch, float(np.mean(epoch_losses)), time.perf_counter() - t0, len(epoch_losses))
+        y_batch, t_batch = build_student_batch(
+            config.strategy,
+            SignalBatch(x, sample_rate_hz),
+            SignalBatch(s_hat, sample_rate_hz),
+            SignalBatch(n_hat, sample_rate_hz),
+            perm,
+            ext,
+            rng,
+            config.snr_low_db,
+            config.snr_high_db,
         )
-        if not epoch_losses:
-            warnings.warn("epoch produced no full batches; corpus smaller than batch size")
-    student.zero_grads()
-    return DistillResult(student, teacher, trajectory, stats)
+        y, target = y_batch.data, t_batch.data
+        if config.augment_in_distill:
+            return _augment(target, y - target, config, sample_rate_hz, rng)
+        return y, target
+
+    def end_epoch():
+        nonlocal teacher
+        teacher = update_teacher(config.tup, teacher, student)
+
+    stats = _train(student, len(noisy_corpus), make_batch, config, rng, end_epoch)
+    return DistillResult(student, teacher, stats)

@@ -26,7 +26,7 @@ from remixse.inference import InferencePlan, enhance
 from remixse.metrics import si_sdr, stoi
 from remixse.model import PAPER_CONFIG, TINY_CONFIG, init_model
 from conftest import assert_grad_close, fd_gradients
-from test_distill import _oracle_pair
+from test_distill import _oracle_pair, record_teacher_updates
 from test_metrics import _speechlike
 
 RATE = 16000
@@ -246,17 +246,19 @@ def desk_corpus(tmp_path_factory):
     )
 
 
-def test_criterion_4_teacher_update_protocols(desk_corpus):
+def test_criterion_4_teacher_update_protocols(desk_corpus, monkeypatch):
     with criterion(4, "static teacher frozen over 3 epochs; EMA arithmetic to 1e-12"):
         noisy, _ = desk_corpus
         base = dict(batch_size=4, segment_samples=2500, shift_max_samples=400, seed=2)
         teacher = init_model(TINY_CONFIG, seed=1)
         initial = {n: p.data.copy() for n, p in teacher.params.items()}
-        static = distill(
+        snapshots = record_teacher_updates(monkeypatch)
+        distill(
             teacher, noisy, None,
             TrainConfig(epochs=3, strategy=MixStrategy.NYTT1, **base),
         )
-        for snapshot in static.teacher_trajectory:
+        assert len(snapshots) == 3
+        for snapshot in snapshots:
             for name, arr in snapshot.items():
                 assert np.array_equal(arr, initial[name])
 

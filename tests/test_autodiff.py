@@ -1,4 +1,6 @@
 """Gradient checks and contracts for the autodiff op set and Adam."""
+import contextvars
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -222,7 +224,6 @@ def test_structural_op_gradients(seed):
     b = ad.Tensor(rng.normal(size=(2, 3, 5)))
     check_op(lambda: ad.add(a, b), (a, b), seed)
     check_op(lambda: ad.sub(a, b), (a, b), seed)
-    check_op(lambda: ad.concat_channels(a, b), (a, b), seed)
     check_op(lambda: ad.slice_time(a, 1, 4), (a,), seed)
     check_op(lambda: ad.swap_time_channels(a), (a,), seed)
     check_op(lambda: ad.scale(a, 1.7), (a,), seed)
@@ -257,6 +258,21 @@ def test_no_grad_suppresses_graph():
     loss = ad.mse_loss(ad.Tensor(out.data), np.zeros((1, 3)))
     ad.backward(loss)
     assert x.grad is None
+
+
+def test_no_grad_interleaved_across_contexts_restores_recording():
+    # Two threads entering and leaving no_grad as A-in, B-in, A-out, B-out
+    # must each see their own state and leave graph recording on.
+    a, b = contextvars.copy_context(), contextvars.copy_context()
+    in_a, in_b = ad.no_grad(), ad.no_grad()
+    a.run(in_a.__enter__)
+    b.run(in_b.__enter__)
+    assert not a.run(ad.grad_enabled) and not b.run(ad.grad_enabled)
+    a.run(in_a.__exit__, None, None, None)
+    assert a.run(ad.grad_enabled) and not b.run(ad.grad_enabled)
+    b.run(in_b.__exit__, None, None, None)
+    assert a.run(ad.grad_enabled) and b.run(ad.grad_enabled)
+    assert ad.grad_enabled()
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -176,6 +176,28 @@ def test_distill_bad_teacher_checkpoint_is_runtime_error(workspace, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["bootstrap", "distill"])
+def test_batch_larger_than_corpus_is_usage_error(workspace, tmp_path, command):
+    # 8 utterances cannot fill one batch of 16, so no training step could run.
+    data = workspace["data"]
+    if command == "bootstrap":
+        inputs = ["--ext-noise", str(data / "noise.manifest.jsonl"), "--model", "tiny"]
+    else:
+        inputs = ["--teacher", str(workspace["ckpt"]), "--strategy", "nytt1", "--tup", "ema"]
+    code = run(
+        command,
+        "--noisy", str(data / "noisy.manifest.jsonl"),
+        *inputs,
+        "--epochs", "1",
+        "--batch-size", "16",
+        "--segment", "2500",
+        "--shift-max", "400",
+        "--out", str(tmp_path / "model.ckpt"),
+    )
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # enhance
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import remixse.distill
 from remixse.audio import Permutation, SignalBatch, mix_at_snr, shuffle_rows
 from remixse.corpus import load_corpus, load_manifest
 from remixse.distill import (
@@ -103,7 +104,7 @@ def test_nytt1_algebra_with_identity_permutation():
     s_hat = SignalBatch(rng.normal(size=(3, 32)), RATE)
     n_hat = SignalBatch(x.data - s_hat.data, RATE)
     y, t = build_student_batch(
-        MixStrategy.NYTT1, x, s_hat, n_hat, Permutation.identity(3), None, np.random.default_rng(0)
+        MixStrategy.NYTT1, x, s_hat, n_hat, Permutation(np.arange(3)), None, np.random.default_rng(0)
     )
     assert np.allclose(y.data, 2.0 * x.data - s_hat.data, atol=1e-15)
     assert np.array_equal(t.data, x.data)
@@ -117,7 +118,7 @@ def test_nytt2_coin_is_fair():
     s_hat = SignalBatch(rng.normal(size=(b, m)) * 0.5, RATE)
     n_hat = SignalBatch(x.data - s_hat.data, RATE)
     n_ext = SignalBatch(rng.normal(size=(b, m)), RATE)
-    p = Permutation.identity(b)
+    p = Permutation(np.arange(b))
     y, _ = build_student_batch(
         MixStrategy.NYTT2, x, s_hat, n_hat, p, n_ext, np.random.default_rng(123)
     )
@@ -275,13 +276,27 @@ def test_bootstrap_stats_shape(corpora):
     assert all(np.isfinite(e.mean_loss) for e in stats.epochs)
 
 
-def test_distill_static_teacher_frozen(corpora):
+def record_teacher_updates(monkeypatch) -> list[dict[str, np.ndarray]]:
+    """Snapshot the teacher that each epoch-boundary update returns."""
+    snapshots = []
+
+    def recording(protocol, teacher, student):
+        updated = update_teacher(protocol, teacher, student)
+        snapshots.append({name: p.data.copy() for name, p in updated.params.items()})
+        return updated
+
+    monkeypatch.setattr(remixse.distill, "update_teacher", recording)
+    return snapshots
+
+
+def test_distill_static_teacher_frozen(corpora, monkeypatch):
     noisy, _ = corpora
     teacher = init_model(TINY_CONFIG, seed=3)
     initial = {n: p.data.copy() for n, p in teacher.params.items()}
+    snapshots = record_teacher_updates(monkeypatch)
     result = distill(teacher, noisy, None, _quick_config(epochs=3, strategy=MixStrategy.NYTT1))
-    assert len(result.teacher_trajectory) == 4  # initial + one per epoch
-    for snapshot in result.teacher_trajectory:
+    assert len(snapshots) == 3  # one per epoch boundary
+    for snapshot in snapshots:
         for name, arr in snapshot.items():
             assert np.array_equal(arr, initial[name])
     for name, p in result.teacher.params.items():
@@ -329,14 +344,22 @@ def test_distill_ctt1_with_copied_student_is_a_fixed_point(corpora):
 def test_distill_replay_is_bit_identical(corpora):
     noisy, ext = corpora
     teacher = init_model(TINY_CONFIG, seed=7)
-    config = _quick_config(
-        epochs=2, strategy=MixStrategy.NYTT3, tup=TeacherUpdateProtocol.ema(), seed=11
-    )
-    r1 = distill(teacher.copy(), noisy, ext, config)
-    r2 = distill(teacher.copy(), noisy, ext, config)
-    assert r1.stats.step_losses == r2.stats.step_losses
-    for a, b in zip(r1.student.parameters(), r2.student.parameters()):
-        assert np.array_equal(a.data, b.data)
+    losses = {}
+    for augment in (False, True):
+        config = _quick_config(
+            epochs=2,
+            strategy=MixStrategy.NYTT3,
+            tup=TeacherUpdateProtocol.ema(),
+            seed=11,
+            augment_in_distill=augment,
+        )
+        r1 = distill(teacher.copy(), noisy, ext, config)
+        r2 = distill(teacher.copy(), noisy, ext, config)
+        assert r1.stats.step_losses == r2.stats.step_losses
+        for a, b in zip(r1.student.parameters(), r2.student.parameters()):
+            assert np.array_equal(a.data, b.data)
+        losses[augment] = r1.stats.step_losses
+    assert losses[False] != losses[True]  # the augmented run trains on other batches
 
 
 def test_distill_ext_noise_consistency(corpora):

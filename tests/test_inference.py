@@ -162,6 +162,7 @@ def test_enhance_batch_threaded_matches_serial(trained_tiny_model, tmp_path):
     plan = InferencePlan.from_checkpoints([_save(trained_tiny_model, tmp_path / "m.ckpt")])
     enhance_batch(plan, manifest, tmp_path / "serial")
     enhance_batch(plan, manifest, tmp_path / "threaded", threads=4)
+    assert ad.grad_enabled()
     for i in range(4):
         a = (tmp_path / "serial" / f"u{i}.enhanced.wav").read_bytes()
         b = (tmp_path / "threaded" / f"u{i}.enhanced.wav").read_bytes()
