@@ -39,8 +39,8 @@ def grad_enabled() -> bool:
 class Tensor:
     """A float64 array plus the closure that backpropagates into its parents.
 
-    ``grad`` is lazily zero-initialized and accumulated with ``+=`` so fan-out
-    (a tensor consumed by several ops) sums contributions.
+    ``grad`` starts as a copy of the first contribution and accumulates later
+    ones with ``+=``, so fan-out (a tensor consumed by several ops) sums them.
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward", "_seq")
@@ -73,8 +73,10 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # Always a fresh copy: ops such as ``add`` hand one array to two parents.
+        t.grad = np.array(g, dtype=np.float64, order="C")
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -152,13 +154,11 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp for large |z|.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """0.5 * (1 + tanh(z / 2)): cannot overflow for any z, no sign split."""
+    s = np.tanh(z * 0.5)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -187,15 +187,20 @@ def glu(x: Tensor, axis: int = 1) -> Tensor:
     if n % 2 != 0:
         raise ValueError(f"glu needs an even axis size, got {n}")
     half = n // 2
-    a = np.take(x.data, range(half), axis=axis)
-    b = np.take(x.data, range(half, n), axis=axis)
-    sb = _sigmoid(b)
+    lead = (slice(None),) * (axis % x.data.ndim)
+    first, second = lead + (slice(None, half),), lead + (slice(half, None),)
+    a = x.data[first]
+    sb = _sigmoid(x.data[second])
     out = Tensor(a * sb)
 
     def bwd(g):
-        ga = g * sb
-        gb = g * a * sb * (1.0 - sb)
-        _accum(x, np.concatenate([ga, gb], axis=axis))
+        gx = np.empty_like(x.data)
+        np.multiply(g, sb, out=gx[first])
+        gb = gx[second]
+        np.multiply(g, a, out=gb)
+        gb *= sb
+        gb *= 1.0 - sb
+        _accum(x, gx)
 
     return _record(out, (x,), bwd)
 
@@ -238,6 +243,42 @@ def reshape(x: Tensor, shape) -> Tensor:
 # convolutions
 # ---------------------------------------------------------------------------
 
+def _im2col(x: np.ndarray, kernel: int, stride: int, frames: int) -> np.ndarray:
+    """(B, C, T) -> (B, C*K, F) columns: cols[b, c*K + k, f] = x[b, c, f*stride + k].
+
+    With K=1 and stride 1 this is ``x`` itself, not a copy.
+    """
+    batch, chans, _ = x.shape
+    if kernel == 1 and stride == 1:
+        return x[:, :, :frames]
+    windows = sliding_window_view(x, kernel, axis=2)[:, :, : stride * frames : stride, :]
+    return windows.transpose(0, 1, 3, 2).reshape(batch, chans * kernel, frames)
+
+
+def _col2im(cols: np.ndarray, kernel: int, stride: int, length: int) -> np.ndarray:
+    """Adjoint of _im2col: scatter-add (B, C*K, F) columns into (B, C, length)."""
+    batch, rows, frames = cols.shape
+    taps = cols.reshape(batch, rows // kernel, kernel, frames)
+    if kernel == 1 and stride == 1 and length == frames:
+        return taps[:, :, 0]
+    out = np.zeros((batch, rows // kernel, length))
+    for k in range(kernel):
+        out[:, :, k : k + stride * frames : stride] += taps[:, :, k]
+    return out
+
+
+def _batch_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over n of a[n] @ b[n].T, for (N, P, F) and (N, Q, F) -> (P, Q).
+
+    One 2-D GEMM per batch row: a batched matmul against a transposed
+    operand followed by a sum over N is slower and allocates N outputs.
+    """
+    out = a[0] @ b[0].T
+    for n in range(1, a.shape[0]):
+        out += a[n] @ b[n].T
+    return out
+
+
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
     """Valid (unpadded) strided correlation.
 
@@ -250,20 +291,18 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
         raise ValueError(f"conv1d channel mismatch: input {c_in}, weight {c_in_w}")
     if length < kernel:
         raise ValueError(f"conv1d input length {length} < kernel {kernel}")
-    windows = sliding_window_view(x.data, kernel, axis=2)[:, :, ::stride, :]
-    frames = windows.shape[2]
-    out_data = np.einsum("bcfk,ock->bof", windows, weight.data, optimize=True)
+    frames = (length - kernel) // stride + 1
+    w2 = weight.data.reshape(c_out, c_in * kernel)
+    out_data = w2 @ _im2col(x.data, kernel, stride, frames)
     out_data += bias.data[:, None]
     out = Tensor(out_data)
 
     def bwd(g):
-        _accum(weight, np.einsum("bof,bcfk->ock", g, windows, optimize=True))
+        # Columns are rebuilt here rather than kept alive from the forward pass.
+        cols = _im2col(x.data, kernel, stride, frames)
+        _accum(weight, _batch_outer(g, cols).reshape(weight.data.shape))
         _accum(bias, g.sum(axis=(0, 2)))
-        per_window = np.einsum("bof,ock->bcfk", g, weight.data, optimize=True)
-        gx = np.zeros_like(x.data)
-        for k in range(kernel):
-            gx[:, :, k : k + stride * frames : stride] += per_window[:, :, :, k]
-        _accum(x, gx)
+        _accum(x, _col2im(w2.T @ g, kernel, stride, length))
 
     return _record(out, (x, weight, bias), bwd)
 
@@ -279,17 +318,15 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Te
     if c_in != c_in_w:
         raise ValueError(f"conv_transpose1d channel mismatch: input {c_in}, weight {c_in_w}")
     length = (frames - 1) * stride + kernel
-    per_window = np.einsum("bif,iok->bofk", x.data, weight.data, optimize=True)
-    out_data = np.zeros((batch, c_out, length))
-    for k in range(kernel):
-        out_data[:, :, k : k + stride * frames : stride] += per_window[:, :, :, k]
+    w2 = weight.data.reshape(c_in, c_out * kernel)
+    out_data = _col2im(w2.T @ x.data, kernel, stride, length)
     out_data += bias.data[:, None]
     out = Tensor(out_data)
 
     def bwd(g):
-        g_windows = sliding_window_view(g, kernel, axis=2)[:, :, ::stride, :]
-        _accum(x, np.einsum("bofk,iok->bif", g_windows, weight.data, optimize=True))
-        _accum(weight, np.einsum("bif,bofk->iok", x.data, g_windows, optimize=True))
+        g_cols = _im2col(g, kernel, stride, frames)
+        _accum(x, w2 @ g_cols)
+        _accum(weight, _batch_outer(x.data, g_cols).reshape(weight.data.shape))
         _accum(bias, g.sum(axis=(0, 2)))
 
     return _record(out, (x, weight, bias), bwd)
@@ -316,55 +353,65 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
 
     # Input contribution for all steps at once; the loop only adds recurrence.
     pre = x.data @ w_ih.data.T + bias.data
+    w_hh_t = w_hh.data.T
+    # Gate activations as one affine-tanh-affine pass over all four gates:
+    # sigmoid(z) = 0.5 + 0.5 * tanh(0.5 * z) for i, f, o; plain tanh for g.
+    act_scale = np.full(four_h, 0.5)
+    act_scale[2 * hidden : 3 * hidden] = 1.0
+    act_shift = np.full(four_h, 0.5)
+    act_shift[2 * hidden : 3 * hidden] = 0.0
 
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
+    gates = np.empty((steps, batch, four_h))  # activated i, f, g, o per step
+    quad = gates.reshape(steps, batch, 4, hidden)
     hs = np.zeros((steps + 1, batch, hidden))  # hs[t] = h_{t-1}
     cs = np.zeros((steps + 1, batch, hidden))
-    gi = np.empty((steps, batch, hidden))
-    gf = np.empty((steps, batch, hidden))
-    gc = np.empty((steps, batch, hidden))
-    go = np.empty((steps, batch, hidden))
     tc = np.empty((steps, batch, hidden))  # tanh(c_t)
     for t in range(steps):
-        a = pre[:, t] + h @ w_hh.data.T
-        i = _sigmoid(a[:, :hidden])
-        f = _sigmoid(a[:, hidden : 2 * hidden])
-        g = np.tanh(a[:, 2 * hidden : 3 * hidden])
-        o = _sigmoid(a[:, 3 * hidden :])
-        c = f * c + i * g
-        hc = np.tanh(c)
-        h = o * hc
-        gi[t], gf[t], gc[t], go[t], tc[t] = i, f, g, o, hc
-        hs[t + 1] = h
-        cs[t + 1] = c
+        a = gates[t]
+        np.matmul(hs[t], w_hh_t, out=a)
+        a += pre[:, t]
+        a *= act_scale
+        np.tanh(a, out=a)
+        a *= act_scale
+        a += act_shift
+        i, f, g, o = quad[t].swapaxes(0, 1)
+        c = np.multiply(f, cs[t], out=cs[t + 1])
+        c += i * g
+        np.tanh(c, out=tc[t])
+        np.multiply(o, tc[t], out=hs[t + 1])
     out = Tensor(hs[1:].transpose(1, 0, 2))
 
     def bwd(grad_out):
         g_steps = grad_out.transpose(1, 0, 2)
+        i, f, g, o = quad.transpose(2, 0, 1, 3)
+        # Per-step factors that do not depend on the incoming gradients:
+        # d a_{i,f,g} = dc * dc_gain[:, :, 0..2], d a_o = dh * o_gain, dc += dh * c_gain.
+        dc_gain = np.empty((steps, batch, 3, hidden))
+        np.multiply(g * i, 1.0 - i, out=dc_gain[:, :, 0])
+        np.multiply(cs[:-1] * f, 1.0 - f, out=dc_gain[:, :, 1])
+        np.multiply(i, 1.0 - g * g, out=dc_gain[:, :, 2])
+        o_gain = tc * o * (1.0 - o)
+        c_gain = o * (1.0 - tc * tc)
+
+        da_all = np.empty((steps, batch, 4, hidden))
+        da_rows = da_all.reshape(steps, batch, four_h)
         dh_next = np.zeros((batch, hidden))
         dc_next = np.zeros((batch, hidden))
-        da_all = np.empty((steps, batch, 4 * hidden))
-        d_whh = np.zeros_like(w_hh.data)
         for t in range(steps - 1, -1, -1):
             dh = g_steps[t] + dh_next
-            do = dh * tc[t]
-            dc = dc_next + dh * go[t] * (1.0 - tc[t] * tc[t])
-            di = dc * gc[t]
-            dg = dc * gi[t]
-            df = dc * cs[t]
-            dc_next = dc * gf[t]
-            da = da_all[t]
-            da[:, :hidden] = di * gi[t] * (1.0 - gi[t])
-            da[:, hidden : 2 * hidden] = df * gf[t] * (1.0 - gf[t])
-            da[:, 2 * hidden : 3 * hidden] = dg * (1.0 - gc[t] * gc[t])
-            da[:, 3 * hidden :] = do * go[t] * (1.0 - go[t])
-            dh_next = da @ w_hh.data
-            d_whh += da.T @ hs[t]
-        _accum(w_hh, d_whh)
-        _accum(w_ih, np.einsum("tbh,btc->hc", da_all, x.data, optimize=True))
-        _accum(bias, da_all.sum(axis=(0, 1)))
-        _accum(x, da_all.transpose(1, 0, 2) @ w_ih.data)
+            dc = dh * c_gain[t]
+            dc += dc_next
+            np.multiply(dc[:, None, :], dc_gain[t], out=da_all[t, :, :3])
+            np.multiply(dh, o_gain[t], out=da_all[t, :, 3])
+            dc_next = dc * f[t]
+            dh_next = da_rows[t] @ w_hh.data
+        # Weight gradients as single GEMMs over all (step, row) pairs.
+        da_flat = da_all.reshape(steps * batch, four_h)
+        x_steps = x.data.transpose(1, 0, 2).reshape(steps * batch, c_in)
+        _accum(w_hh, da_flat.T @ hs[:-1].reshape(steps * batch, hidden))
+        _accum(w_ih, da_flat.T @ x_steps)
+        _accum(bias, da_flat.sum(axis=0))
+        _accum(x, (da_flat @ w_ih.data).reshape(steps, batch, c_in).transpose(1, 0, 2))
 
     return _record(out, (x, w_ih, w_hh, bias), bwd)
 

@@ -211,13 +211,19 @@ def _sha256(path) -> str:
 
 
 def _check_outputs(force: bool, *paths) -> None:
-    paths = [Path(p) for p in paths if p is not None]
-    existing = [str(p) for p in paths if p.exists()]
+    """Refuse existing outputs unless --force; nothing is deleted up front, so
+    a run that fails leaves the old outputs as they were."""
+    existing = [str(p) for p in paths if p is not None and Path(p).exists()]
     if existing and not force:
         raise UsageError(f"refusing to overwrite {existing}; pass --force")
-    for p in paths:
-        if p.exists():
-            p.unlink()
+
+
+def _build_config(factory, *args, **kwargs):
+    """Construct a config object; a ValueError from its checks is a usage error."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"invalid configuration: {exc}") from exc
 
 
 def _echo_resolved(out_dir, command: str, resolved: SimpleNamespace, hashes: dict[str, str]) -> None:
@@ -252,7 +258,7 @@ def _model_config(args: SimpleNamespace) -> ModelConfig:
         return base
     from dataclasses import replace
 
-    return replace(base, **overrides)
+    return _build_config(replace, base, **overrides)
 
 
 def _threads(args: SimpleNamespace) -> int:
@@ -268,7 +274,8 @@ def _threads(args: SimpleNamespace) -> int:
 def cmd_synth(args: SimpleNamespace) -> int:
     if args.out is None:
         raise UsageError("--out is required")
-    spec = corpus_mod.SynthSpec(
+    spec = _build_config(
+        corpus_mod.SynthSpec,
         seed=args.seed,
         num_utterances=args.num,
         duration_s=args.dur,
@@ -317,7 +324,7 @@ def _train_config(args: SimpleNamespace, strategy=None, tup=None, epochs=None) -
         kwargs.update(shift=args.shift, remix=args.remix, bandmask=args.bandmask)
     if getattr(args, "augment", False):
         kwargs.update(augment_in_distill=True, shift=True, bandmask=True)
-    return distill_mod.TrainConfig(**kwargs)
+    return _build_config(distill_mod.TrainConfig, **kwargs)
 
 
 def cmd_bootstrap(args: SimpleNamespace) -> int:
@@ -327,6 +334,8 @@ def cmd_bootstrap(args: SimpleNamespace) -> int:
     out_path = Path(args.out)
     stats_path = Path(args.stats) if args.stats else out_path.with_suffix(".stats.jsonl")
     _check_outputs(args.force, out_path, stats_path)
+    config = _train_config(args)
+    model_config = _model_config(args)
 
     noisy_manifest = corpus_mod.load_manifest(args.noisy)
     noise_manifest = corpus_mod.load_manifest(args.ext_noise)
@@ -334,8 +343,7 @@ def cmd_bootstrap(args: SimpleNamespace) -> int:
     ext = corpus_mod.load_corpus(noise_manifest, expect_role="noise")
     rate = noisy[0].sample_rate_hz
 
-    config = _train_config(args)
-    model = init_model(_model_config(args), seed=args.seed)
+    model = init_model(model_config, seed=args.seed)
     model, stats = distill_mod.bootstrap_nytt(noisy, ext, model, config, sample_rate_hz=rate)
 
     save_checkpoint(
@@ -364,7 +372,7 @@ def cmd_distill(args: SimpleNamespace) -> int:
             raise UsageError(f"--{flag} is required")
     strategy = distill_mod.MixStrategy(args.strategy)
     if args.tup == "ema":
-        tup = distill_mod.TeacherUpdateProtocol.ema(args.gamma)
+        tup = _build_config(distill_mod.TeacherUpdateProtocol.ema, args.gamma)
     else:
         tup = distill_mod.TeacherUpdateProtocol.static()
     epochs = args.epochs if args.epochs is not None else (35 if tup.kind == "ema" else 500)
@@ -378,6 +386,7 @@ def cmd_distill(args: SimpleNamespace) -> int:
     stats_path = Path(args.stats) if args.stats else out_path.with_suffix(".stats.jsonl")
     outputs = [out_path, stats_path] + ([teacher_out] if tup.kind == "ema" else [])
     _check_outputs(args.force, *outputs)
+    config = _train_config(args, strategy=strategy, tup=tup, epochs=epochs)
 
     teacher_ckpt = load_checkpoint(args.teacher)
     teacher = model_from_checkpoint(teacher_ckpt)
@@ -395,7 +404,6 @@ def cmd_distill(args: SimpleNamespace) -> int:
         ext = corpus_mod.load_corpus(noise_manifest, expect_role="noise")
         hashes["noise_corpus"] = corpus_mod.corpus_hash(noise_manifest)
 
-    config = _train_config(args, strategy=strategy, tup=tup, epochs=epochs)
     result = distill_mod.distill(teacher, noisy, ext, config, sample_rate_hz=rate)
 
     save_checkpoint(

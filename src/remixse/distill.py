@@ -33,7 +33,7 @@ from .errors import (
     UnexpectedExtNoise,
     UsageError,
 )
-from .model import DenoiserModel, ema_combine
+from .model import DenoiserModel, atomic_open, ema_combine
 
 
 class MixStrategy(Enum):
@@ -131,10 +131,13 @@ class TrainStats:
 
 
 def write_stats(path, stats: TrainStats) -> None:
-    """One JSON object per epoch: epoch, mean_loss, seconds, steps."""
+    """One JSON object per epoch: epoch, mean_loss, seconds, steps.
+
+    Replaces any existing file as a whole (see ``atomic_open``).
+    """
     import json
 
-    with open(path, "a", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for e in stats.epochs:
             fh.write(
                 json.dumps(

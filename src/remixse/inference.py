@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .audio import Waveform, write_wav
 from .corpus import Manifest, ManifestEntry, write_manifest
-from .errors import SampleRateMismatch
+from .errors import SampleRateMismatch, UsageError
 from .model import DenoiserModel, load_checkpoint, model_from_checkpoint
 
 
@@ -95,18 +95,28 @@ def enhance_batch(plan: InferencePlan, manifest: Manifest, out_dir, threads: int
 
     Failures are recorded per entry without aborting the rest. Also writes an
     "enhanced"-role manifest next to the outputs so evaluation can pair files
-    by id.
+    by id. Two entries whose paths share a stem would write the same output,
+    so that is a UsageError, raised before anything is written.
     """
     from .audio import read_wav
+
+    entries = list(manifest)
+    names = [f"{Path(entry.path).stem}.enhanced.wav" for entry in entries]
+    owners: dict[str, str] = {}
+    for entry, name in zip(entries, names):
+        if name in owners:
+            raise UsageError(
+                f"manifest entries {owners[name]!r} and {entry.id!r} would both write {name}"
+            )
+        owners[name] = entry.id
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = BatchReport()
 
-    def process(entry: ManifestEntry) -> FileResult:
+    def process(entry: ManifestEntry, name: str) -> FileResult:
         t0 = time.perf_counter()
-        stem = Path(entry.path).stem
-        out_path = out_dir / f"{stem}.enhanced.wav"
+        out_path = out_dir / name
         try:
             wave = read_wav(manifest.resolve(entry))
             enhanced = enhance(plan, wave)
@@ -115,12 +125,11 @@ def enhance_batch(plan: InferencePlan, manifest: Manifest, out_dir, threads: int
             return FileResult(entry.id, None, plan.num_stages, time.perf_counter() - t0, str(exc))
         return FileResult(entry.id, str(out_path), plan.num_stages, time.perf_counter() - t0)
 
-    entries = list(manifest)
     if threads > 1 and len(entries) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(process, entries))
+            results = list(pool.map(process, entries, names))
     else:
-        results = [process(e) for e in entries]
+        results = [process(e, n) for e, n in zip(entries, names)]
 
     out_entries = []
     for entry, result in zip(entries, results):

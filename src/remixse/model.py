@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -340,6 +343,21 @@ def _header_dict(ckpt: Checkpoint, manifest: list[dict]) -> dict:
     return header
 
 
+@contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a temp file next to ``path`` and rename it over ``path`` once the
+    block completes. Readers see the old file or the new one, never a torn
+    one, and a write that fails leaves the old file in place."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """File layout: magic, newline, JSON text header, NUL, float32 payload
     (little-endian, declaration order), trailing CRC32 of the payload."""
@@ -361,7 +379,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         offset += len(raw)
     payload = b"".join(chunks)
     header = json.dumps(_header_dict(ckpt, manifest), sort_keys=True, separators=(",", ":"))
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC + b"\n")
         fh.write(header.encode("utf-8"))
         fh.write(b"\x00")

@@ -109,6 +109,96 @@ def test_conv_transpose_is_adjoint_of_conv():
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
+# Direct-loop references. The finite-difference checks above only test that
+# forward and backward agree with each other, so a wrong column layout or
+# gate order would pass them; these pin the forward maps and their gradients
+# (of sum(out * G)) to the definitions.
+
+def conv1d_reference(x, w, bias, stride, grad_out=None):
+    batch, _, length = x.shape
+    c_out, _, kernel = w.shape
+    frames = (length - kernel) // stride + 1
+    out = np.empty((batch, c_out, frames))
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for b in range(batch):
+        for o in range(c_out):
+            for f in range(frames):
+                window = x[b, :, f * stride : f * stride + kernel]
+                out[b, o, f] = bias[o] + np.sum(w[o] * window)
+                if grad_out is not None:
+                    dw[o] += grad_out[b, o, f] * window
+                    dx[b, :, f * stride : f * stride + kernel] += grad_out[b, o, f] * w[o]
+    return out, dx, dw
+
+
+def conv_transpose1d_reference(x, w, bias, stride, grad_out=None):
+    batch, c_in, frames = x.shape
+    _, c_out, kernel = w.shape
+    out = np.zeros((batch, c_out, (frames - 1) * stride + kernel)) + bias[:, None]
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for b in range(batch):
+        for i in range(c_in):
+            for f in range(frames):
+                span = slice(f * stride, f * stride + kernel)
+                out[b, :, span] += x[b, i, f] * w[i]
+                if grad_out is not None:
+                    dx[b, i, f] = np.sum(grad_out[b, :, span] * w[i])
+                    dw[i] += x[b, i, f] * grad_out[b, :, span]
+    return out, dx, dw
+
+
+def _forward_then_backward(out, grad_out):
+    """Run the op's own backward closure on grad_out = d(loss)/d(out)."""
+    out._backward(grad_out)
+    return out.data
+
+
+CONV_GEOMETRIES = [(1, 1), (8, 4), (3, 2)]
+
+
+@pytest.mark.parametrize("kernel,stride", CONV_GEOMETRIES)
+@pytest.mark.parametrize("c_in,c_out", [(1, 3), (4, 2), (5, 6)])
+def test_conv1d_matches_loop_reference(kernel, stride, c_in, c_out):
+    rng = np.random.default_rng(kernel * 100 + c_in * 10 + c_out)
+    x = ad.Tensor(rng.normal(size=(2, c_in, 4 * kernel + 5)))
+    w = ad.Tensor(rng.normal(size=(c_out, c_in, kernel)))
+    bias = ad.Tensor(rng.normal(size=c_out))
+    frames = (x.shape[-1] - kernel) // stride + 1
+    grad_out = rng.normal(size=(2, c_out, frames))
+    out = _forward_then_backward(ad.conv1d(x, w, bias, stride), grad_out)
+    ref, dx, dw = conv1d_reference(x.data, w.data, bias.data, stride, grad_out)
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(x.grad, dx, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(w.grad, dw, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(bias.grad, grad_out.sum(axis=(0, 2)), rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("kernel,stride", CONV_GEOMETRIES)
+@pytest.mark.parametrize("c_in,c_out", [(1, 3), (4, 2), (5, 6)])
+def test_conv_transpose1d_matches_loop_reference(kernel, stride, c_in, c_out):
+    rng = np.random.default_rng(kernel * 100 + c_in * 10 + c_out + 1)
+    x = ad.Tensor(rng.normal(size=(2, c_in, 7)))
+    w = ad.Tensor(rng.normal(size=(c_in, c_out, kernel)))
+    bias = ad.Tensor(rng.normal(size=c_out))
+    grad_out = rng.normal(size=(2, c_out, 6 * stride + kernel))
+    out = _forward_then_backward(ad.conv_transpose1d(x, w, bias, stride), grad_out)
+    ref, dx, dw = conv_transpose1d_reference(x.data, w.data, bias.data, stride, grad_out)
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(x.grad, dx, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(w.grad, dw, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(bias.grad, grad_out.sum(axis=(0, 2)), rtol=1e-10, atol=1e-10)
+
+
+def test_sigmoid_saturates_without_overflow():
+    z = np.array([-800.0, -40.0, -1.5, 0.0, 1.5, 40.0, 800.0])
+    with np.errstate(all="raise"):
+        s = ad._sigmoid(z)
+    assert np.all(np.isfinite(s))
+    assert np.all((s >= 0.0) & (s <= 1.0))
+    assert s[0] == 0.0 and s[3] == 0.5 and s[-1] == 1.0
+    np.testing.assert_allclose(s[1:-1], 1.0 / (1.0 + np.exp(-z[1:-1])), rtol=1e-15, atol=1e-16)
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("op", [ad.relu, ad.sigmoid, ad.tanh])
 def test_pointwise_gradients(op, seed):
@@ -156,6 +246,37 @@ def test_lstm_gradients(seed):
     w_hh = ad.Tensor(rng.normal(size=(4 * h, h)))
     bias = ad.Tensor(rng.normal(size=4 * h))
     check_op(lambda: ad.lstm_layer(x, w_ih, w_hh, bias), (x, w_ih, w_hh, bias), seed)
+
+
+def lstm_reference(x, w_ih, w_hh, bias):
+    """Naive per-step cell, gates in the documented order i, f, g, o."""
+    batch, steps, _ = x.shape
+    hidden = w_hh.shape[1]
+    sigmoid = lambda z: 1.0 / (1.0 + np.exp(-z))
+    h, c = np.zeros((batch, hidden)), np.zeros((batch, hidden))
+    outs = []
+    for t in range(steps):
+        z = x[:, t] @ w_ih.T + h @ w_hh.T + bias
+        i = sigmoid(z[:, :hidden])
+        f = sigmoid(z[:, hidden : 2 * hidden])
+        g = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        o = sigmoid(z[:, 3 * hidden :])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        outs.append(h)
+    return np.stack(outs, axis=1)
+
+
+@pytest.mark.parametrize("batch,steps,c_in,hidden", [(1, 1, 1, 1), (2, 9, 3, 4), (3, 5, 6, 2)])
+def test_lstm_matches_naive_cell(batch, steps, c_in, hidden):
+    rng = np.random.default_rng(steps * 10 + hidden)
+    x = rng.normal(size=(batch, steps, c_in))
+    w_ih = rng.normal(size=(4 * hidden, c_in))
+    w_hh = rng.normal(size=(4 * hidden, hidden))
+    bias = rng.normal(size=4 * hidden)
+    out = ad.lstm_layer(ad.Tensor(x), ad.Tensor(w_ih), ad.Tensor(w_hh), ad.Tensor(bias))
+    expected = lstm_reference(x, w_ih, w_hh, bias)
+    np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_lstm_zero_weights_zero_output():

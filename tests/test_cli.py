@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from remixse.cli import main
+from remixse.corpus import ManifestEntry, write_manifest
 
 
 def run(*argv):
@@ -104,6 +105,79 @@ def test_bootstrap_refuses_overwrite(workspace):
         "--epochs", "1",
     )
     assert code == 2
+
+
+def test_force_keeps_old_outputs_when_the_run_fails(tmp_path):
+    # A 4-utterance corpus cannot fill a batch of 8: the forced rerun must
+    # fail with exit 2 and leave the earlier checkpoint and stats untouched.
+    data = tmp_path / "data"
+    assert run("synth", "--seed", "3", "--num", "4", "--dur", "1.0", "--out", str(data)) == 0
+    ckpt = tmp_path / "b.ckpt"
+    args = [
+        "bootstrap",
+        "--noisy", str(data / "noisy.manifest.jsonl"),
+        "--ext-noise", str(data / "noise.manifest.jsonl"),
+        "--out", str(ckpt),
+        "--epochs", "1",
+        "--segment", "2500",
+        "--shift-max", "400",
+    ]
+    assert run(*args, "--batch-size", "4") == 0
+    stats = ckpt.with_suffix(".stats.jsonl")
+    before = (ckpt.read_bytes(), stats.read_bytes())
+    assert run(*args, "--batch-size", "8", "--force") == 2
+    assert (ckpt.read_bytes(), stats.read_bytes()) == before
+    leftovers = sorted(p.name for p in tmp_path.iterdir())
+    assert leftovers == ["b.ckpt", "b.stats.jsonl", "data", "resolved.cfg"]
+
+
+def test_force_rerun_replaces_stats_instead_of_appending(workspace, tmp_path):
+    data = workspace["data"]
+    ckpt = tmp_path / "b.ckpt"
+    args = [
+        "bootstrap",
+        "--noisy", str(data / "noisy.manifest.jsonl"),
+        "--ext-noise", str(data / "noise.manifest.jsonl"),
+        "--out", str(ckpt),
+        "--epochs", "1",
+        "--batch-size", "4",
+        "--segment", "2500",
+        "--shift-max", "400",
+    ]
+    assert run(*args) == 0
+    first = ckpt.read_bytes()
+    assert run(*args, "--force") == 0
+    assert ckpt.read_bytes() == first
+    assert len(ckpt.with_suffix(".stats.jsonl").read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--dur", "0.5"],
+        ["synth", "--snr-lo", "5", "--snr-hi", "0"],
+        ["bootstrap", "--segment", "1000"],  # default --shift-max 4000 >= segment
+        ["bootstrap", "--kernel", "2", "--stride", "4"],
+        ["bootstrap", "--epochs", "0"],
+        ["distill", "--tup", "ema", "--gamma", "0"],
+        ["distill", "--snr-lo", "5", "--snr-hi", "0"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+)
+def test_invalid_config_value_is_usage_error(workspace, tmp_path, capsys, argv):
+    data = workspace["data"]
+    command, *options = argv
+    inputs = {
+        "synth": [],
+        "bootstrap": ["--noisy", str(data / "noisy.manifest.jsonl"),
+                      "--ext-noise", str(data / "noise.manifest.jsonl")],
+        "distill": ["--teacher", str(workspace["ckpt"]),
+                    "--noisy", str(data / "noisy.manifest.jsonl")],
+    }[command]
+    out = tmp_path / ("corpus" if command == "synth" else "model.ckpt")
+    assert run(command, *inputs, *options, "--out", str(out)) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +306,25 @@ def test_enhance_bad_checkpoint_exits_3(workspace, tmp_path):
     wav_in = next((workspace["data"] / "noisy").glob("*.wav"))
     code = run("enhance", "--stages", str(bad), "--in", str(wav_in), "--out", str(tmp_path / "o.wav"))
     assert code == 3
+
+
+def test_enhance_output_name_collision_is_usage_error(workspace, tmp_path):
+    # Two ids whose paths share a stem would write one output file.
+    data = workspace["data"]
+    wav = next((data / "noisy").glob("*.wav"))
+    (tmp_path / "alt").mkdir()
+    (tmp_path / "alt" / wav.name).write_bytes(wav.read_bytes())
+    (tmp_path / "noisy").mkdir()
+    (tmp_path / "noisy" / wav.name).write_bytes(wav.read_bytes())
+    write_manifest(tmp_path / "in.jsonl", [
+        ManifestEntry("a", f"noisy/{wav.name}", "noisy", 1.0),
+        ManifestEntry("b", f"alt/{wav.name}", "noisy", 1.0),
+    ])
+    out_dir = tmp_path / "enh"
+    code = run("enhance", "--stages", str(workspace["ckpt"]), "--in", str(tmp_path / "in.jsonl"),
+               "--out", str(out_dir))
+    assert code == 2
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

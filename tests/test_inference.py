@@ -7,7 +7,7 @@ import pytest
 from remixse import autodiff as ad
 from remixse.audio import Waveform, write_wav
 from remixse.corpus import ManifestEntry, load_manifest, write_manifest
-from remixse.errors import SampleRateMismatch
+from remixse.errors import SampleRateMismatch, UsageError
 from remixse.inference import InferencePlan, enhance, enhance_batch
 from remixse.model import (
     DenoiserModel,
@@ -155,6 +155,20 @@ def test_enhance_batch_isolates_failures(trained_tiny_model, tmp_path):
     assert (tmp_path / "out" / "u0.enhanced.wav").exists()
     assert (tmp_path / "out" / "u2.enhanced.wav").exists()
     assert not (tmp_path / "out" / "u1.enhanced.wav").exists()
+
+
+def test_enhance_batch_rejects_shared_output_stem(trained_tiny_model, tmp_path):
+    for sub in ("noisy", "alt"):
+        (tmp_path / sub).mkdir()
+        write_wav(tmp_path / sub / "utt0000.wav", Waveform(np.zeros(1600), RATE))
+    write_manifest(tmp_path / "in.jsonl", [
+        ManifestEntry("first", "noisy/utt0000.wav", "noisy", 0.1),
+        ManifestEntry("second", "alt/utt0000.wav", "noisy", 0.1),
+    ])
+    plan = InferencePlan.from_checkpoints([_save(trained_tiny_model, tmp_path / "m.ckpt")])
+    with pytest.raises(UsageError, match="'first' and 'second'"):
+        enhance_batch(plan, load_manifest(tmp_path / "in.jsonl"), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_enhance_batch_threaded_matches_serial(trained_tiny_model, tmp_path):
