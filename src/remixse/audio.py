@@ -19,6 +19,7 @@ from .errors import (
     ZeroPowerNoise,
     ZeroPowerSignal,
 )
+from .fileio import atomic_open
 
 DEFAULT_SAMPLE_RATE = 16_000
 
@@ -304,7 +305,7 @@ def write_wav(path, w: Waveform, encoding: str = "float32") -> None:
         b"data",
         len(payload),
     )
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(header)
         fh.write(payload)
 

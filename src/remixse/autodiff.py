@@ -5,7 +5,7 @@ convolutions, pointwise nonlinearities, GLU, a single LSTM layer, structural
 ops, polyphase resampling, the two training losses, and Adam. All math runs
 in float64. The graph is define-by-run: every op closes over what its
 backward pass needs, and ``backward`` replays the closures in exact reverse
-creation order.
+creation order, releasing each node as it goes.
 """
 from __future__ import annotations
 
@@ -39,8 +39,9 @@ def grad_enabled() -> bool:
 class Tensor:
     """A float64 array plus the closure that backpropagates into its parents.
 
-    ``grad`` starts as a copy of the first contribution and accumulates later
-    ones with ``+=``, so fan-out (a tensor consumed by several ops) sums them.
+    ``grad`` starts as the first contribution (a copy, unless the op allocated
+    it for this tensor alone) and accumulates later ones with ``+=``, so
+    fan-out (a tensor consumed by several ops) sums them.
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward", "_seq")
@@ -71,16 +72,32 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into ``t.grad``.
+
+    ``fresh`` means the op allocated ``g`` for ``t`` alone, so a C-contiguous
+    float64 ``g`` becomes ``t.grad`` without a copy. Anything else is copied
+    first: ``add`` hands one array to two parents, and a view would pin (or,
+    once ``+=`` lands, write into) the array it was taken from.
+    """
     if t.grad is None:
-        # Always a fresh copy: ops such as ``add`` hand one array to two parents.
-        t.grad = np.array(g, dtype=np.float64, order="C")
+        if fresh and g.dtype == np.float64 and g.flags.c_contiguous:
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=np.float64, order="C")
     else:
         t.grad += g
 
 
 def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss, filling ``.grad`` on reachable tensors."""
+    """Backpropagate from a scalar loss, filling ``.grad`` on the leaves it reaches.
+
+    Leaves are tensors without a backward closure (parameters and inputs);
+    they keep ``.grad``. The graph is consumed: once a node's closure has run,
+    the node drops its gradient, its closure and its parents, so activations
+    are freed during the walk instead of when the caller drops the loss. A
+    graph can therefore be backpropagated once.
+    """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
     nodes: list[Tensor] = []
@@ -93,12 +110,19 @@ def backward(loss: Tensor) -> None:
         seen.add(id(t))
         nodes.append(t)
         stack.extend(t._parents)
-    # Creation order is execution order, so this is exact reverse execution order.
-    nodes.sort(key=lambda t: t._seq, reverse=True)
+    # Creation order is execution order, so popping the highest ``_seq`` first
+    # is exact reverse execution order. A popped node's children have all run.
+    nodes.sort(key=lambda t: t._seq)
     loss.grad = np.ones_like(loss.data)
-    for t in nodes:
-        if t._backward is not None and t.grad is not None:
+    while nodes:
+        t = nodes.pop()
+        if t._backward is None:
+            continue
+        if t.grad is not None:
             t._backward(t.grad)
+        t.grad = None
+        t._backward = None
+        t._parents = ()
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +148,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         _accum(a, g)
-        _accum(b, -g)
+        _accum(b, -g, fresh=True)
 
     return _record(out, (a, b), bwd)
 
@@ -138,7 +162,7 @@ def scale(x: Tensor, c) -> Tensor:
     out = Tensor(x.data * c)
 
     def bwd(g):
-        _accum(x, g * c)
+        _accum(x, g * c, fresh=True)
 
     return _record(out, (x,), bwd)
 
@@ -148,7 +172,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
 
     def bwd(g):
-        _accum(x, g * mask)
+        _accum(x, g * mask, fresh=True)
 
     return _record(out, (x,), bwd)
 
@@ -166,7 +190,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = Tensor(s)
 
     def bwd(g):
-        _accum(x, g * s * (1.0 - s))
+        _accum(x, g * s * (1.0 - s), fresh=True)
 
     return _record(out, (x,), bwd)
 
@@ -176,7 +200,7 @@ def tanh(x: Tensor) -> Tensor:
     out = Tensor(t)
 
     def bwd(g):
-        _accum(x, g * (1.0 - t * t))
+        _accum(x, g * (1.0 - t * t), fresh=True)
 
     return _record(out, (x,), bwd)
 
@@ -200,7 +224,7 @@ def glu(x: Tensor, axis: int = 1) -> Tensor:
         np.multiply(g, a, out=gb)
         gb *= sb
         gb *= 1.0 - sb
-        _accum(x, gx)
+        _accum(x, gx, fresh=True)
 
     return _record(out, (x,), bwd)
 
@@ -215,7 +239,7 @@ def slice_time(x: Tensor, start: int, stop: int) -> Tensor:
     def bwd(g):
         gx = np.zeros_like(x.data)
         gx[..., start:stop] = g
-        _accum(x, gx)
+        _accum(x, gx, fresh=True)
 
     return _record(out, (x,), bwd)
 
@@ -300,9 +324,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
     def bwd(g):
         # Columns are rebuilt here rather than kept alive from the forward pass.
         cols = _im2col(x.data, kernel, stride, frames)
-        _accum(weight, _batch_outer(g, cols).reshape(weight.data.shape))
-        _accum(bias, g.sum(axis=(0, 2)))
-        _accum(x, _col2im(w2.T @ g, kernel, stride, length))
+        _accum(weight, _batch_outer(g, cols).reshape(weight.data.shape), fresh=True)
+        _accum(bias, g.sum(axis=(0, 2)), fresh=True)
+        _accum(x, _col2im(w2.T @ g, kernel, stride, length), fresh=True)
 
     return _record(out, (x, weight, bias), bwd)
 
@@ -325,9 +349,9 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Te
 
     def bwd(g):
         g_cols = _im2col(g, kernel, stride, frames)
-        _accum(x, w2 @ g_cols)
-        _accum(weight, _batch_outer(x.data, g_cols).reshape(weight.data.shape))
-        _accum(bias, g.sum(axis=(0, 2)))
+        _accum(x, w2 @ g_cols, fresh=True)
+        _accum(weight, _batch_outer(x.data, g_cols).reshape(weight.data.shape), fresh=True)
+        _accum(bias, g.sum(axis=(0, 2)), fresh=True)
 
     return _record(out, (x, weight, bias), bwd)
 
@@ -408,9 +432,9 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
         # Weight gradients as single GEMMs over all (step, row) pairs.
         da_flat = da_all.reshape(steps * batch, four_h)
         x_steps = x.data.transpose(1, 0, 2).reshape(steps * batch, c_in)
-        _accum(w_hh, da_flat.T @ hs[:-1].reshape(steps * batch, hidden))
-        _accum(w_ih, da_flat.T @ x_steps)
-        _accum(bias, da_flat.sum(axis=0))
+        _accum(w_hh, da_flat.T @ hs[:-1].reshape(steps * batch, hidden), fresh=True)
+        _accum(w_ih, da_flat.T @ x_steps, fresh=True)
+        _accum(bias, da_flat.sum(axis=0), fresh=True)
         _accum(x, (da_flat @ w_ih.data).reshape(steps, batch, c_in).transpose(1, 0, 2))
 
     return _record(out, (x, w_ih, w_hh, bias), bwd)
@@ -520,8 +544,8 @@ def mae_loss(pred: Tensor, target) -> Tensor:
     sgn = np.sign(diff) / diff.size
 
     def bwd(g):
-        _accum(pred, g * sgn)
-        _accum(target, -g * sgn)
+        _accum(pred, g * sgn, fresh=True)
+        _accum(target, -g * sgn, fresh=True)
 
     return _record(out, (pred, target), bwd)
 
@@ -535,8 +559,8 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 
     def bwd(g):
         gd = g * 2.0 * diff / batch
-        _accum(pred, gd)
-        _accum(target, -gd)
+        _accum(pred, gd, fresh=True)
+        _accum(target, -gd, fresh=True)
 
     return _record(out, (pred, target), bwd)
 
@@ -544,6 +568,11 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
+
+# Elements per block of the Adam update: 256 KiB of float64, so the blocks of
+# p, m, v, the gradient and two scratch buffers fit in a core's cache together.
+ADAM_BLOCK = 1 << 15
+
 
 @dataclass
 class AdamState:
@@ -559,24 +588,55 @@ class AdamState:
 
     def ensure(self, params) -> None:
         if not self.m:
-            self.m = [np.zeros_like(p.data) for p in params]
-            self.v = [np.zeros_like(p.data) for p in params]
+            self.m = [np.zeros(p.data.shape) for p in params]
+            self.v = [np.zeros(p.data.shape) for p in params]
         for p, m in zip(params, self.m):
             if p.data.shape != m.shape:
                 raise ValueError("AdamState moments do not match parameter shapes")
 
 
 def adam_step(params, state: AdamState) -> None:
-    """One in-place Adam update with bias correction. Missing grads count as zero."""
+    """One in-place Adam update with bias correction. Missing grads count as zero.
+
+    Each parameter is updated in blocks of ``ADAM_BLOCK`` elements through two
+    scratch buffers. Per element the operations and their order are those of
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * (g * g)
+        p -= step_size * (m / bc1) / (sqrt(v / bc2) + epsilon)
+
+    so the result is bit-identical to evaluating it on whole arrays, with far
+    less memory traffic. Parameters and moments must be C-contiguous, because
+    the update writes through flat views of them.
+    """
     state.ensure(params)
     state.timestep += 1
     t = state.timestep
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    beta1, beta2 = state.beta1, state.beta2
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    size = min(ADAM_BLOCK, max((p.data.size for p in params), default=0))
+    s1, s2 = np.empty(size), np.empty(size)
     for p, m, v in zip(params, state.m, state.v):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.step_size * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        if not (p.data.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise ValueError("adam_step needs C-contiguous parameters and moments")
+        p_flat, m_flat, v_flat = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
+        g_flat = np.zeros(p_flat.size) if p.grad is None else np.ravel(p.grad)
+        for lo in range(0, p_flat.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, p_flat.size)
+            a, b = s1[: hi - lo], s2[: hi - lo]
+            g, mb, vb = g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
+            mb *= beta1
+            np.multiply(1.0 - beta1, g, out=a)
+            mb += a
+            vb *= beta2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - beta2
+            vb += a
+            np.divide(mb, bc1, out=a)
+            a *= state.step_size
+            np.divide(vb, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += state.epsilon
+            a /= b
+            p_flat[lo:hi] -= a

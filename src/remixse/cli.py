@@ -22,6 +22,7 @@ from . import inference as inference_mod
 from . import metrics as metrics_mod
 from .audio import DEFAULT_SAMPLE_RATE, read_wav, resample, write_wav
 from .errors import RemixSEError, SampleRateMismatch, UsageError
+from .fileio import atomic_open
 from .model import (
     PAPER_CONFIG,
     TINY_CONFIG,
@@ -218,6 +219,12 @@ def _check_outputs(force: bool, *paths) -> None:
         raise UsageError(f"refusing to overwrite {existing}; pass --force")
 
 
+def _make_parents(*paths) -> None:
+    """Create the output directories before the work, not at save time."""
+    for p in paths:
+        Path(p).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _build_config(factory, *args, **kwargs):
     """Construct a config object; a ValueError from its checks is a usage error."""
     try:
@@ -236,7 +243,8 @@ def _echo_resolved(out_dir, command: str, resolved: SimpleNamespace, hashes: dic
         lines.append(f"{key}={value}")
     for name, digest in sorted(hashes.items()):
         lines.append(f"hash.{name}={digest}")
-    (out_dir / "resolved.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(out_dir / "resolved.cfg", "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _model_config(args: SimpleNamespace) -> ModelConfig:
@@ -343,6 +351,7 @@ def cmd_bootstrap(args: SimpleNamespace) -> int:
     ext = corpus_mod.load_corpus(noise_manifest, expect_role="noise")
     rate = noisy[0].sample_rate_hz
 
+    _make_parents(out_path, stats_path)
     model = init_model(model_config, seed=args.seed)
     model, stats = distill_mod.bootstrap_nytt(noisy, ext, model, config, sample_rate_hz=rate)
 
@@ -404,6 +413,7 @@ def cmd_distill(args: SimpleNamespace) -> int:
         ext = corpus_mod.load_corpus(noise_manifest, expect_role="noise")
         hashes["noise_corpus"] = corpus_mod.corpus_hash(noise_manifest)
 
+    _make_parents(*outputs)
     result = distill_mod.distill(teacher, noisy, ext, config, sample_rate_hz=rate)
 
     save_checkpoint(
@@ -450,6 +460,7 @@ def cmd_enhance(args: SimpleNamespace) -> int:
     if in_path.suffix.lower() == ".wav":
         _check_outputs(args.force, args.out)
         wave = _load_input_wave(in_path, plan, args.resample)
+        _make_parents(args.out)
         enhanced = inference_mod.enhance(plan, wave)
         write_wav(args.out, enhanced)
         print(f"enhanced {in_path} -> {args.out} ({plan.num_stages} stages)")
@@ -458,7 +469,7 @@ def cmd_enhance(args: SimpleNamespace) -> int:
     out_dir = Path(args.out)
     _check_outputs(args.force, out_dir / "enhance_report.json")
     report = inference_mod.enhance_batch(plan, manifest, out_dir, threads=_threads(args))
-    with open(out_dir / "enhance_report.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "enhance_report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
     _echo_resolved(
         out_dir,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .audio import DEFAULT_SAMPLE_RATE, Waveform, mix_at_snr, write_wav
 from .errors import EmptyCorpus, MissingFile, ParseError, RoleMismatch
+from .fileio import atomic_open
 
 ROLES = ("noisy", "noise", "clean", "enhanced")
 MANIFEST_FIELDS = ("id", "path", "role", "duration_s")
@@ -46,8 +47,7 @@ class Manifest:
 
 
 def write_manifest(path, entries) -> None:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for e in entries:
             record = {"id": e.id, "path": e.path, "role": e.role, "duration_s": e.duration_s}
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -273,6 +273,6 @@ def synth_corpus(spec: SynthSpec, out_dir):
     write_manifest(noisy_path, noisy_entries)
     write_manifest(noise_path, noise_entries)
     write_manifest(clean_path, clean_entries)
-    with open(out_dir / "synth_log.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "synth_log.json", "w", encoding="utf-8") as fh:
         json.dump({"seed": spec.seed, "achieved_snr_db": log}, fh, sort_keys=True, indent=2)
     return noisy_path, noise_path, clean_path, log

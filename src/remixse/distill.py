@@ -33,7 +33,8 @@ from .errors import (
     UnexpectedExtNoise,
     UsageError,
 )
-from .model import DenoiserModel, atomic_open, ema_combine
+from .fileio import atomic_open
+from .model import DenoiserModel, ema_combine
 
 
 class MixStrategy(Enum):

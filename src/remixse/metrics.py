@@ -22,6 +22,7 @@ from .audio import Waveform, read_wav
 from .autodiff import resample_array
 from .corpus import Manifest
 from .errors import LengthMismatch, TooShort, ZeroReference
+from .fileio import atomic_open
 
 STOI_RATE = 10_000
 STOI_FRAME = 256
@@ -168,12 +169,12 @@ class MetricReport:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "stoi", "si_sdr_db", "pesq"])
             for u in self.utterances:

@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import zlib
-from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
-from pathlib import Path
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .audio import DEFAULT_SAMPLE_RATE, SignalBatch
-from .errors import ConfigMismatch, CorruptHeader, VersionMismatch
+from .errors import ConfigMismatch, CorruptHeader, MissingFile, VersionMismatch
+from .fileio import atomic_open
 
 CHECKPOINT_MAGIC = b"RMXSE1"
 SIGMA_FLOOR = 1e-3
@@ -343,21 +341,6 @@ def _header_dict(ckpt: Checkpoint, manifest: list[dict]) -> dict:
     return header
 
 
-@contextmanager
-def atomic_open(path, mode: str = "wb", **kwargs):
-    """Open a temp file next to ``path`` and rename it over ``path`` once the
-    block completes. Readers see the old file or the new one, never a torn
-    one, and a write that fails leaves the old file in place."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """File layout: magic, newline, JSON text header, NUL, float32 payload
     (little-endian, declaration order), trailing CRC32 of the payload."""
@@ -387,9 +370,67 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write((zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little"))
 
 
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise CorruptHeader(f"malformed header: {what}")
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON true/false parse to bool, a subclass of int
+
+
+def _header_fields(header, payload_size: int):
+    """Check a parsed header; returns (config, array entries). Entries must
+    tile the payload in order, each a float32 array of its declared shape."""
+    _require(isinstance(header, dict), "not a JSON object")
+    config = ModelConfig(**header["config"])
+    for f in fields(ModelConfig):
+        _require(type(getattr(config, f.name)) is type(f.default), f"config.{f.name}")
+    _require(_is_int(header["epoch"]), "epoch")
+    _require(header["seed"] is None or _is_int(header["seed"]), "seed")
+    _require(_is_int(header.get("sample_rate_hz", DEFAULT_SAMPLE_RATE)), "sample_rate_hz")
+    meta = header.get("optimizer")
+    if meta:
+        _require(_is_int(meta["timestep"]), "optimizer.timestep")
+        for key in ("step_size", "beta1", "beta2", "epsilon"):
+            _require(type(meta[key]) in (int, float), f"optimizer.{key}")
+    entries = header["arrays"]
+    _require(isinstance(entries, list), "arrays")
+    names, offset = set(), 0
+    for entry in entries:
+        name, shape = entry["name"], entry["shape"]
+        fits = (
+            isinstance(name, str)
+            and name not in names
+            and entry["dtype"] == "<f4"
+            and isinstance(shape, list)
+            and all(_is_int(n) and n >= 0 for n in shape)
+            and _is_int(entry["offset"])
+            and entry["offset"] == offset
+            and _is_int(entry["nbytes"])
+            and entry["nbytes"] == 4 * math.prod(shape)
+        )
+        _require(fits, f"array entry {name!r} does not fit the payload")
+        names.add(name)
+        offset += entry["nbytes"]
+    if offset != payload_size:
+        raise CorruptHeader(f"payload is {payload_size} bytes, manifest says {offset}")
+    return config, entries
+
+
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    A missing file raises ``MissingFile``, another format version
+    ``VersionMismatch``, and any other malformed input ``CorruptHeader``.
+    Arrays are read through one view of the file's bytes, so each is copied
+    once, out of the payload.
+    """
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise MissingFile(f"checkpoint not found: {path}") from exc
     if len(blob) < len(CHECKPOINT_MAGIC) + 1:
         raise CorruptHeader("file too small")
     magic = blob[: len(CHECKPOINT_MAGIC)]
@@ -398,25 +439,25 @@ def load_checkpoint(path) -> Checkpoint:
             raise VersionMismatch(f"unsupported checkpoint version {magic!r}")
         raise CorruptHeader(f"bad magic {magic!r}")
     nul = blob.find(b"\x00", len(CHECKPOINT_MAGIC) + 1)
-    if nul < 0:
-        raise CorruptHeader("missing header terminator")
+    if nul < 0 or len(blob) < nul + 5:
+        raise CorruptHeader("missing header terminator or checksum")
     try:
         header = json.loads(blob[len(CHECKPOINT_MAGIC) + 1 : nul].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptHeader(f"unparseable header: {exc}") from exc
-    payload = blob[nul + 1 : -4]
-    stored_crc = int.from_bytes(blob[-4:], "little")
-    expected = sum(entry["nbytes"] for entry in header["arrays"])
-    if len(payload) != expected:
-        raise CorruptHeader(f"payload is {len(payload)} bytes, manifest says {expected}")
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != stored_crc:
+    payload = memoryview(blob)[nul + 1 : -4]
+    try:
+        config, entries = _header_fields(header, len(payload))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptHeader(f"malformed header: {exc!r}") from exc
+    if (zlib.crc32(payload) & 0xFFFFFFFF) != int.from_bytes(blob[-4:], "little"):
         raise CorruptHeader("payload checksum mismatch")
 
-    config = ModelConfig(**header["config"])
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        raw = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
-        arrays[entry["name"]] = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"]).copy()
+    for entry in entries:
+        count = entry["nbytes"] // 4
+        flat = np.frombuffer(payload, dtype="<f4", count=count, offset=entry["offset"])
+        arrays[entry["name"]] = flat.reshape(entry["shape"]).copy()
 
     opt = None
     if header.get("optimizer"):

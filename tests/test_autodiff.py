@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from remixse import autodiff as ad
+from remixse.model import ModelConfig, init_model
 from conftest import assert_grad_close, fd_gradients
 
 
@@ -467,3 +468,97 @@ def test_forward_backward_deterministic():
     l2, g2 = run()
     assert l1 == l2
     assert np.array_equal(g1, g2)
+
+
+def test_add_gives_each_parent_its_own_gradient():
+    a = ad.Tensor(np.ones((2, 3)))
+    b = ad.Tensor(np.full((2, 3), 2.0))
+    ad.backward(ad.mse_loss(ad.reshape(ad.add(a, b), (1, 6)), np.zeros((1, 6))))
+    assert not np.shares_memory(a.grad, b.grad)
+    before = b.grad.copy()
+    a.grad += 1.0
+    assert np.array_equal(b.grad, before)
+
+
+# ---------------------------------------------------------------------------
+# backward consumes the graph
+# ---------------------------------------------------------------------------
+
+def _graph_nodes(loss):
+    nodes, seen, stack = [], set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
+
+
+def _replay_without_release(loss):
+    """Backward as a plain replay of every closure in reverse creation order,
+    keeping the graph: the reference that ``ad.backward`` must agree with."""
+    loss.grad = np.ones_like(loss.data)
+    for t in sorted(_graph_nodes(loss), key=lambda t: t._seq, reverse=True):
+        if t._backward is not None and t.grad is not None:
+            t._backward(t.grad)
+
+
+def test_backward_releases_every_interior_node_and_keeps_leaf_gradients():
+    # resample=2 also puts resample_time and scale on the graph
+    model = init_model(ModelConfig(depth=2, hidden=4, resample=2), seed=4)
+    x = 0.1 * np.random.default_rng(4).normal(size=(2, 600))
+
+    loss = ad.mae_loss(model.apply(x), x)
+    interior = [t for t in _graph_nodes(loss) if t._backward is not None]
+    assert len(interior) > 20
+    ad.backward(loss)
+    for t in interior:
+        assert t.grad is None and t._backward is None and t._parents == ()
+    released = {name: p.grad for name, p in model.params.items()}
+
+    model.zero_grads()
+    _replay_without_release(ad.mae_loss(model.apply(x), x))
+    for name, p in model.params.items():
+        assert released[name] is not None
+        assert np.array_equal(released[name], p.grad), name
+
+
+# ---------------------------------------------------------------------------
+# Adam, block by block
+# ---------------------------------------------------------------------------
+
+def test_blocked_adam_is_bit_identical_to_the_whole_array_formula():
+    rng = np.random.default_rng(9)
+    shapes = [(2 * ad.ADAM_BLOCK + 123,), (3, ad.ADAM_BLOCK // 2 + 7), (5, 3), (4,)]
+    params = [ad.Tensor(rng.normal(size=s)) for s in shapes]
+    ref_p = [p.data.copy() for p in params]
+    ref_m = [np.zeros(s) for s in shapes]
+    ref_v = [np.zeros(s) for s in shapes]
+    state = ad.AdamState(step_size=1e-3)
+    b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, state.step_size
+    for t in range(1, 4):
+        grads = [rng.normal(size=s) for s in shapes[:-1]] + [None]  # the last has no grad
+        for p, g in zip(params, grads):
+            p.grad = g
+        ad.adam_step(params, state)
+        bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+        for p, m, v, g in zip(ref_p, ref_m, ref_v, grads):
+            g = np.zeros_like(p) if g is None else g
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    for p, m, v, rp, rm, rv in zip(params, state.m, state.v, ref_p, ref_m, ref_v):
+        assert np.array_equal(p.data, rp)
+        assert np.array_equal(m, rm)
+        assert np.array_equal(v, rv)
+
+
+def test_adam_rejects_a_non_contiguous_parameter():
+    p = ad.Tensor(np.ones((3, 4)))
+    p.data = p.data.T  # a view: an update through reshape(-1) would be lost
+    p.grad = np.ones((4, 3))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        ad.adam_step([p], ad.AdamState())

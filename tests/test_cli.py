@@ -272,6 +272,43 @@ def test_batch_larger_than_corpus_is_usage_error(workspace, tmp_path, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["bootstrap", "distill"])
+def test_training_creates_the_output_directory(workspace, tmp_path, command):
+    data = workspace["data"]
+    if command == "bootstrap":
+        inputs = ["--ext-noise", str(data / "noise.manifest.jsonl"), "--model", "tiny"]
+    else:
+        inputs = ["--teacher", str(workspace["ckpt"]), "--strategy", "nytt1", "--tup", "ema"]
+    out = tmp_path / "new" / "dir" / "model.ckpt"
+    code = run(
+        command,
+        "--noisy", str(data / "noisy.manifest.jsonl"),
+        *inputs,
+        "--epochs", "1",
+        "--batch-size", "4",
+        "--segment", "2500",
+        "--shift-max", "400",
+        "--out", str(out),
+    )
+    assert code == 0
+    assert out.exists() and out.with_suffix(".stats.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["distill", "enhance"])
+def test_missing_checkpoint_is_missing_file(workspace, tmp_path, capsys, command):
+    data = workspace["data"]
+    missing = str(tmp_path / "absent.ckpt")
+    if command == "distill":
+        argv = ["distill", "--teacher", missing, "--noisy", str(data / "noisy.manifest.jsonl"),
+                "--epochs", "1", "--out", str(tmp_path / "x.ckpt")]
+    else:
+        argv = ["enhance", "--stages", missing, "--in", str(data / "noisy.manifest.jsonl"),
+                "--out", str(tmp_path / "enh")]
+    assert run(*argv) == 3
+    assert "checkpoint not found" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # enhance
 # ---------------------------------------------------------------------------
@@ -279,6 +316,14 @@ def test_batch_larger_than_corpus_is_usage_error(workspace, tmp_path, command):
 def test_enhance_single_file(workspace, tmp_path):
     wav_in = next((workspace["data"] / "noisy").glob("*.wav"))
     out = tmp_path / "out.wav"
+    code = run("enhance", "--stages", str(workspace["ckpt"]), "--in", str(wav_in), "--out", str(out))
+    assert code == 0
+    assert out.exists()
+
+
+def test_enhance_single_file_creates_the_output_directory(workspace, tmp_path):
+    wav_in = next((workspace["data"] / "noisy").glob("*.wav"))
+    out = tmp_path / "new" / "out.wav"
     code = run("enhance", "--stages", str(workspace["ckpt"]), "--in", str(wav_in), "--out", str(out))
     assert code == 0
     assert out.exists()

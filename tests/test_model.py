@@ -1,12 +1,21 @@
 """Architecture, forward contracts, EMA combination, and checkpoint format."""
 import math
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from remixse import autodiff as ad
 from remixse.audio import SignalBatch
-from remixse.errors import ConfigMismatch, CorruptHeader, VersionMismatch
+from remixse.errors import (
+    ConfigMismatch,
+    CorruptHeader,
+    MissingFile,
+    RemixSEError,
+    VersionMismatch,
+)
 from remixse.model import (
     Checkpoint,
     DenoiserModel,
@@ -321,6 +330,98 @@ def test_checkpoint_wrong_magic(tmp_path):
     (tmp_path / "junk.ckpt").write_bytes(b"NOTACKPT" + b"\x00" * 64)
     with pytest.raises(CorruptHeader):
         load_checkpoint(tmp_path / "junk.ckpt")
+
+
+def test_checkpoint_missing_file(tmp_path):
+    with pytest.raises(MissingFile):
+        load_checkpoint(tmp_path / "absent.ckpt")
+
+
+def _with_header(blob: bytes, edit) -> bytes:
+    """The checkpoint ``blob`` with its JSON header passed through ``edit``."""
+    start = blob.index(b"\n") + 1
+    nul = blob.index(b"\x00", start)
+    header = json.loads(blob[start:nul])
+    edit(header)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:start] + text + blob[nul:]
+
+
+def _drop_arrays(h):
+    del h["arrays"]
+
+
+def _set_entry(key, value, index=1):
+    def edit(h):
+        h["arrays"][index][key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _drop_arrays,
+        lambda h: h.update(arrays={"enc1.conv.w": 1}),
+        _set_entry("offset", 4),
+        _set_entry("offset", -8),
+        _set_entry("nbytes", 10**9),
+        _set_entry("shape", [3, 2]),
+        _set_entry("shape", "8"),
+        _set_entry("dtype", "<f8"),
+        _set_entry("dtype", "not-a-dtype"),
+        _set_entry("name", "enc1.conv.w"),
+        lambda h: h["config"].update(depth="2"),
+        lambda h: h["config"].update(depth=2.0),
+        lambda h: h["config"].update(unknown=1),
+        lambda h: h.update(config=[2, 4]),
+        lambda h: h.update(epoch=None),
+        lambda h: h.pop("seed"),
+        lambda h: h.update(optimizer={"kind": "adam"}),
+    ],
+    ids=[
+        "no-arrays", "arrays-not-a-list", "offset-gap", "offset-negative", "nbytes-too-big",
+        "shape-wrong", "shape-not-a-list", "dtype-f8", "dtype-unknown", "name-duplicate",
+        "config-str", "config-float", "config-unknown-key", "config-not-a-dict",
+        "epoch-null", "seed-missing", "optimizer-incomplete",
+    ],
+)
+def test_checkpoint_malformed_header_is_corrupt_header(tmp_path, edit):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model_to_checkpoint(init_model(TINY_CONFIG, seed=3)))
+    path.write_bytes(_with_header(path.read_bytes(), edit))
+    with pytest.raises(CorruptHeader):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    model = init_model(TINY_CONFIG, seed=5)
+    adam = ad.AdamState()
+    for p in model.parameters():
+        p.grad = np.ones_like(p.data)
+    ad.adam_step(model.parameters(), adam)
+    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    save_checkpoint(path, model_to_checkpoint(model, epoch=3, seed=5, adam=adam))
+    return path.read_bytes()
+
+
+@given(data=st.data())
+def test_checkpoint_fuzz_raises_only_package_errors(tmp_path_factory, checkpoint_bytes, data):
+    blob = bytearray(checkpoint_bytes)
+    header_end = blob.index(b"\x00")
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        # mostly inside the header, where a mutation can survive the CRC
+        for _ in range(data.draw(st.integers(1, 4), label="flips")):
+            pos = data.draw(st.integers(0, header_end), label="pos")
+            blob[pos] = data.draw(st.integers(0, 255), label="byte")
+    path = tmp_path_factory.mktemp("case") / "m.ckpt"
+    path.write_bytes(bytes(blob))
+    try:
+        load_checkpoint(path)
+    except RemixSEError:
+        pass
 
 
 def test_model_from_checkpoint_config_mismatch(tmp_path):
