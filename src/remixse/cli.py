@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,153 +36,147 @@ from .model import (
 )
 
 _MODEL_PRESETS = {"tiny": TINY_CONFIG, "paper": PAPER_CONFIG}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
-DEFAULTS = {
-    "synth": {
-        "seed": 0,
-        "num": 16,
-        "dur": 1.0,
-        "sr": DEFAULT_SAMPLE_RATE,
-        "snr_lo": 0.0,
-        "snr_hi": 10.0,
-        "out": None,
-        "force": False,
-    },
-    "bootstrap": {
-        "noisy": None,
-        "ext_noise": None,
-        "out": None,
-        "stats": None,
-        "loss": "mae",
-        "epochs": 500,
-        "batch_size": 8,
-        "segment": 16_000,
-        "lr": 3e-4,
-        "snr_lo": -5.0,
-        "snr_hi": 5.0,
-        "seed": 0,
-        "model": "tiny",
-        "depth": None,
-        "hidden": None,
-        "kernel": None,
-        "stride": None,
-        "resample_factor": None,
-        "shift": True,
-        "remix": True,
-        "bandmask": True,
-        "shift_max": 4_000,
-        "bandmask_frac": 0.2,
-        "force": False,
-    },
-    "distill": {
-        "teacher": None,
-        "noisy": None,
-        "ext_noise": None,
-        "out": None,
-        "stats": None,
-        "strategy": "nytt1",
-        "tup": "static",
-        "gamma": 0.005,
-        "epochs": None,  # 500 static / 35 ema when unset
-        "loss": "mae",
-        "batch_size": 8,
-        "segment": 16_000,
-        "lr": 3e-4,
-        "snr_lo": -5.0,
-        "snr_hi": 5.0,
-        "seed": 0,
-        "augment": False,
-        "shift_max": 4_000,
-        "bandmask_frac": 0.2,
-        "force": False,
-    },
-    "enhance": {
-        "stages": None,
-        "inp": None,
-        "out": None,
-        "resample": False,
-        "threads": None,
-        "force": False,
-    },
-    "evaluate": {
-        "ref": None,
-        "deg": None,
-        "metrics": "stoi,sisdr",
-        "pesq_csv": None,
-        "report": None,
-        "threads": None,
-        "force": False,
-    },
+
+@dataclass(frozen=True)
+class Option:
+    """One command-line option.
+
+    ``key`` is its config-file key (None: flag only). ``type`` parses
+    config-file values and, unless ``action`` is set, the flag's value too.
+    ``help`` is one text for every command or a dict from command to text.
+    """
+
+    commands: tuple[str, ...]
+    flag: str
+    dest: str
+    key: str | None = None
+    type: type = str
+    default: object = None
+    choices: tuple | None = None
+    action: str | None = None
+    required: bool = False
+    help: str | dict | None = None
+
+    def parser_kwargs(self, command: str) -> dict:
+        text = self.help.get(command) if isinstance(self.help, dict) else self.help
+        kwargs = {"dest": self.dest, "default": argparse.SUPPRESS, "help": text}
+        if self.action:
+            return {**kwargs, "action": self.action}
+        return {**kwargs, "type": self.type, "choices": self.choices, "required": self.required}
+
+    def parse(self, text: str):
+        """A config-file value, parsed by the declared type and checked against the choices."""
+        if self.type is bool:
+            if text.lower() not in _BOOLEANS:
+                raise UsageError(f"{self.key}: expected one of {'/'.join(_BOOLEANS)}, got {text!r}")
+            return _BOOLEANS[text.lower()]
+        try:
+            value = self.type(text)
+        except ValueError:
+            raise UsageError(f"{self.key}: expected {self.type.__name__}, got {text!r}") from None
+        if self.choices is not None and value not in self.choices:
+            raise UsageError(f"{self.key}: {value!r} is not one of {', '.join(self.choices)}")
+        return value
+
+
+_COMMAND_HELP = {
+    "synth": "generate a deterministic synthetic corpus",
+    "bootstrap": "train the initial model on noisy targets",
+    "distill": "teacher-student training",
+    "enhance": "run an enhancement stage plan",
+    "evaluate": "score degraded files against references",
 }
+_ALL = tuple(_COMMAND_HELP)
+_TRAIN = ("bootstrap", "distill")
 
-# config-file key -> argument dest, per command
-CONFIG_KEYS = {
-    "synth": {
-        "synth.seed": "seed",
-        "synth.num": "num",
-        "synth.dur": "dur",
-        "synth.sr": "sr",
-        "synth.snr_lo": "snr_lo",
-        "synth.snr_hi": "snr_hi",
-    },
-    "bootstrap": {
-        "train.loss": "loss",
-        "train.epochs": "epochs",
-        "train.batch_size": "batch_size",
-        "train.segment": "segment",
-        "train.lr": "lr",
-        "train.snr_lo": "snr_lo",
-        "train.snr_hi": "snr_hi",
-        "train.seed": "seed",
-        "train.shift": "shift",
-        "train.remix": "remix",
-        "train.bandmask": "bandmask",
-        "train.shift_max": "shift_max",
-        "train.bandmask_frac": "bandmask_frac",
-        "model.preset": "model",
-        "model.depth": "depth",
-        "model.hidden": "hidden",
-        "model.kernel": "kernel",
-        "model.stride": "stride",
-        "model.resample": "resample_factor",
-    },
-    "distill": {
-        "train.loss": "loss",
-        "train.epochs": "epochs",
-        "train.batch_size": "batch_size",
-        "train.segment": "segment",
-        "train.lr": "lr",
-        "train.snr_lo": "snr_lo",
-        "train.snr_hi": "snr_hi",
-        "train.seed": "seed",
-        "train.strategy": "strategy",
-        "train.tup": "tup",
-        "train.gamma": "gamma",
-        "train.augment": "augment",
-        "train.shift_max": "shift_max",
-        "train.bandmask_frac": "bandmask_frac",
-    },
-    "enhance": {"enhance.threads": "threads", "enhance.resample": "resample"},
-    "evaluate": {"eval.metrics": "metrics", "eval.threads": "threads"},
-}
+# Every option, once; --epochs and --ext-noise take a row per command because
+# their default or required flag differs. A command lists its flags in table
+# order (as --help shows them) and resolves each as: explicit flag >
+# config-file key > default.
+OPTIONS = (
+    Option(("synth",), "--seed", "seed", "synth.seed", int, 0),
+    Option(("synth",), "--num", "num", "synth.num", int, 16, help="utterances per family"),
+    Option(("synth",), "--dur", "dur", "synth.dur", float, 1.0,
+           help="utterance length in seconds"),
+    Option(("synth",), "--sr", "sr", "synth.sr", int, DEFAULT_SAMPLE_RATE),
+    Option(("synth",), "--snr-lo", "snr_lo", "synth.snr_lo", float, 0.0),
+    Option(("synth",), "--snr-hi", "snr_hi", "synth.snr_hi", float, 10.0),
+    Option(("distill",), "--teacher", "teacher", required=True, help="initial teacher checkpoint"),
+    Option(_TRAIN, "--noisy", "noisy", required=True, help={"bootstrap": "noisy-speech manifest"}),
+    Option(("bootstrap",), "--ext-noise", "ext_noise", required=True,
+           help="extraneous-noise manifest"),
+    Option(("distill",), "--ext-noise", "ext_noise"),
+    Option(("enhance",), "--stages", "stages", required=True,
+           help="comma-separated checkpoint paths"),
+    Option(("enhance",), "--in", "inp", required=True, help="input WAV or manifest"),
+    Option(("synth", "bootstrap", "distill", "enhance"), "--out", "out", required=True, help={
+        "bootstrap": "output checkpoint path",
+        "distill": "student checkpoint path",
+        "enhance": "output WAV (file input) or directory (manifest)",
+    }),
+    Option(_TRAIN, "--stats", "stats"),
+    Option(("distill",), "--strategy", "strategy", "train.strategy", str, "nytt1",
+           choices=tuple(s.value for s in distill_mod.MixStrategy)),
+    Option(("distill",), "--tup", "tup", "train.tup", str, "static", choices=("static", "ema")),
+    Option(("distill",), "--gamma", "gamma", "train.gamma", float, 0.005),
+    # unset: 500 epochs under a static teacher, 35 under EMA
+    Option(("distill",), "--epochs", "epochs", "train.epochs", int, None),
+    Option(_TRAIN, "--loss", "loss", "train.loss", str, "mae", choices=("mae", "mse")),
+    Option(("bootstrap",), "--epochs", "epochs", "train.epochs", int, 500),
+    Option(_TRAIN, "--batch-size", "batch_size", "train.batch_size", int, 8),
+    Option(_TRAIN, "--segment", "segment", "train.segment", int, 16_000,
+           help={"bootstrap": "training segment length in samples"}),
+    Option(_TRAIN, "--lr", "lr", "train.lr", float, 3e-4),
+    Option(_TRAIN, "--snr-lo", "snr_lo", "train.snr_lo", float, -5.0),
+    Option(_TRAIN, "--snr-hi", "snr_hi", "train.snr_hi", float, 5.0),
+    Option(_TRAIN, "--seed", "seed", "train.seed", int, 0),
+    Option(("bootstrap",), "--model", "model", "model.preset", str, "tiny",
+           choices=tuple(_MODEL_PRESETS)),
+    Option(("bootstrap",), "--depth", "depth", "model.depth", int),
+    Option(("bootstrap",), "--hidden", "hidden", "model.hidden", int),
+    Option(("bootstrap",), "--kernel", "kernel", "model.kernel", int),
+    Option(("bootstrap",), "--stride", "stride", "model.stride", int),
+    Option(("bootstrap",), "--resample-factor", "resample_factor", "model.resample", int),
+    Option(("bootstrap",), "--no-shift", "shift", "train.shift", bool, True, action="store_false"),
+    Option(("bootstrap",), "--no-remix", "remix", "train.remix", bool, True, action="store_false"),
+    Option(("bootstrap",), "--no-bandmask", "bandmask", "train.bandmask", bool, True,
+           action="store_false"),
+    Option(("distill",), "--augment", "augment", "train.augment", bool, False, action="store_true",
+           help="apply shift/bandmask during distillation too"),
+    Option(_TRAIN, "--shift-max", "shift_max", "train.shift_max", int, 4_000),
+    Option(_TRAIN, "--bandmask-frac", "bandmask_frac", "train.bandmask_frac", float, 0.2),
+    Option(("enhance",), "--resample", "resample", "enhance.resample", bool, False,
+           action="store_true"),
+    Option(("enhance",), "--threads", "threads", "enhance.threads", int),
+    Option(("evaluate",), "--ref", "ref", required=True),
+    Option(("evaluate",), "--deg", "deg", required=True),
+    Option(("evaluate",), "--metrics", "metrics", "eval.metrics", str, "stoi,sisdr",
+           help="comma list from: stoi, sisdr"),
+    Option(("evaluate",), "--pesq-csv", "pesq_csv"),
+    Option(("evaluate",), "--report", "report", required=True, help="output report JSON path"),
+    Option(("evaluate",), "--threads", "threads", "eval.threads", int),
+    Option(_ALL, "--config", "config", help="key=value config file"),
+    Option(_ALL, "--force", "force", None, bool, False, action="store_true"),
+)
 
 
-def _coerce(text: str, default):
-    if isinstance(default, bool):
-        return text.strip().lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
-    return text
+def _options(command: str) -> list[Option]:
+    return [o for o in OPTIONS if command in o.commands]
 
 
 def _parse_config_file(path) -> dict[str, str]:
     cfg: dict[str, str] = {}
     path = Path(path)
-    if not path.exists():
-        raise UsageError(f"config file not found: {path}")
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise UsageError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -193,17 +188,16 @@ def _parse_config_file(path) -> dict[str, str]:
 
 
 def _resolve(command: str, namespace: argparse.Namespace) -> SimpleNamespace:
-    resolved = dict(DEFAULTS[command])
-    provided = {k: v for k, v in vars(namespace).items() if k not in ("command", "config")}
+    options = _options(command)
+    resolved = {o.dest: o.default for o in options}
     config_path = getattr(namespace, "config", None)
     if config_path:
-        file_cfg = _parse_config_file(config_path)
-        known = CONFIG_KEYS.get(command, {})
-        for key, value in file_cfg.items():
-            if key in known:
-                dest = known[key]
-                resolved[dest] = _coerce(value, DEFAULTS[command].get(dest))
-    resolved.update(provided)
+        by_key = {o.key: o for o in options if o.key}
+        for key, text in _parse_config_file(config_path).items():
+            if key in by_key:
+                resolved[by_key[key].dest] = by_key[key].parse(text)
+    resolved.update(vars(namespace))
+    del resolved["command"], resolved["config"]
     return SimpleNamespace(**resolved)
 
 
@@ -236,10 +230,10 @@ def _build_config(factory, *args, **kwargs):
 def _echo_resolved(out_dir, command: str, resolved: SimpleNamespace, hashes: dict[str, str]) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reverse = {dest: key for key, dest in CONFIG_KEYS.get(command, {}).items()}
+    keys = {o.dest: o.key for o in _options(command) if o.key}
     lines = []
     for dest, value in sorted(vars(resolved).items()):
-        key = reverse.get(dest, f"{command}.{dest}")
+        key = keys.get(dest, f"{command}.{dest}")
         lines.append(f"{key}={value}")
     for name, digest in sorted(hashes.items()):
         lines.append(f"hash.{name}={digest}")
@@ -248,31 +242,20 @@ def _echo_resolved(out_dir, command: str, resolved: SimpleNamespace, hashes: dic
 
 
 def _model_config(args: SimpleNamespace) -> ModelConfig:
-    base = _MODEL_PRESETS.get(args.model)
-    if base is None:
-        raise UsageError(f"unknown model preset {args.model!r}")
-    overrides = {}
-    if args.depth is not None:
-        overrides["depth"] = args.depth
-    if args.hidden is not None:
-        overrides["hidden"] = args.hidden
-    if args.kernel is not None:
-        overrides["kernel_size"] = args.kernel
-    if args.stride is not None:
-        overrides["stride"] = args.stride
-    if args.resample_factor is not None:
-        overrides["resample"] = args.resample_factor
-    if not overrides:
-        return base
-    from dataclasses import replace
-
-    return _build_config(replace, base, **overrides)
+    overrides = dict(depth=args.depth, hidden=args.hidden, kernel_size=args.kernel,
+                     stride=args.stride, resample=args.resample_factor)
+    overrides = {name: value for name, value in overrides.items() if value is not None}
+    return _build_config(replace, _MODEL_PRESETS[args.model], **overrides)
 
 
 def _threads(args: SimpleNamespace) -> int:
     if args.threads is not None:
-        return max(1, int(args.threads))
-    return max(1, int(os.environ.get("REMIXSE_THREADS", "1")))
+        return max(1, args.threads)
+    text = os.environ.get("REMIXSE_THREADS", "1")
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise UsageError(f"REMIXSE_THREADS must be an integer, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +263,6 @@ def _threads(args: SimpleNamespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args: SimpleNamespace) -> int:
-    if args.out is None:
-        raise UsageError("--out is required")
     spec = _build_config(
         corpus_mod.SynthSpec,
         seed=args.seed,
@@ -311,9 +292,9 @@ def cmd_synth(args: SimpleNamespace) -> int:
     return 0
 
 
-def _train_config(args: SimpleNamespace, strategy=None, tup=None, epochs=None) -> distill_mod.TrainConfig:
+def _train_config(args: SimpleNamespace, **overrides) -> distill_mod.TrainConfig:
     kwargs = dict(
-        epochs=epochs if epochs is not None else args.epochs,
+        epochs=args.epochs,
         batch_size=args.batch_size,
         segment_samples=args.segment,
         learning_rate=args.lr,
@@ -324,10 +305,7 @@ def _train_config(args: SimpleNamespace, strategy=None, tup=None, epochs=None) -
         shift_max_samples=args.shift_max,
         bandmask_fraction=args.bandmask_frac,
     )
-    if strategy is not None:
-        kwargs["strategy"] = strategy
-    if tup is not None:
-        kwargs["tup"] = tup
+    kwargs.update(overrides)
     if hasattr(args, "shift"):
         kwargs.update(shift=args.shift, remix=args.remix, bandmask=args.bandmask)
     if getattr(args, "augment", False):
@@ -336,9 +314,6 @@ def _train_config(args: SimpleNamespace, strategy=None, tup=None, epochs=None) -
 
 
 def cmd_bootstrap(args: SimpleNamespace) -> int:
-    for flag in ("noisy", "ext_noise", "out"):
-        if getattr(args, flag) is None:
-            raise UsageError(f"--{flag.replace('_', '-')} is required")
     out_path = Path(args.out)
     stats_path = Path(args.stats) if args.stats else out_path.with_suffix(".stats.jsonl")
     _check_outputs(args.force, out_path, stats_path)
@@ -360,25 +335,18 @@ def cmd_bootstrap(args: SimpleNamespace) -> int:
         model_to_checkpoint(model, epoch=config.epochs, seed=args.seed, sample_rate_hz=rate),
     )
     distill_mod.write_stats(stats_path, stats)
-    _echo_resolved(
-        out_path.parent,
-        "bootstrap",
-        args,
-        {
-            "noisy_corpus": corpus_mod.corpus_hash(noisy_manifest),
-            "noise_corpus": corpus_mod.corpus_hash(noise_manifest),
-            "checkpoint": _sha256(out_path),
-        },
-    )
+    hashes = {
+        "noisy_corpus": corpus_mod.corpus_hash(noisy_manifest),
+        "noise_corpus": corpus_mod.corpus_hash(noise_manifest),
+        "checkpoint": _sha256(out_path),
+    }
+    _echo_resolved(out_path.parent, "bootstrap", args, hashes)
     print(f"bootstrap done: {config.epochs} epochs, final loss {stats.epochs[-1].mean_loss:.6f}")
     print(f"checkpoint {out_path}")
     return 0
 
 
 def cmd_distill(args: SimpleNamespace) -> int:
-    for flag in ("teacher", "noisy", "out"):
-        if getattr(args, flag) is None:
-            raise UsageError(f"--{flag} is required")
     strategy = distill_mod.MixStrategy(args.strategy)
     if args.tup == "ema":
         tup = _build_config(distill_mod.TeacherUpdateProtocol.ema, args.gamma)
@@ -450,9 +418,6 @@ def _load_input_wave(path, plan, allow_resample: bool):
 
 
 def cmd_enhance(args: SimpleNamespace) -> int:
-    for flag in ("stages", "inp", "out"):
-        if getattr(args, flag) is None:
-            raise UsageError("--stages, --in and --out are required")
     plan = inference_mod.InferencePlan.from_checkpoints(
         [p for p in str(args.stages).split(",") if p]
     )
@@ -489,9 +454,6 @@ def _sha256_list(paths) -> str:
 
 
 def cmd_evaluate(args: SimpleNamespace) -> int:
-    for flag in ("ref", "deg", "report"):
-        if getattr(args, flag) is None:
-            raise UsageError("--ref, --deg and --report are required")
     names = [m.strip() for m in str(args.metrics).split(",") if m.strip()]
     mapping = {"stoi": "stoi", "sisdr": "si_sdr", "si_sdr": "si_sdr"}
     try:
@@ -540,84 +502,10 @@ def cmd_evaluate(args: SimpleNamespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="remixse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    S = argparse.SUPPRESS
-
-    p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--num", type=int, default=S, help="utterances per family")
-    p.add_argument("--dur", type=float, default=S, help="utterance length in seconds")
-    p.add_argument("--sr", type=int, default=S)
-    p.add_argument("--snr-lo", dest="snr_lo", type=float, default=S)
-    p.add_argument("--snr-hi", dest="snr_hi", type=float, default=S)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("bootstrap", help="train the initial model on noisy targets")
-    p.add_argument("--noisy", required=True, help="noisy-speech manifest")
-    p.add_argument("--ext-noise", dest="ext_noise", required=True, help="extraneous-noise manifest")
-    p.add_argument("--out", required=True, help="output checkpoint path")
-    p.add_argument("--stats", default=S)
-    p.add_argument("--loss", choices=["mae", "mse"], default=S)
-    p.add_argument("--epochs", type=int, default=S)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=S)
-    p.add_argument("--segment", type=int, default=S, help="training segment length in samples")
-    p.add_argument("--lr", type=float, default=S)
-    p.add_argument("--snr-lo", dest="snr_lo", type=float, default=S)
-    p.add_argument("--snr-hi", dest="snr_hi", type=float, default=S)
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--model", choices=["tiny", "paper"], default=S)
-    p.add_argument("--depth", type=int, default=S)
-    p.add_argument("--hidden", type=int, default=S)
-    p.add_argument("--kernel", type=int, default=S)
-    p.add_argument("--stride", type=int, default=S)
-    p.add_argument("--resample-factor", dest="resample_factor", type=int, default=S)
-    p.add_argument("--no-shift", dest="shift", action="store_false", default=S)
-    p.add_argument("--no-remix", dest="remix", action="store_false", default=S)
-    p.add_argument("--no-bandmask", dest="bandmask", action="store_false", default=S)
-    p.add_argument("--shift-max", dest="shift_max", type=int, default=S)
-    p.add_argument("--bandmask-frac", dest="bandmask_frac", type=float, default=S)
-
-    p = sub.add_parser("distill", help="teacher-student training")
-    p.add_argument("--teacher", required=True, help="initial teacher checkpoint")
-    p.add_argument("--noisy", required=True)
-    p.add_argument("--ext-noise", dest="ext_noise", default=S)
-    p.add_argument("--out", required=True, help="student checkpoint path")
-    p.add_argument("--stats", default=S)
-    p.add_argument(
-        "--strategy", choices=[s.value for s in distill_mod.MixStrategy], default=S
-    )
-    p.add_argument("--tup", choices=["static", "ema"], default=S)
-    p.add_argument("--gamma", type=float, default=S)
-    p.add_argument("--epochs", type=int, default=S)
-    p.add_argument("--loss", choices=["mae", "mse"], default=S)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=S)
-    p.add_argument("--segment", type=int, default=S)
-    p.add_argument("--lr", type=float, default=S)
-    p.add_argument("--snr-lo", dest="snr_lo", type=float, default=S)
-    p.add_argument("--snr-hi", dest="snr_hi", type=float, default=S)
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--augment", action="store_true", default=S,
-                   help="apply shift/bandmask during distillation too")
-    p.add_argument("--shift-max", dest="shift_max", type=int, default=S)
-    p.add_argument("--bandmask-frac", dest="bandmask_frac", type=float, default=S)
-
-    p = sub.add_parser("enhance", help="run an enhancement stage plan")
-    p.add_argument("--stages", required=True, help="comma-separated checkpoint paths")
-    p.add_argument("--in", dest="inp", required=True, help="input WAV or manifest")
-    p.add_argument("--out", required=True, help="output WAV (file input) or directory (manifest)")
-    p.add_argument("--resample", action="store_true", default=S)
-    p.add_argument("--threads", type=int, default=S)
-
-    p = sub.add_parser("evaluate", help="score degraded files against references")
-    p.add_argument("--ref", required=True)
-    p.add_argument("--deg", required=True)
-    p.add_argument("--metrics", default=S, help="comma list from: stoi, sisdr")
-    p.add_argument("--pesq-csv", dest="pesq_csv", default=S)
-    p.add_argument("--report", required=True, help="output report JSON path")
-    p.add_argument("--threads", type=int, default=S)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--config", default=None, help="key=value config file")
-        sp.add_argument("--force", action="store_true", default=S)
+    for command, text in _COMMAND_HELP.items():
+        p = sub.add_parser(command, help=text)
+        for option in _options(command):
+            p.add_argument(option.flag, **option.parser_kwargs(command))
     return parser
 
 

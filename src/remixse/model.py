@@ -23,6 +23,9 @@ from .fileio import atomic_open
 
 CHECKPOINT_MAGIC = b"RMXSE1"
 SIGMA_FLOOR = 1e-3
+LSTM_LAYERS = 2
+# Config fields older checkpoint headers carry, with the only value each took.
+_LEGACY_CONFIG = {"lstm_layers": LSTM_LAYERS, "causal": True}
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,6 @@ class ModelConfig:
     kernel_size: int = 8
     stride: int = 4
     resample: int = 1
-    lstm_layers: int = 2
-    causal: bool = True
 
     def __post_init__(self):
         if self.depth < 1 or self.hidden < 1:
@@ -49,10 +50,6 @@ class ModelConfig:
             raise ValueError("require kernel_size >= stride >= 1")
         if self.resample < 1:
             raise ValueError("resample factor must be >= 1")
-        if self.lstm_layers != 2:
-            raise ValueError("this architecture fixes lstm_layers at 2")
-        if not self.causal:
-            raise ValueError("only the causal variant is implemented")
 
     def encoder_channels(self, i: int) -> int:
         """Output channels of encoder layer i (1-based)."""
@@ -111,7 +108,7 @@ def _parameter_spec(config: ModelConfig):
         yield f"enc{i}.proj.w", (2 * ch, ch, 1), ch
         yield f"enc{i}.proj.b", (2 * ch,), None
         c_prev = ch
-    for layer in range(config.lstm_layers):
+    for layer in range(LSTM_LAYERS):
         yield f"lstm{layer}.w_ih", (4 * h, h), h
         yield f"lstm{layer}.w_hh", (4 * h, h), h
         yield f"lstm{layer}.b", (4 * h,), None
@@ -180,7 +177,7 @@ class DenoiserModel:
             skips.append(h)
 
         h = ad.swap_time_channels(h)
-        for layer in range(cfg.lstm_layers):
+        for layer in range(LSTM_LAYERS):
             h = ad.lstm_layer(
                 h,
                 self.params[f"lstm{layer}.w_ih"],
@@ -308,17 +305,6 @@ def model_from_checkpoint(ckpt: Checkpoint, config: ModelConfig | None = None) -
     return DenoiserModel(ckpt.config, params)
 
 
-def adam_from_checkpoint(ckpt: Checkpoint, model: DenoiserModel) -> "ad.AdamState | None":
-    if ckpt.optimizer is None:
-        return None
-    names = list(model.params)
-    snap = ckpt.optimizer
-    state = ad.AdamState(snap.step_size, snap.beta1, snap.beta2, snap.epsilon, snap.timestep)
-    state.m = [np.asarray(snap.moments1[n], dtype=np.float64) for n in names]
-    state.v = [np.asarray(snap.moments2[n], dtype=np.float64) for n in names]
-    return state
-
-
 def _header_dict(ckpt: Checkpoint, manifest: list[dict]) -> dict:
     header = {
         "config": asdict(ckpt.config),
@@ -383,7 +369,12 @@ def _header_fields(header, payload_size: int):
     """Check a parsed header; returns (config, array entries). Entries must
     tile the payload in order, each a float32 array of its declared shape."""
     _require(isinstance(header, dict), "not a JSON object")
-    config = ModelConfig(**header["config"])
+    _require(isinstance(header["config"], dict), "config")
+    stored = dict(header["config"])
+    for name, value in _LEGACY_CONFIG.items():
+        old = stored.pop(name, value)
+        _require(type(old) is type(value) and old == value, f"config.{name}")
+    config = ModelConfig(**stored)
     for f in fields(ModelConfig):
         _require(type(getattr(config, f.name)) is type(f.default), f"config.{f.name}")
     _require(_is_int(header["epoch"]), "epoch")

@@ -1,11 +1,17 @@
 """CLI command behavior, exit codes, config files, and output echoing."""
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from remixse.cli import main
+from remixse.cli import OPTIONS, _resolve, build_parser, main
 from remixse.corpus import ManifestEntry, write_manifest
+from remixse.errors import RemixSEError, UsageError
+from remixse.model import load_checkpoint
 
 
 def run(*argv):
@@ -466,3 +472,165 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")
     assert exc.value.code == 2
+
+
+def _training_inputs(workspace, command):
+    data = workspace["data"]
+    if command == "bootstrap":
+        return ["--noisy", str(data / "noisy.manifest.jsonl"),
+                "--ext-noise", str(data / "noise.manifest.jsonl")]
+    return ["--teacher", str(workspace["ckpt"]), "--noisy", str(data / "noisy.manifest.jsonl")]
+
+
+# Small batches of short segments, so a training run takes well under a second.
+_QUICK = "train.batch_size=4\ntrain.segment=2500\ntrain.shift_max=400\n"
+
+
+@pytest.mark.parametrize(
+    "command, line, flags, stored",
+    [
+        ("distill", "train.epochs=35", [], lambda ckpt: ckpt.epoch == 35),
+        ("bootstrap", "model.depth=2", ["--epochs", "1"], lambda ckpt: ckpt.config.depth == 2),
+        ("bootstrap", "model.hidden=2", ["--epochs", "1"], lambda ckpt: ckpt.config.hidden == 2),
+    ],
+    ids=["distill-epochs", "bootstrap-depth", "bootstrap-hidden"],
+)
+def test_config_key_without_a_default_is_parsed_by_its_type(workspace, tmp_path, command, line,
+                                                            flags, stored):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_QUICK + line + "\n")
+    out = tmp_path / "out" / "model.ckpt"
+    argv = [command, *_training_inputs(workspace, command), *flags, "--config", str(cfg),
+            "--out", str(out)]
+    assert run(*argv) == 0
+    assert line in (out.parent / "resolved.cfg").read_text().splitlines()
+    assert stored(load_checkpoint(out))
+
+
+@pytest.mark.parametrize(
+    "command, config, env",
+    [
+        ("bootstrap", b"train.epochs=abc", None),
+        ("bootstrap", b"train.lr=fast", None),
+        ("bootstrap", b"train.shift=maybe", None),
+        ("distill", b"train.strategy=nytt9", None),
+        ("distill", b"train.tup=emma", None),
+        ("bootstrap", b"model.depth=\xff\xfe", None),
+        ("enhance", b"enhance.resample=sometimes", None),
+        ("evaluate", b"eval.threads=two", None),
+        ("evaluate", None, "two"),
+    ],
+    ids=["int", "float", "bool", "strategy-choice", "tup-choice", "not-utf8", "enhance-bool",
+         "eval-threads", "env-threads"],
+)
+def test_bad_config_input_exits_2_and_writes_nothing(workspace, tmp_path, capsys, monkeypatch,
+                                                     command, config, env):
+    data = workspace["data"]
+    out = tmp_path / "out"
+    # A value is checked even where a flag overrides it, as --epochs does here.
+    train = ["--epochs", "1", "--out", str(out / "m.ckpt")]
+    argv = {
+        "bootstrap": [*_training_inputs(workspace, "bootstrap"), *train],
+        "distill": [*_training_inputs(workspace, "distill"), *train],
+        "enhance": ["--stages", str(workspace["ckpt"]), "--in", str(data / "noisy.manifest.jsonl"),
+                    "--out", str(out)],
+        "evaluate": ["--ref", str(data / "clean.manifest.jsonl"),
+                     "--deg", str(data / "clean.manifest.jsonl"), "--report", str(out / "r.json")],
+    }[command]
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(_QUICK.encode() + config + b"\n")
+        argv += ["--config", str(cfg)]
+    if env is not None:
+        monkeypatch.setenv("REMIXSE_THREADS", env)
+    assert run(command, *argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def pair_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pair")
+    assert run("synth", "--seed", "5", "--num", "2", "--dur", "1.0", "--out", str(root)) == 0
+    return root / "clean.manifest.jsonl"
+
+
+_VALID_CONFIG = b"""# evaluation
+eval.metrics=sisdr
+eval.threads=2
+train.epochs=35
+model.preset=tiny
+"""
+
+
+def _config_bytes():
+    arbitrary = st.binary(max_size=200)
+    mutated = st.tuples(
+        st.lists(st.tuples(st.integers(0, len(_VALID_CONFIG) - 1), st.integers(0, 255)),
+                 min_size=1, max_size=4),
+        st.integers(1, len(_VALID_CONFIG)),
+    ).map(_mutate)
+    return st.one_of(arbitrary, mutated)
+
+
+def _mutate(edits_and_length):
+    edits, length = edits_and_length
+    blob = bytearray(_VALID_CONFIG)
+    for pos, byte in edits:
+        blob[pos] = byte
+    return bytes(blob[:length])
+
+
+@given(config=_config_bytes())
+def test_config_file_fuzz_exits_0_2_or_3(tmp_path_factory, pair_corpus, config):
+    case = tmp_path_factory.mktemp("cfg")
+    (case / "run.cfg").write_bytes(config)
+    argv = ["evaluate", "--ref", str(pair_corpus), "--deg", str(pair_corpus),
+            "--report", str(case / "out" / "r.json"), "--config", str(case / "run.cfg")]
+    try:
+        assert run(*argv) in (0, 2, 3)
+    except RemixSEError:
+        pass
+
+
+_REQUIRED = {
+    "synth": ["--out", "o"],
+    "bootstrap": ["--noisy", "n", "--ext-noise", "e", "--out", "o"],
+    "distill": ["--teacher", "t", "--noisy", "n", "--out", "o"],
+    "enhance": ["--stages", "s", "--in", "i", "--out", "o"],
+    "evaluate": ["--ref", "r", "--deg", "d", "--report", "p"],
+}
+
+
+@given(command=st.sampled_from(sorted(_REQUIRED)), edits=st.lists(
+    st.tuples(st.integers(0, 10_000), st.integers(0, 255)), max_size=4))
+def test_resolve_parses_mutated_config_files_or_raises_usage_error(tmp_path_factory, command,
+                                                                   edits):
+    # Every key of every command with its default, so each type and choice
+    # list meets mutated text.
+    valid = "".join(f"{o.key}={o.default}\n" for o in OPTIONS if o.key and o.default is not None)
+    blob = bytearray(valid.encode())
+    for pos, byte in edits:
+        blob[pos % len(blob)] = byte
+    path = tmp_path_factory.mktemp("resolve") / "run.cfg"
+    path.write_bytes(bytes(blob))
+    namespace = build_parser().parse_args([command, *_REQUIRED[command], "--config", str(path)])
+    try:
+        _resolve(command, namespace)
+    except UsageError:
+        pass
+
+
+def test_readme_lists_every_config_key_with_its_type():
+    expected = set()
+    for option in OPTIONS:
+        if option.key:
+            kind = "one of " + ", ".join(option.choices) if option.choices else option.type.__name__
+            expected |= {(command, option.key, kind) for command in option.commands}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config files", 1)[1].split("\n## ", 1)[0]
+    listed = set()
+    for key, kind, commands in re.findall(r"^\| `([\w.]+)` \| ([^|]+?) \| ([^|]+?) \|$", section,
+                                          re.MULTILINE):
+        listed |= {(command, key, kind) for command in commands.split(", ")}
+    assert listed == expected

@@ -393,6 +393,30 @@ def test_checkpoint_malformed_header_is_corrupt_header(tmp_path, edit):
         load_checkpoint(path)
 
 
+def test_checkpoint_header_with_the_old_fixed_config_fields_still_loads(tmp_path):
+    # Headers once carried "lstm_layers": 2 and "causal": true; both fields
+    # took no other value and are no longer written.
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model_to_checkpoint(init_model(TINY_CONFIG, seed=3), epoch=2, seed=3))
+    blob = path.read_bytes()
+    assert b"lstm_layers" not in blob and b"causal" not in blob
+    (tmp_path / "old.ckpt").write_bytes(
+        _with_header(blob, lambda h: h["config"].update(lstm_layers=2, causal=True))
+    )
+    new, old = load_checkpoint(path), load_checkpoint(tmp_path / "old.ckpt")
+    assert old.config == new.config == TINY_CONFIG
+    assert old.arrays.keys() == new.arrays.keys()
+    assert all(np.array_equal(old.arrays[n], new.arrays[n]) for n in new.arrays)
+    save_checkpoint(tmp_path / "resaved.ckpt", old)
+    assert (tmp_path / "resaved.ckpt").read_bytes() == blob
+    for name, value in [("lstm_layers", 3), ("lstm_layers", 2.0), ("causal", False),
+                        ("causal", 1)]:
+        (tmp_path / "bad.ckpt").write_bytes(_with_header(blob, lambda h: h["config"].update(
+            {name: value})))
+        with pytest.raises(CorruptHeader):
+            load_checkpoint(tmp_path / "bad.ckpt")
+
+
 @pytest.fixture(scope="module")
 def checkpoint_bytes(tmp_path_factory):
     model = init_model(TINY_CONFIG, seed=5)
