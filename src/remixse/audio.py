@@ -14,6 +14,7 @@ import numpy as np
 from .autodiff import resample_array
 from .errors import (
     LengthMismatch,
+    MissingFile,
     SizeMismatch,
     UnsupportedFormat,
     ZeroPowerNoise,
@@ -311,9 +312,14 @@ def write_wav(path, w: Waveform, encoding: str = "float32") -> None:
 
 
 def read_wav(path) -> Waveform:
-    """Read a mono PCM16 or float32 WAV; anything else raises UnsupportedFormat."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a mono PCM16 or float32 WAV; anything else, including non-finite
+    samples or a zero sample rate, raises UnsupportedFormat, and a path that
+    is not a file MissingFile."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise MissingFile(f"WAV file not found: {path}") from exc
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise UnsupportedFormat("not a RIFF/WAVE file")
     pos = 12
@@ -337,10 +343,17 @@ def read_wav(path) -> Waveform:
     fmt, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt_chunk, 0)
     if channels != 1:
         raise UnsupportedFormat(f"only mono supported, got {channels} channels")
-    if fmt == _WAVE_FORMAT_PCM and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif fmt == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
+    pcm16 = fmt == _WAVE_FORMAT_PCM and bits == 16
+    if not (pcm16 or (fmt == _WAVE_FORMAT_IEEE_FLOAT and bits == 32)):
         raise UnsupportedFormat(f"unsupported format code {fmt} / {bits} bits")
-    return Waveform(samples, rate)
+    if len(data) % (bits // 8):
+        raise UnsupportedFormat(
+            f"data chunk of {len(data)} bytes is not a whole number of {bits}-bit samples"
+        )
+    samples = np.frombuffer(data, dtype="<i2" if pcm16 else "<f4").astype(np.float64)
+    if pcm16:
+        samples /= 32768.0
+    try:
+        return Waveform(samples, rate)
+    except ValueError as exc:  # non-finite samples or a zero sample rate
+        raise UnsupportedFormat(str(exc)) from exc

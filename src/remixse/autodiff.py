@@ -2,10 +2,18 @@
 
 Covers exactly the op set the waveform denoiser needs: 1-D (transposed)
 convolutions, pointwise nonlinearities, GLU, a single LSTM layer, structural
-ops, polyphase resampling, the two training losses, and Adam. All math runs
-in float64. The graph is define-by-run: every op closes over what its
-backward pass needs, and ``backward`` replays the closures in exact reverse
-creation order, releasing each node as it goes.
+ops, polyphase resampling, the two training losses, and Adam.
+
+Dtype follows the data: float32 arrays stay float32 through every op, and
+anything else is computed in float64 (training, Adam and the gradient checks
+run in float64; no-grad enhancement runs in float32). Intermediate buffers
+take the dtype of the op's inputs.
+
+The graph is define-by-run: every op closes over what its backward pass
+needs, and ``backward`` replays the closures in exact reverse creation
+order, releasing each node as it goes. An op is recorded only if one of its
+inputs requires a gradient, so constants (model inputs, loss targets) cost
+nothing in backward.
 """
 from __future__ import annotations
 
@@ -36,18 +44,32 @@ def grad_enabled() -> bool:
     return _grad_enabled.get()
 
 
-class Tensor:
-    """A float64 array plus the closure that backpropagates into its parents.
+def _float(x) -> np.ndarray:
+    """``x`` as an array: float32 stays float32, anything else becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
-    ``grad`` starts as the first contribution (a copy, unless the op allocated
-    it for this tensor alone) and accumulates later ones with ``+=``, so
-    fan-out (a tensor consumed by several ops) sums them.
+
+class Tensor:
+    """A float32 or float64 array plus the closure that backpropagates into
+    its parents.
+
+    The data keeps a float32 dtype and casts anything else to float64.
+    ``grad`` has the dtype of the data; it starts as the first contribution
+    (a copy, unless the op allocated it for this tensor alone) and
+    accumulates later ones with ``+=``, so fan-out (a tensor consumed by
+    several ops) sums them.
+
+    ``requires_grad=False`` makes a constant: no gradient flows into it, and
+    an op whose inputs are all constants is not recorded (its output is a
+    constant too).
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "_seq")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
 
-    def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
+    def __init__(self, data, requires_grad: bool = True):
+        self.data = _float(data)
+        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
@@ -66,9 +88,17 @@ class Tensor:
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if _grad_enabled.get():
+    """Attach the backward closure, or make ``out`` a constant when graph
+    recording is off or no parent requires a gradient.
+
+    A closure of an op with several parents checks ``requires_grad`` before
+    it computes a parent's gradient; one with a single parent need not.
+    """
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out._parents = parents
         out._backward = backward
+    else:
+        out.requires_grad = False
     return out
 
 
@@ -76,15 +106,15 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     """Add ``g`` into ``t.grad``.
 
     ``fresh`` means the op allocated ``g`` for ``t`` alone, so a C-contiguous
-    float64 ``g`` becomes ``t.grad`` without a copy. Anything else is copied
-    first: ``add`` hands one array to two parents, and a view would pin (or,
-    once ``+=`` lands, write into) the array it was taken from.
+    ``g`` of ``t``'s dtype becomes ``t.grad`` without a copy. Anything else is
+    copied first: ``add`` hands one array to two parents, and a view would
+    pin (or, once ``+=`` lands, write into) the array it was taken from.
     """
     if t.grad is None:
-        if fresh and g.dtype == np.float64 and g.flags.c_contiguous:
+        if fresh and g.dtype == t.data.dtype and g.flags.c_contiguous:
             t.grad = g
         else:
-            t.grad = np.array(g, dtype=np.float64, order="C")
+            t.grad = np.array(g, dtype=t.data.dtype, order="C")
     else:
         t.grad += g
 
@@ -135,8 +165,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def bwd(g):
-        _accum(a, g)
-        _accum(b, g)
+        if a.requires_grad:
+            _accum(a, g)
+        if b.requires_grad:
+            _accum(b, g)
 
     return _record(out, (a, b), bwd)
 
@@ -147,8 +179,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def bwd(g):
-        _accum(a, g)
-        _accum(b, -g, fresh=True)
+        if a.requires_grad:
+            _accum(a, g)
+        if b.requires_grad:
+            _accum(b, -g, fresh=True)
 
     return _record(out, (a, b), bwd)
 
@@ -156,9 +190,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def scale(x: Tensor, c) -> Tensor:
     """Multiply by a constant scalar or constant array (e.g. per-row gains).
 
-    ``c`` is not differentiated through.
+    ``c`` is not differentiated through; it is cast to ``x``'s dtype.
     """
-    c = np.asarray(c, dtype=np.float64)
+    c = np.asarray(c, dtype=x.data.dtype)
     out = Tensor(x.data * c)
 
     def bwd(g):
@@ -285,7 +319,7 @@ def _col2im(cols: np.ndarray, kernel: int, stride: int, length: int) -> np.ndarr
     taps = cols.reshape(batch, rows // kernel, kernel, frames)
     if kernel == 1 and stride == 1 and length == frames:
         return taps[:, :, 0]
-    out = np.zeros((batch, rows // kernel, length))
+    out = np.zeros((batch, rows // kernel, length), dtype=cols.dtype)
     for k in range(kernel):
         out[:, :, k : k + stride * frames : stride] += taps[:, :, k]
     return out
@@ -323,10 +357,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
 
     def bwd(g):
         # Columns are rebuilt here rather than kept alive from the forward pass.
-        cols = _im2col(x.data, kernel, stride, frames)
-        _accum(weight, _batch_outer(g, cols).reshape(weight.data.shape), fresh=True)
-        _accum(bias, g.sum(axis=(0, 2)), fresh=True)
-        _accum(x, _col2im(w2.T @ g, kernel, stride, length), fresh=True)
+        if weight.requires_grad:
+            cols = _im2col(x.data, kernel, stride, frames)
+            _accum(weight, _batch_outer(g, cols).reshape(weight.data.shape), fresh=True)
+        if bias.requires_grad:
+            _accum(bias, g.sum(axis=(0, 2)), fresh=True)
+        if x.requires_grad:
+            _accum(x, _col2im(w2.T @ g, kernel, stride, length), fresh=True)
 
     return _record(out, (x, weight, bias), bwd)
 
@@ -349,9 +386,12 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Te
 
     def bwd(g):
         g_cols = _im2col(g, kernel, stride, frames)
-        _accum(x, w2 @ g_cols, fresh=True)
-        _accum(weight, _batch_outer(x.data, g_cols).reshape(weight.data.shape), fresh=True)
-        _accum(bias, g.sum(axis=(0, 2)), fresh=True)
+        if x.requires_grad:
+            _accum(x, w2 @ g_cols, fresh=True)
+        if weight.requires_grad:
+            _accum(weight, _batch_outer(x.data, g_cols).reshape(weight.data.shape), fresh=True)
+        if bias.requires_grad:
+            _accum(bias, g.sum(axis=(0, 2)), fresh=True)
 
     return _record(out, (x, weight, bias), bwd)
 
@@ -377,19 +417,20 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
 
     # Input contribution for all steps at once; the loop only adds recurrence.
     pre = x.data @ w_ih.data.T + bias.data
+    dtype = pre.dtype
     w_hh_t = w_hh.data.T
     # Gate activations as one affine-tanh-affine pass over all four gates:
     # sigmoid(z) = 0.5 + 0.5 * tanh(0.5 * z) for i, f, o; plain tanh for g.
-    act_scale = np.full(four_h, 0.5)
+    act_scale = np.full(four_h, 0.5, dtype=dtype)
     act_scale[2 * hidden : 3 * hidden] = 1.0
-    act_shift = np.full(four_h, 0.5)
+    act_shift = np.full(four_h, 0.5, dtype=dtype)
     act_shift[2 * hidden : 3 * hidden] = 0.0
 
-    gates = np.empty((steps, batch, four_h))  # activated i, f, g, o per step
+    gates = np.empty((steps, batch, four_h), dtype=dtype)  # activated i, f, g, o per step
     quad = gates.reshape(steps, batch, 4, hidden)
-    hs = np.zeros((steps + 1, batch, hidden))  # hs[t] = h_{t-1}
-    cs = np.zeros((steps + 1, batch, hidden))
-    tc = np.empty((steps, batch, hidden))  # tanh(c_t)
+    hs = np.zeros((steps + 1, batch, hidden), dtype=dtype)  # hs[t] = h_{t-1}
+    cs = np.zeros((steps + 1, batch, hidden), dtype=dtype)
+    tc = np.empty((steps, batch, hidden), dtype=dtype)  # tanh(c_t)
     for t in range(steps):
         a = gates[t]
         np.matmul(hs[t], w_hh_t, out=a)
@@ -410,17 +451,17 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
         i, f, g, o = quad.transpose(2, 0, 1, 3)
         # Per-step factors that do not depend on the incoming gradients:
         # d a_{i,f,g} = dc * dc_gain[:, :, 0..2], d a_o = dh * o_gain, dc += dh * c_gain.
-        dc_gain = np.empty((steps, batch, 3, hidden))
+        dc_gain = np.empty((steps, batch, 3, hidden), dtype=dtype)
         np.multiply(g * i, 1.0 - i, out=dc_gain[:, :, 0])
         np.multiply(cs[:-1] * f, 1.0 - f, out=dc_gain[:, :, 1])
         np.multiply(i, 1.0 - g * g, out=dc_gain[:, :, 2])
         o_gain = tc * o * (1.0 - o)
         c_gain = o * (1.0 - tc * tc)
 
-        da_all = np.empty((steps, batch, 4, hidden))
+        da_all = np.empty((steps, batch, 4, hidden), dtype=dtype)
         da_rows = da_all.reshape(steps, batch, four_h)
-        dh_next = np.zeros((batch, hidden))
-        dc_next = np.zeros((batch, hidden))
+        dh_next = np.zeros((batch, hidden), dtype=dtype)
+        dc_next = np.zeros((batch, hidden), dtype=dtype)
         for t in range(steps - 1, -1, -1):
             dh = g_steps[t] + dh_next
             dc = dh * c_gain[t]
@@ -432,10 +473,14 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
         # Weight gradients as single GEMMs over all (step, row) pairs.
         da_flat = da_all.reshape(steps * batch, four_h)
         x_steps = x.data.transpose(1, 0, 2).reshape(steps * batch, c_in)
-        _accum(w_hh, da_flat.T @ hs[:-1].reshape(steps * batch, hidden), fresh=True)
-        _accum(w_ih, da_flat.T @ x_steps, fresh=True)
-        _accum(bias, da_flat.sum(axis=0), fresh=True)
-        _accum(x, (da_flat @ w_ih.data).reshape(steps, batch, c_in).transpose(1, 0, 2))
+        if w_hh.requires_grad:
+            _accum(w_hh, da_flat.T @ hs[:-1].reshape(steps * batch, hidden), fresh=True)
+        if w_ih.requires_grad:
+            _accum(w_ih, da_flat.T @ x_steps, fresh=True)
+        if bias.requires_grad:
+            _accum(bias, da_flat.sum(axis=0), fresh=True)
+        if x.requires_grad:
+            _accum(x, (da_flat @ w_ih.data).reshape(steps, batch, c_in).transpose(1, 0, 2))
 
     return _record(out, (x, w_ih, w_hh, bias), bwd)
 
@@ -475,43 +520,47 @@ def _fft_convolve_full(x: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def resample_array(x: np.ndarray, up: int, down: int, zeros: int = 64) -> np.ndarray:
-    """Resample the last axis by up/down. Output length ceil(len*up/down)."""
+    """Resample the last axis by up/down. Output length ceil(len*up/down).
+
+    float32 input is resampled in float32, anything else in float64.
+    """
     if up < 1 or down < 1:
         raise ValueError("up and down must be >= 1")
     g = np.gcd(up, down)
     up, down = up // g, down // g
+    x = _float(x)
     if up == down:
-        return np.array(x, dtype=np.float64, copy=True)
-    x = np.asarray(x, dtype=np.float64)
+        return x.copy()
     h = resample_kernel(up, down, zeros)
     half = (h.shape[0] - 1) // 2
     length = x.shape[-1]
     if up > 1:
-        stuffed = np.zeros(x.shape[:-1] + (length * up,))
+        stuffed = np.zeros(x.shape[:-1] + (length * up,), dtype=x.dtype)
         stuffed[..., ::up] = x
     else:
         stuffed = x
-    full = _fft_convolve_full(stuffed, up * h)
+    full = _fft_convolve_full(stuffed, (up * h).astype(x.dtype, copy=False))
     n_out = -(-length * up // down)  # ceil division
     idx = half + down * np.arange(n_out)
     return full[..., idx]
 
 
 def resample_adjoint(g: np.ndarray, up: int, down: int, in_length: int, zeros: int = 64) -> np.ndarray:
-    """Adjoint of resample_array for an input of length ``in_length``."""
+    """Adjoint of resample_array for an input of length ``in_length``, in
+    ``g``'s dtype as resample_array would compute it."""
     factor = np.gcd(up, down)
     up, down = up // factor, down // factor
+    g = _float(g)
     if up == down:
-        return np.array(g, dtype=np.float64, copy=True)
-    g = np.asarray(g, dtype=np.float64)
+        return g.copy()
     h = resample_kernel(up, down, zeros)
     half = (h.shape[0] - 1) // 2
     full_len = in_length * up + h.shape[0] - 1
-    scattered = np.zeros(g.shape[:-1] + (full_len,))
+    scattered = np.zeros(g.shape[:-1] + (full_len,), dtype=g.dtype)
     idx = half + down * np.arange(g.shape[-1])
     scattered[..., idx] = g
     # Correlation with the kernel, valid part = adjoint of the cropped full convolution.
-    corr = _fft_convolve_full(scattered, (up * h)[::-1])
+    corr = _fft_convolve_full(scattered, (up * h)[::-1].astype(g.dtype, copy=False))
     start = h.shape[0] - 1
     valid = corr[..., start : start + in_length * up]
     return valid[..., ::up]
@@ -533,7 +582,8 @@ def resample_time(x: Tensor, up: int, down: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    """A Tensor as it is; an array as a constant."""
+    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
 
 
 def mae_loss(pred: Tensor, target) -> Tensor:
@@ -544,8 +594,10 @@ def mae_loss(pred: Tensor, target) -> Tensor:
     sgn = np.sign(diff) / diff.size
 
     def bwd(g):
-        _accum(pred, g * sgn, fresh=True)
-        _accum(target, -g * sgn, fresh=True)
+        if pred.requires_grad:
+            _accum(pred, g * sgn, fresh=True)
+        if target.requires_grad:
+            _accum(target, -g * sgn, fresh=True)
 
     return _record(out, (pred, target), bwd)
 
@@ -559,8 +611,10 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 
     def bwd(g):
         gd = g * 2.0 * diff / batch
-        _accum(pred, gd, fresh=True)
-        _accum(target, -gd, fresh=True)
+        if pred.requires_grad:
+            _accum(pred, gd, fresh=True)
+        if target.requires_grad:
+            _accum(target, -gd, fresh=True)
 
     return _record(out, (pred, target), bwd)
 

@@ -163,6 +163,9 @@ OPTIONS = (
 )
 
 
+_CONFIG_KEYS = frozenset(o.key for o in OPTIONS if o.key)
+
+
 def _options(command: str) -> list[Option]:
     return [o for o in OPTIONS if command in o.commands]
 
@@ -196,6 +199,8 @@ def _resolve(command: str, namespace: argparse.Namespace) -> SimpleNamespace:
         for key, text in _parse_config_file(config_path).items():
             if key in by_key:
                 resolved[by_key[key].dest] = by_key[key].parse(text)
+            elif key not in _CONFIG_KEYS:  # keys of other commands are allowed
+                raise UsageError(f"{config_path}: unknown config key {key!r}")
     resolved.update(vars(namespace))
     del resolved["command"], resolved["config"]
     return SimpleNamespace(**resolved)

@@ -53,42 +53,60 @@ def write_manifest(path, entries) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _manifest_entry(record, lineno: int) -> ManifestEntry:
+    """One parsed manifest record, checked for its fields and their types."""
+    if not isinstance(record, dict) or set(record) != set(MANIFEST_FIELDS):
+        got = sorted(record) if isinstance(record, dict) else type(record).__name__
+        raise ParseError(f"expected exactly fields {list(MANIFEST_FIELDS)}, got {got}",
+                         line=lineno)
+    for name in ("id", "path", "role"):
+        if not isinstance(record[name], str):
+            raise ParseError(f"{name} must be a string, got {record[name]!r}", line=lineno)
+    duration = record["duration_s"]
+    if type(duration) not in (int, float):  # JSON true/false parse to bool, a subclass of int
+        raise ParseError(f"duration_s must be a number, got {duration!r}", line=lineno)
+    if record["role"] not in ROLES:
+        raise ParseError(f"unknown role {record['role']!r}", line=lineno)
+    return ManifestEntry(record["id"], record["path"], record["role"], float(duration))
+
+
 def load_manifest(path) -> Manifest:
-    """Parse an NDJSON manifest; each record has exactly id/path/role/duration_s."""
+    """Parse an NDJSON manifest; each record has exactly id/path/role/duration_s,
+    the first three strings and the last a number.
+
+    Malformed input raises ParseError naming the line; a manifest that is
+    not a file, or an entry whose file does not exist, raises MissingFile.
+    """
     path = Path(path)
-    if not path.exists():
-        raise MissingFile(f"manifest not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise MissingFile(f"manifest not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"manifest is not UTF-8: {exc}") from exc
     root = path.parent
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}", line=lineno) from exc
-            if not isinstance(record, dict) or set(record) != set(MANIFEST_FIELDS):
-                raise ParseError(
-                    f"expected exactly fields {list(MANIFEST_FIELDS)}, got {sorted(record)}",
-                    line=lineno,
-                )
-            if record["role"] not in ROLES:
-                raise ParseError(f"unknown role {record['role']!r}", line=lineno)
-            if record["id"] in seen:
-                raise ParseError(f"duplicate id {record['id']!r}", line=lineno)
-            seen.add(record["id"])
-            entry = ManifestEntry(
-                id=str(record["id"]),
-                path=str(record["path"]),
-                role=str(record["role"]),
-                duration_s=float(record["duration_s"]),
-            )
-            if not (root / entry.path).exists():
-                raise MissingFile(f"line {lineno}: missing file {root / entry.path}")
-            entries.append(entry)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ParseError(f"invalid JSON: {exc}", line=lineno) from exc
+        entry = _manifest_entry(record, lineno)
+        if entry.id in seen:
+            raise ParseError(f"duplicate id {entry.id!r}", line=lineno)
+        seen.add(entry.id)
+        try:
+            exists = (root / entry.path).exists()
+        except OSError as exc:  # e.g. a name too long for the file system
+            raise ParseError(f"unusable path: {exc.strerror}", line=lineno) from exc
+        if not exists:
+            raise MissingFile(f"line {lineno}: missing file {root / entry.path}")
+        entries.append(entry)
     return Manifest(tuple(entries), root)
 
 

@@ -9,6 +9,7 @@ input/target pairs per the selected strategy, and trains a student on them.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -106,6 +107,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.snr_low_db > self.snr_high_db:
             raise ValueError("snr_low_db must be <= snr_high_db")
         if self.loss not in ("mae", "mse"):

@@ -2,6 +2,8 @@
 
 A plan is an ordered list of models; each stage feeds its speech estimate to
 the next, so an n-stage plan equals n chained single-stage calls bit-exactly.
+Every stage runs in float32: checkpoints store float32, so loading is exact,
+and a no-grad float32 forward is about twice as fast as float64.
 """
 from __future__ import annotations
 
@@ -10,7 +12,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .audio import Waveform, write_wav
+from .autodiff import no_grad
 from .corpus import Manifest, ManifestEntry, write_manifest
 from .errors import SampleRateMismatch, UsageError
 from .model import DenoiserModel, load_checkpoint, model_from_checkpoint
@@ -18,7 +23,10 @@ from .model import DenoiserModel, load_checkpoint, model_from_checkpoint
 
 @dataclass
 class InferencePlan:
-    """Ordered enhancement stages plus where each model came from."""
+    """Ordered enhancement stages plus where each model came from.
+
+    The models are cast to float32 once, here.
+    """
 
     models: list[DenoiserModel]
     sources: list[str]
@@ -29,6 +37,7 @@ class InferencePlan:
             raise ValueError("a plan needs at least one stage")
         if len(self.models) != len(self.sources):
             raise ValueError("models and sources must align")
+        self.models = [model.astype(np.float32) for model in self.models]
 
     @classmethod
     def from_checkpoints(cls, paths) -> "InferencePlan":
@@ -37,7 +46,7 @@ class InferencePlan:
         rates = {c.sample_rate_hz for c in ckpts}
         if len(rates) != 1:
             raise SampleRateMismatch(f"stages disagree on sample rate: {sorted(rates)}")
-        models = [model_from_checkpoint(c) for c in ckpts]
+        models = [model_from_checkpoint(c, dtype=np.float32) for c in ckpts]
         return cls(models, [str(p) for p in paths], rates.pop())
 
     @property
@@ -52,11 +61,9 @@ def enhance(plan: InferencePlan, noisy: Waveform) -> Waveform:
             f"waveform at {noisy.sample_rate_hz} Hz, plan expects {plan.sample_rate_hz} Hz"
         )
     samples = noisy.samples
-    for model in plan.models:
-        from .audio import SignalBatch
-
-        speech, _ = model.forward(SignalBatch(samples[None, :], noisy.sample_rate_hz))
-        samples = speech.data[0]
+    with no_grad():
+        for model in plan.models:
+            samples = model.apply(samples[None, :]).data[0]
     return Waveform(samples, noisy.sample_rate_hz)
 
 

@@ -134,6 +134,19 @@ class DenoiserModel:
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.params["enc1.conv.w"].data.dtype
+
+    def astype(self, dtype) -> "DenoiserModel":
+        """This model with its parameters cast to ``dtype``; itself if they
+        already have it."""
+        if self.dtype == dtype:
+            return self
+        return DenoiserModel(
+            self.config, {name: ad.Tensor(p.data.astype(dtype)) for name, p in self.params.items()}
+        )
+
     def copy(self) -> "DenoiserModel":
         return DenoiserModel(
             self.config, {name: ad.Tensor(p.data.copy()) for name, p in self.params.items()}
@@ -150,7 +163,9 @@ class DenoiserModel:
 
         normalize=False skips the per-row std scaling (the scaling uses the
         whole utterance and is therefore outside the causal path); callers
-        then must feed pre-scaled input.
+        then must feed pre-scaled input. The scaling is computed in float64;
+        the network runs in the parameters' dtype, on the input as a
+        constant, so backward computes no gradient for it.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.size == 0:
@@ -160,9 +175,9 @@ class DenoiserModel:
         if normalize:
             sigma = x.std(axis=1, keepdims=True) + SIGMA_FLOOR
             x = x / sigma
-        padded = np.zeros((batch, valid_length(cfg, length)))
+        padded = np.zeros((batch, valid_length(cfg, length)), dtype=self.dtype)
         padded[:, :length] = x
-        h = ad.Tensor(padded[:, None, :])
+        h = ad.Tensor(padded[:, None, :], requires_grad=False)
         if cfg.resample > 1:
             h = ad.resample_time(h, cfg.resample, 1)
 
@@ -289,8 +304,12 @@ def model_to_checkpoint(
     return Checkpoint(model.config, arrays, epoch, seed, sample_rate_hz, opt)
 
 
-def model_from_checkpoint(ckpt: Checkpoint, config: ModelConfig | None = None) -> DenoiserModel:
-    """Rebuild a model; a caller-supplied config must match the stored one."""
+def model_from_checkpoint(
+    ckpt: Checkpoint, config: ModelConfig | None = None, dtype=np.float64
+) -> DenoiserModel:
+    """Rebuild a model with parameters of ``dtype``; a caller-supplied config
+    must match the stored one. Checkpoints store float32, so float32
+    parameters are exact and share the checkpoint's arrays."""
     if config is not None and config != ckpt.config:
         raise ConfigMismatch(f"checkpoint config {ckpt.config} != requested {config}")
     expected = [(name, shape) for name, shape, _ in _parameter_spec(ckpt.config)]
@@ -301,7 +320,7 @@ def model_from_checkpoint(ckpt: Checkpoint, config: ModelConfig | None = None) -
         arr = ckpt.arrays[name]
         if tuple(arr.shape) != tuple(shape):
             raise ConfigMismatch(f"array {name} has shape {arr.shape}, expected {shape}")
-        params[name] = ad.Tensor(np.asarray(arr, dtype=np.float64))
+        params[name] = ad.Tensor(np.asarray(arr, dtype=dtype))
     return DenoiserModel(ckpt.config, params)
 
 

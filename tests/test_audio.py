@@ -25,6 +25,7 @@ from remixse.audio import (
 from remixse.autodiff import resample_array
 from remixse.errors import (
     LengthMismatch,
+    RemixSEError,
     SizeMismatch,
     UnsupportedFormat,
     ZeroPowerNoise,
@@ -343,3 +344,67 @@ def test_batch_shape_validation():
         SignalBatch(np.zeros((0, 4)))
     with pytest.raises(ValueError):
         SignalBatch(np.zeros(4))
+
+
+def _wav_bytes(fmt: int, bits: int, payload: bytes, rate: int = 16000) -> bytes:
+    import struct
+
+    block = bits // 8
+    return struct.pack(
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16,
+        fmt, 1, rate, rate * block, block, bits, b"data", len(payload),
+    ) + payload + b"\x00" * (len(payload) & 1)
+
+
+@pytest.mark.parametrize("fmt, bits, size", [(3, 32, 7), (3, 32, 5), (1, 16, 3)])
+def test_wav_data_of_a_partial_sample_is_unsupported(tmp_path, fmt, bits, size):
+    (tmp_path / "odd.wav").write_bytes(_wav_bytes(fmt, bits, b"\x01" * size))
+    with pytest.raises(UnsupportedFormat, match="whole number"):
+        read_wav(tmp_path / "odd.wav")
+
+
+def test_wav_non_finite_float_samples_are_unsupported(tmp_path):
+    payload = np.array([0.0, np.nan], dtype="<f4").tobytes()
+    (tmp_path / "nan.wav").write_bytes(_wav_bytes(3, 32, payload))
+    with pytest.raises(UnsupportedFormat):
+        read_wav(tmp_path / "nan.wav")
+
+
+def test_wav_zero_sample_rate_is_unsupported(tmp_path):
+    (tmp_path / "r0.wav").write_bytes(_wav_bytes(1, 16, b"\x00\x00" * 4, rate=0))
+    with pytest.raises(UnsupportedFormat):
+        read_wav(tmp_path / "r0.wav")
+
+
+_VALID_WAVS = (
+    _wav_bytes(3, 32, np.linspace(-0.5, 0.5, 24, dtype="<f4").tobytes()),
+    _wav_bytes(1, 16, np.arange(-12, 12, dtype="<i2").tobytes()),
+)
+
+
+@given(blob=st.binary(max_size=128))
+def test_wav_fuzz_arbitrary_bytes_raise_only_package_errors(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("wav") / "x.wav"
+    for data in (blob, b"RIFF" + blob[:4] + b"WAVE" + blob[4:]):
+        path.write_bytes(data)
+        try:
+            read_wav(path)
+        except RemixSEError:
+            pass
+
+
+@given(data=st.data())
+def test_wav_fuzz_mutated_valid_bytes_raise_only_package_errors(tmp_path_factory, data):
+    blob = bytearray(data.draw(st.sampled_from(_VALID_WAVS), label="valid"))
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        for _ in range(data.draw(st.integers(1, 4), label="flips")):
+            pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+            blob[pos] = data.draw(st.integers(0, 255), label="byte")
+    path = tmp_path_factory.mktemp("wav") / "x.wav"
+    path.write_bytes(bytes(blob))
+    try:
+        read_wav(path)
+    except RemixSEError:
+        pass

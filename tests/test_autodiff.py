@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from remixse import autodiff as ad
-from remixse.model import ModelConfig, init_model
+from remixse.model import ModelConfig, init_model, valid_length
 from conftest import assert_grad_close, fd_gradients
 
 
@@ -562,3 +562,117 @@ def test_adam_rejects_a_non_contiguous_parameter():
     p.grad = np.ones((4, 3))
     with pytest.raises(ValueError, match="C-contiguous"):
         ad.adam_step([p], ad.AdamState())
+
+
+# ---------------------------------------------------------------------------
+# constants get no gradient
+# ---------------------------------------------------------------------------
+
+def test_model_input_and_loss_target_are_constants(monkeypatch):
+    config = ModelConfig(depth=2, hidden=4, resample=4)
+    model = init_model(config, seed=3)
+    x = 0.1 * np.random.default_rng(3).normal(size=(2, 700))
+    target = 0.1 * np.random.default_rng(4).normal(size=(2, 700))
+    lengths = []
+    adjoint = ad.resample_adjoint
+
+    def recording_adjoint(g, up, down, in_length, *args, **kwargs):
+        lengths.append(in_length)
+        return adjoint(g, up, down, in_length, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "resample_adjoint", recording_adjoint)
+    for loss_fn in (ad.mae_loss, ad.mse_loss):
+        lengths.clear()
+        model.zero_grads()
+        loss = loss_fn(model.apply(x), target)
+        wrapped_target = loss._parents[1]
+        ad.backward(loss)
+        # Only the downsampling back to the input rate is differentiated.
+        assert lengths and valid_length(config, x.shape[1]) not in lengths
+        assert wrapped_target.grad is None and not wrapped_target.requires_grad
+        assert all(p.grad is not None for p in model.parameters())
+
+
+def test_op_on_constants_only_is_not_recorded():
+    c = ad.Tensor(np.ones((1, 2, 8)), requires_grad=False)
+    w = ad.Tensor(np.ones((3, 2, 2)))
+    b = ad.Tensor(np.zeros(3))
+    up = ad.resample_time(c, 2, 1)
+    assert up._backward is None and not up.requires_grad
+    out = ad.conv1d(up, w, b, 2)
+    assert out._backward is not None and out.requires_grad
+    ad.backward(ad.mae_loss(ad.reshape(out, (1, out.size)), np.zeros((1, out.size))))
+    assert c.grad is None and up.grad is None
+    assert w.grad is not None and b.grad is not None
+
+
+# ---------------------------------------------------------------------------
+# float32 follows through every op
+# ---------------------------------------------------------------------------
+
+OPS = ("add", "sub", "scale", "relu", "sigmoid", "tanh", "glu", "slice_time",
+       "swap_time_channels", "reshape", "conv1d", "conv_transpose1d", "lstm_layer",
+       "resample_time", "mae_loss", "mse_loss")
+ARRAY_HELPERS = ("_sigmoid", "_im2col", "_col2im", "_batch_outer", "resample_array",
+                 "_fft_convolve_full")
+
+
+def _dtype_checking(monkeypatch, seen, dtype):
+    """Wrap every op (Tensor arguments and result) and every array helper
+    (array arguments and result) to fail on anything but ``dtype``."""
+
+    def wrap(name, fn, kind):
+        def checked(*args, **kwargs):
+            inputs = [a for a in args if isinstance(a, kind)]
+            out = fn(*args, **kwargs)
+            for a in inputs + [out]:
+                got = a.data.dtype if kind is ad.Tensor else a.dtype
+                assert got == dtype, f"{name} saw {got}"
+            seen.add(name)
+            return out
+
+        return checked
+
+    for name in OPS:
+        monkeypatch.setattr(ad, name, wrap(name, getattr(ad, name), ad.Tensor))
+    for name in ARRAY_HELPERS:
+        monkeypatch.setattr(ad, name, wrap(name, getattr(ad, name), np.ndarray))
+
+
+def test_float32_paper_forward_stays_float32_in_every_op(monkeypatch):
+    from remixse.model import PAPER_CONFIG
+
+    model = init_model(PAPER_CONFIG, seed=0).astype(np.float32)
+    x = 0.1 * np.random.default_rng(0).normal(size=(1, 2000))
+    seen: set[str] = set()
+    _dtype_checking(monkeypatch, seen, np.float32)
+    with ad.no_grad():
+        out = model.apply(x)
+    assert out.data.dtype == np.float32
+    assert {"conv1d", "conv_transpose1d", "lstm_layer", "glu", "relu", "resample_time",
+            "scale", "_col2im", "_fft_convolve_full", "resample_array"} <= seen
+
+
+def test_float32_backward_keeps_float32_gradients():
+    rng = np.random.default_rng(5)
+    model = init_model(ModelConfig(depth=2, hidden=4, resample=2), seed=5).astype(np.float32)
+    x = 0.1 * rng.normal(size=(2, 600))
+    ad.backward(ad.mse_loss(model.apply(x), x))
+    assert all(p.grad.dtype == np.float32 for p in model.parameters())
+
+
+def test_float32_forward_matches_float64_within_tolerance():
+    from remixse.model import PAPER_CONFIG
+
+    model = init_model(PAPER_CONFIG, seed=1)
+    x = 0.1 * np.random.default_rng(1).normal(size=(1, 4000))
+    with ad.no_grad():
+        ref = model.apply(x).data
+        got = model.astype(np.float32).apply(x).data
+    assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+
+def test_tensor_keeps_float32_and_casts_the_rest_to_float64():
+    assert ad.Tensor(np.zeros(2, dtype=np.float32)).data.dtype == np.float32
+    for data in (np.zeros(2, dtype=np.float16), np.arange(2), [1, 2], 3.0, np.zeros(2)):
+        assert ad.Tensor(data).data.dtype == np.float64

@@ -167,6 +167,10 @@ def test_force_rerun_replaces_stats_instead_of_appending(workspace, tmp_path):
         ["bootstrap", "--epochs", "0"],
         ["distill", "--tup", "ema", "--gamma", "0"],
         ["distill", "--snr-lo", "5", "--snr-hi", "0"],
+        ["bootstrap", "--lr", "nan", "--epochs", "1"],
+        ["bootstrap", "--lr", "inf", "--epochs", "1"],
+        ["bootstrap", "--lr", "0", "--epochs", "1"],
+        ["distill", "--lr", "-1", "--epochs", "1"],
     ],
     ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
 )
@@ -507,6 +511,17 @@ def test_config_key_without_a_default_is_parsed_by_its_type(workspace, tmp_path,
     assert stored(load_checkpoint(out))
 
 
+def test_config_keys_of_other_commands_are_allowed(workspace, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_QUICK + "synth.num=3\ntrain.strategy=nytt2\nenhance.threads=2\n"
+                   "eval.metrics=sisdr\n")
+    out = tmp_path / "out" / "model.ckpt"
+    argv = ["bootstrap", *_training_inputs(workspace, "bootstrap"), "--epochs", "1",
+            "--config", str(cfg), "--out", str(out)]
+    assert run(*argv) == 0
+    assert out.exists()
+
+
 @pytest.mark.parametrize(
     "command, config, env",
     [
@@ -519,9 +534,12 @@ def test_config_key_without_a_default_is_parsed_by_its_type(workspace, tmp_path,
         ("enhance", b"enhance.resample=sometimes", None),
         ("evaluate", b"eval.threads=two", None),
         ("evaluate", None, "two"),
+        ("bootstrap", b"train.epoch=1", None),
+        ("evaluate", b"eval.metric=sisdr", None),
+        ("bootstrap", b"train.lr=nan", None),
     ],
     ids=["int", "float", "bool", "strategy-choice", "tup-choice", "not-utf8", "enhance-bool",
-         "eval-threads", "env-threads"],
+         "eval-threads", "env-threads", "unknown-train-key", "unknown-eval-key", "lr-nan"],
 )
 def test_bad_config_input_exits_2_and_writes_nothing(workspace, tmp_path, capsys, monkeypatch,
                                                      command, config, env):

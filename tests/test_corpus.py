@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from remixse.audio import Waveform, read_wav
 from remixse.corpus import (
@@ -16,7 +17,7 @@ from remixse.corpus import (
     synth_corpus,
     write_manifest,
 )
-from remixse.errors import MissingFile, ParseError, RoleMismatch
+from remixse.errors import MissingFile, ParseError, RemixSEError, RoleMismatch
 
 
 def test_synth_same_seed_bit_identical(tmp_path):
@@ -168,3 +169,80 @@ def test_crop_deterministic_per_rng():
     a = crop_or_pad(w, 10, np.random.default_rng(7))
     b = crop_or_pad(w, 10, np.random.default_rng(7))
     assert np.array_equal(a.samples, b.samples)
+
+
+def test_manifest_not_utf8_is_a_parse_error(tmp_path):
+    (tmp_path / "m.jsonl").write_bytes(b'{"id": "\xff"}\n')
+    with pytest.raises(ParseError):
+        load_manifest(tmp_path / "m.jsonl")
+
+
+@pytest.mark.parametrize("line", ["5", "[1, 2]", '"a"', "null"])
+def test_manifest_record_that_is_not_an_object_reports_line(tmp_path, line):
+    (tmp_path / "m.jsonl").write_text("\n" + line + "\n")
+    with pytest.raises(ParseError) as err:
+        load_manifest(tmp_path / "m.jsonl")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("duration_s", "x"), ("duration_s", [1]), ("duration_s", None), ("duration_s", True),
+    ("id", ["a"]), ("id", 3), ("path", {"p": 1}), ("role", ["noisy"]),
+    pytest.param("path", "x" * 5000, id="path-too-long"),
+])
+def test_manifest_field_of_the_wrong_type_is_a_parse_error(tmp_path, field, value):
+    _touch_wav(tmp_path / "a.wav")
+    record = {"id": "a", "path": "a.wav", "role": "noisy", "duration_s": 0.1, field: value}
+    (tmp_path / "m.jsonl").write_text(json.dumps(record) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_manifest(tmp_path / "m.jsonl")
+    assert err.value.line == 1
+
+
+def _fuzz_manifest(tmp_path_factory, blob: bytes):
+    root = tmp_path_factory.mktemp("manifest")
+    _touch_wav(root / "a.wav")
+    (root / "m.jsonl").write_bytes(blob)
+    try:
+        load_manifest(root / "m.jsonl")
+    except RemixSEError:
+        pass
+
+
+_VALID_MANIFEST = (
+    json.dumps({"duration_s": 0.001, "id": "a", "path": "a.wav", "role": "noisy"}) + "\n"
+    + json.dumps({"duration_s": 0.5, "id": "b", "path": "a.wav", "role": "noisy"}) + "\n"
+).encode()
+
+
+@given(blob=st.binary(max_size=200))
+def test_manifest_fuzz_arbitrary_bytes_raise_only_package_errors(tmp_path_factory, blob):
+    _fuzz_manifest(tmp_path_factory, blob)
+
+
+@given(data=st.data())
+def test_manifest_fuzz_mutated_valid_bytes_raise_only_package_errors(tmp_path_factory, data):
+    blob = bytearray(_VALID_MANIFEST)
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        for _ in range(data.draw(st.integers(1, 4), label="flips")):
+            pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+            blob[pos] = data.draw(st.integers(0, 255), label="byte")
+    _fuzz_manifest(tmp_path_factory, bytes(blob))
+
+
+@given(record=st.dictionaries(
+    st.sampled_from(["id", "path", "role", "duration_s"]),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.lists(st.integers(), max_size=2),
+))
+def test_manifest_fuzz_field_values_raise_only_package_errors(tmp_path_factory, record):
+    _fuzz_manifest(tmp_path_factory, (json.dumps(record) + "\n").encode())
+
+
+@pytest.mark.parametrize("read", [load_manifest, read_wav], ids=["manifest", "wav"])
+def test_a_directory_or_missing_path_is_a_missing_file(tmp_path, read):
+    for path in (tmp_path, tmp_path / "ghost", tmp_path / "ghost" / "deeper"):
+        with pytest.raises(MissingFile):
+            read(path)

@@ -415,3 +415,9 @@ def test_train_config_validation():
         TrainConfig(loss="huber")
     with pytest.raises(ValueError):
         TrainConfig(segment_samples=1000, shift_max_samples=1000)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+def test_train_config_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(learning_rate=lr)

@@ -191,3 +191,44 @@ def test_report_serializes(trained_tiny_model, tmp_path):
     data = json.loads(blob)
     assert {r["id"] for r in data["results"]} == {"u0", "u1"}
     assert all(r["stages"] == 1 for r in data["results"])
+
+
+# ---------------------------------------------------------------------------
+# float32 stages
+# ---------------------------------------------------------------------------
+
+def test_plan_stages_are_float32_and_loaded_without_a_copy(trained_tiny_model, tmp_path):
+    path = _save(trained_tiny_model, tmp_path / "m.ckpt")
+    plan = InferencePlan.from_checkpoints([path])
+    assert all(p.data.dtype == np.float32 for p in plan.models[0].parameters())
+    in_memory = InferencePlan(models=[trained_tiny_model], sources=["<memory>"])
+    assert in_memory.models[0].dtype == np.float32
+    assert trained_tiny_model.dtype == np.float64  # the caller's model is not changed
+    for name, p in plan.models[0].params.items():
+        assert np.array_equal(p.data, in_memory.models[0].params[name].data), name
+
+
+def test_model_from_checkpoint_float32_shares_the_checkpoint_arrays(trained_tiny_model, tmp_path):
+    from remixse.model import load_checkpoint, model_from_checkpoint
+
+    ckpt = load_checkpoint(_save(trained_tiny_model, tmp_path / "m.ckpt"))
+    model = model_from_checkpoint(ckpt, dtype=np.float32)
+    for name, p in model.params.items():
+        assert p.data.dtype == np.float32
+        assert np.shares_memory(p.data, ckpt.arrays[name]), name
+
+
+def test_float32_enhance_matches_the_float64_forward(trained_tiny_model, tmp_path):
+    from remixse.model import load_checkpoint, model_from_checkpoint
+
+    path = _save(trained_tiny_model, tmp_path / "m.ckpt")
+    plan = InferencePlan.from_checkpoints([path] * 2)
+    reference = model_from_checkpoint(load_checkpoint(path))  # float64
+    wave = Waveform(np.random.default_rng(3).normal(size=3000) * 0.1, RATE)
+    ref = wave.samples[None, :]
+    with ad.no_grad():
+        for _ in range(2):
+            ref = reference.apply(ref).data
+    out = enhance(plan, wave)
+    assert ad.grad_enabled()
+    assert np.max(np.abs(out.samples - ref[0])) <= 1e-5 * np.max(np.abs(ref))
