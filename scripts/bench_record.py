@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fold two benchmark result sets and one per-op table into BENCH_<N>.json.
 
-    python3 scripts/bench_record.py BASE_RESULTS NEW_RESULTS --op-table OP_TABLE --number N
+    python3 scripts/bench_record.py BASE_RESULTS NEW_RESULTS OP_TABLE --number N
 
 BASE_RESULTS and NEW_RESULTS are directories of run records written by
 ``perfbench/run.py --results DIR`` for the base and the new commit; OP_TABLE
@@ -136,7 +136,7 @@ def _environments(runs: dict) -> list[dict]:
     return found
 
 
-def build(base_runs: dict, new_runs: dict, op_table: dict | None, spec: dict,
+def build(base_runs: dict, new_runs: dict, op_table: dict, spec: dict,
           number: int) -> dict:
     workloads: dict = {}
     for workload, trace in sorted(set(base_runs) & set(new_runs)):
@@ -157,16 +157,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="results directory of the base commit")
     parser.add_argument("new", help="results directory of the new commit")
-    parser.add_argument("--op-table", help="op_table.py output of the new commit")
+    parser.add_argument("op_table", help="op_table.py output of the new commit")
     parser.add_argument("--number", type=int, required=True, help="N in BENCH_<N>.json")
     parser.add_argument("--benchmark", default=str(ROOT / "BENCHMARK.json"))
     parser.add_argument("--out", help="output path (default: BENCH_<N>.json in the repo root)")
     args = parser.parse_args(argv)
 
     spec = json.loads(Path(args.benchmark).read_text(encoding="utf-8"))
-    op_table = None
-    if args.op_table:
-        op_table = json.loads(Path(args.op_table).read_text(encoding="utf-8"))
+    op_table = json.loads(Path(args.op_table).read_text(encoding="utf-8"))
     record = build(load_runs(args.base), load_runs(args.new), op_table, spec, args.number)
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -91,8 +91,9 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
     """Attach the backward closure, or make ``out`` a constant when graph
     recording is off or no parent requires a gradient.
 
-    A closure of an op with several parents checks ``requires_grad`` before
-    it computes a parent's gradient; one with a single parent need not.
+    ``_accum`` drops a gradient for a constant parent; ``conv1d`` and the
+    losses also skip computing the gradients a constant input or target
+    would receive.
     """
     if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out._parents = parents
@@ -109,7 +110,10 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     ``g`` of ``t``'s dtype becomes ``t.grad`` without a copy. Anything else is
     copied first: ``add`` hands one array to two parents, and a view would
     pin (or, once ``+=`` lands, write into) the array it was taken from.
+    A constant (``requires_grad=False``) gets no gradient.
     """
+    if not t.requires_grad:
+        return
     if t.grad is None:
         if fresh and g.dtype == t.data.dtype and g.flags.c_contiguous:
             t.grad = g
@@ -165,10 +169,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g)
+        _accum(a, g)
+        _accum(b, g)
 
     return _record(out, (a, b), bwd)
 
@@ -179,10 +181,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -g, fresh=True)
+        _accum(a, g)
+        _accum(b, -g, fresh=True)
 
     return _record(out, (a, b), bwd)
 
@@ -357,12 +357,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
 
     def bwd(g):
         # Columns are rebuilt here rather than kept alive from the forward pass.
-        if weight.requires_grad:
-            cols = _im2col(x.data, kernel, stride, frames)
-            _accum(weight, _batch_outer(g, cols).reshape(weight.data.shape), fresh=True)
-        if bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 2)), fresh=True)
-        if x.requires_grad:
+        cols = _im2col(x.data, kernel, stride, frames)
+        _accum(weight, _batch_outer(g, cols).reshape(weight.data.shape), fresh=True)
+        _accum(bias, g.sum(axis=(0, 2)), fresh=True)
+        if x.requires_grad:  # the model input is a constant: skip the col2im
             _accum(x, _col2im(w2.T @ g, kernel, stride, length), fresh=True)
 
     return _record(out, (x, weight, bias), bwd)
@@ -386,12 +384,9 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Te
 
     def bwd(g):
         g_cols = _im2col(g, kernel, stride, frames)
-        if x.requires_grad:
-            _accum(x, w2 @ g_cols, fresh=True)
-        if weight.requires_grad:
-            _accum(weight, _batch_outer(x.data, g_cols).reshape(weight.data.shape), fresh=True)
-        if bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 2)), fresh=True)
+        _accum(x, w2 @ g_cols, fresh=True)
+        _accum(weight, _batch_outer(x.data, g_cols).reshape(weight.data.shape), fresh=True)
+        _accum(bias, g.sum(axis=(0, 2)), fresh=True)
 
     return _record(out, (x, weight, bias), bwd)
 
@@ -473,14 +468,10 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
         # Weight gradients as single GEMMs over all (step, row) pairs.
         da_flat = da_all.reshape(steps * batch, four_h)
         x_steps = x.data.transpose(1, 0, 2).reshape(steps * batch, c_in)
-        if w_hh.requires_grad:
-            _accum(w_hh, da_flat.T @ hs[:-1].reshape(steps * batch, hidden), fresh=True)
-        if w_ih.requires_grad:
-            _accum(w_ih, da_flat.T @ x_steps, fresh=True)
-        if bias.requires_grad:
-            _accum(bias, da_flat.sum(axis=0), fresh=True)
-        if x.requires_grad:
-            _accum(x, (da_flat @ w_ih.data).reshape(steps, batch, c_in).transpose(1, 0, 2))
+        _accum(w_hh, da_flat.T @ hs[:-1].reshape(steps * batch, hidden), fresh=True)
+        _accum(w_ih, da_flat.T @ x_steps, fresh=True)
+        _accum(bias, da_flat.sum(axis=0), fresh=True)
+        _accum(x, (da_flat @ w_ih.data).reshape(steps, batch, c_in).transpose(1, 0, 2))
 
     return _record(out, (x, w_ih, w_hh, bias), bwd)
 
@@ -594,8 +585,7 @@ def mae_loss(pred: Tensor, target) -> Tensor:
     sgn = np.sign(diff) / diff.size
 
     def bwd(g):
-        if pred.requires_grad:
-            _accum(pred, g * sgn, fresh=True)
+        _accum(pred, g * sgn, fresh=True)
         if target.requires_grad:
             _accum(target, -g * sgn, fresh=True)
 
@@ -611,8 +601,7 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 
     def bwd(g):
         gd = g * 2.0 * diff / batch
-        if pred.requires_grad:
-            _accum(pred, gd, fresh=True)
+        _accum(pred, gd, fresh=True)
         if target.requires_grad:
             _accum(target, -gd, fresh=True)
 

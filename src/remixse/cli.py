@@ -68,7 +68,13 @@ class Option:
         return {**kwargs, "type": self.type, "choices": self.choices, "required": self.required}
 
     def parse(self, text: str):
-        """A config-file value, parsed by the declared type and checked against the choices."""
+        """A config-file value, parsed by the declared type and checked against the choices.
+
+        ``None`` (as resolved.cfg writes an unset value) leaves an option
+        without a default unset.
+        """
+        if text == "None" and self.default is None:
+            return None
         if self.type is bool:
             if text.lower() not in _BOOLEANS:
                 raise UsageError(f"{self.key}: expected one of {'/'.join(_BOOLEANS)}, got {text!r}")
@@ -163,7 +169,10 @@ OPTIONS = (
 )
 
 
-_CONFIG_KEYS = frozenset(o.key for o in OPTIONS if o.key)
+# Every key of any command, as _echo_resolved writes it: an option's config
+# key, or <command>.<dest> for one without. So a run's resolved.cfg (which
+# also holds hash.* lines) can be passed back as --config.
+_KNOWN_KEYS = frozenset(o.key or f"{c}.{o.dest}" for o in OPTIONS for c in o.commands)
 
 
 def _options(command: str) -> list[Option]:
@@ -199,7 +208,7 @@ def _resolve(command: str, namespace: argparse.Namespace) -> SimpleNamespace:
         for key, text in _parse_config_file(config_path).items():
             if key in by_key:
                 resolved[by_key[key].dest] = by_key[key].parse(text)
-            elif key not in _CONFIG_KEYS:  # keys of other commands are allowed
+            elif key not in _KNOWN_KEYS and not key.startswith("hash."):
                 raise UsageError(f"{config_path}: unknown config key {key!r}")
     resolved.update(vars(namespace))
     del resolved["command"], resolved["config"]

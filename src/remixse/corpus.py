@@ -65,9 +65,13 @@ def _manifest_entry(record, lineno: int) -> ManifestEntry:
     duration = record["duration_s"]
     if type(duration) not in (int, float):  # JSON true/false parse to bool, a subclass of int
         raise ParseError(f"duration_s must be a number, got {duration!r}", line=lineno)
+    try:
+        duration = float(duration)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ParseError("duration_s is out of range", line=lineno) from exc
     if record["role"] not in ROLES:
         raise ParseError(f"unknown role {record['role']!r}", line=lineno)
-    return ManifestEntry(record["id"], record["path"], record["role"], float(duration))
+    return ManifestEntry(record["id"], record["path"], record["role"], duration)
 
 
 def load_manifest(path) -> Manifest:
@@ -94,7 +98,8 @@ def load_manifest(path) -> Manifest:
             continue
         try:
             record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an int over Python's digit limit.
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"invalid JSON: {exc}", line=lineno) from exc
         entry = _manifest_entry(record, lineno)
         if entry.id in seen:

@@ -82,7 +82,7 @@ def test_traced_runs_fill_per_layer_and_failures_count(tmp_path):
         _record(1, failed=2, enhance_rtf=0.2),
     ])
     record = bench_record.build(bench_record.load_runs(base), bench_record.load_runs(new),
-                                None, SPEC, number=1)
+                                {"presets": []}, SPEC, number=1)
     w = record["workloads"]["w"]
     assert w["per_layer"]["metrics"]["autodiff.glu.fwd_ms"]["new"]["wins"] == 1
     e2e = w["end_to_end"]
@@ -98,7 +98,7 @@ def test_main_writes_the_record(tmp_path, capsys):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
     (tmp_path / "ops.json").write_text(json.dumps({"presets": [{"preset": "tiny"}]}))
     out = tmp_path / "BENCH_3.json"
-    assert bench_record.main([str(base), str(new), "--op-table", str(tmp_path / "ops.json"),
+    assert bench_record.main([str(base), str(new), str(tmp_path / "ops.json"),
                               "--number", "3", "--benchmark", str(tmp_path / "BENCHMARK.json"),
                               "--out", str(out)]) == 0
     written = json.loads(out.read_text())

@@ -522,6 +522,22 @@ def test_config_keys_of_other_commands_are_allowed(workspace, tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("command", ["bootstrap", "distill"])
+def test_resolved_cfg_passed_back_as_config_reruns_the_same(workspace, tmp_path, command):
+    # resolved.cfg holds hash.* lines, <command>.out and, for bootstrap, model.depth=None.
+    (tmp_path / "run.cfg").write_text(_QUICK)
+    first = tmp_path / "first" / "model.ckpt"
+    assert run(command, *_training_inputs(workspace, command), "--epochs", "1",
+               "--config", str(tmp_path / "run.cfg"), "--out", str(first)) == 0
+    resolved = (first.parent / "resolved.cfg").read_text()
+    again = tmp_path / "again" / "model.ckpt"
+    assert run(command, *_training_inputs(workspace, command), "--config",
+               str(first.parent / "resolved.cfg"), "--out", str(again)) == 0
+    rerun = (again.parent / "resolved.cfg").read_text()
+    differ = lambda text: [l for l in text.splitlines() if not l.startswith(f"{command}.out=")]
+    assert differ(rerun) == differ(resolved)
+
+
 @pytest.mark.parametrize(
     "command, config, env",
     [

@@ -185,15 +185,23 @@ def test_manifest_record_that_is_not_an_object_reports_line(tmp_path, line):
     assert err.value.line == 2
 
 
+class _Literal(str):
+    """A JSON value written into the record as it is (json.dumps refuses ints
+    over Python's 4300-digit limit)."""
+
+
 @pytest.mark.parametrize("field, value", [
     ("duration_s", "x"), ("duration_s", [1]), ("duration_s", None), ("duration_s", True),
     ("id", ["a"]), ("id", 3), ("path", {"p": 1}), ("role", ["noisy"]),
     pytest.param("path", "x" * 5000, id="path-too-long"),
+    pytest.param("duration_s", 10 ** 400, id="int-401-digits"),
+    pytest.param("duration_s", _Literal("1" * 5000), id="int-5000-digits"),
 ])
 def test_manifest_field_of_the_wrong_type_is_a_parse_error(tmp_path, field, value):
     _touch_wav(tmp_path / "a.wav")
-    record = {"id": "a", "path": "a.wav", "role": "noisy", "duration_s": 0.1, field: value}
-    (tmp_path / "m.jsonl").write_text(json.dumps(record) + "\n")
+    record = {"id": "a", "path": "a.wav", "role": "noisy", "duration_s": 0.1, field: "@"}
+    text = json.dumps(record).replace('"@"', value if isinstance(value, _Literal) else json.dumps(value))
+    (tmp_path / "m.jsonl").write_text(text + "\n")
     with pytest.raises(ParseError) as err:
         load_manifest(tmp_path / "m.jsonl")
     assert err.value.line == 1
