@@ -426,10 +426,18 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
     hs = np.zeros((steps + 1, batch, hidden), dtype=dtype)  # hs[t] = h_{t-1}
     cs = np.zeros((steps + 1, batch, hidden), dtype=dtype)
     tc = np.empty((steps, batch, hidden), dtype=dtype)  # tanh(c_t)
+    # float32 BLAS runs the recurrence GEMM about twice as fast at B >= 2 as
+    # w_hh @ h^T into a contiguous (4H, B) buffer; float64 is faster as
+    # h @ w_hh^T. Both forms give the same bits.
+    rec = np.empty((four_h, batch), dtype=dtype) if dtype == np.float32 else None
     for t in range(steps):
         a = gates[t]
-        np.matmul(hs[t], w_hh_t, out=a)
-        a += pre[:, t]
+        if rec is None:
+            np.matmul(hs[t], w_hh_t, out=a)
+            a += pre[:, t]
+        else:
+            np.matmul(w_hh.data, hs[t].T, out=rec)
+            np.add(rec.T, pre[:, t], out=a)
         a *= act_scale
         np.tanh(a, out=a)
         a *= act_scale

@@ -17,6 +17,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from . import distill as distill_mod
 from . import inference as inference_mod
@@ -380,8 +382,12 @@ def cmd_distill(args: SimpleNamespace) -> int:
     config = _train_config(args, strategy=strategy, tup=tup, epochs=epochs)
 
     teacher_ckpt = load_checkpoint(args.teacher)
-    teacher = model_from_checkpoint(teacher_ckpt)
     rate = teacher_ckpt.sample_rate_hz
+    # The float32 teacher is exact and shares the checkpoint's arrays. The
+    # list hands distill the only reference to it, so its first EMA update
+    # frees them.
+    teacher = [model_from_checkpoint(teacher_ckpt, dtype=np.float32)]
+    del teacher_ckpt
 
     noisy_manifest = corpus_mod.load_manifest(args.noisy)
     noisy = corpus_mod.load_corpus(noisy_manifest, expect_role="noisy")
@@ -396,7 +402,7 @@ def cmd_distill(args: SimpleNamespace) -> int:
         hashes["noise_corpus"] = corpus_mod.corpus_hash(noise_manifest)
 
     _make_parents(*outputs)
-    result = distill_mod.distill(teacher, noisy, ext, config, sample_rate_hz=rate)
+    result = distill_mod.distill(teacher.pop(), noisy, ext, config, sample_rate_hz=rate)
 
     save_checkpoint(
         out_path,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import DEFAULT_SAMPLE_RATE, Waveform, mix_at_snr, write_wav
-from .errors import EmptyCorpus, MissingFile, ParseError, RoleMismatch
+from .errors import EmptyCorpus, MissingFile, ParseError, RoleMismatch, UnreadableFile
 from .fileio import atomic_open
 
 ROLES = ("noisy", "noise", "clean", "enhanced")
@@ -79,7 +79,8 @@ def load_manifest(path) -> Manifest:
     the first three strings and the last a number.
 
     Malformed input raises ParseError naming the line; a manifest that is
-    not a file, or an entry whose file does not exist, raises MissingFile.
+    not a file, or an entry whose file does not exist, raises MissingFile,
+    and a manifest that cannot be read UnreadableFile.
     """
     path = Path(path)
     try:
@@ -87,6 +88,8 @@ def load_manifest(path) -> Manifest:
             lines = fh.readlines()
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         raise MissingFile(f"manifest not found: {path}") from exc
+    except OSError as exc:
+        raise UnreadableFile(f"cannot read manifest {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"manifest is not UTF-8: {exc}") from exc
     root = path.parent

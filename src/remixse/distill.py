@@ -5,7 +5,8 @@ The bootstrap stage trains a denoiser with the original noisy speech as the
 target and noisy speech plus extraneous noise as input. Distillation then
 lets a frozen-per-epoch teacher estimate speech and noise from noisy
 batches, remixes those estimates (or the raw noisy speech) into fresh
-input/target pairs per the selected strategy, and trains a student on them.
+input/target pairs per the selected strategy, and trains a float64 student
+on them. The teacher's no-grad forward may run in float32.
 """
 from __future__ import annotations
 
@@ -346,8 +347,16 @@ def distill(
     teacher without gradients to get the speech estimate and the in-domain
     noise estimate X - speech, build the strategy pair, and take one student
     Adam step. After each epoch the teacher-update protocol runs. The student
-    starts as a copy of the initial teacher; the result holds the student and
-    the teacher as they stand after the last epoch.
+    starts as a float64 copy of the initial teacher and trains in float64;
+    the result holds the student and the teacher as they stand after the
+    last epoch.
+
+    The teacher's forward runs in the dtype of the teacher passed in. An EMA
+    update accumulates in float64 (``ema_combine``), so after the first one
+    the teacher is a float64 master; a float32 teacher then runs its forward
+    on a float32 copy of the master, cast once per epoch. A float64 teacher
+    runs its forward on the master itself. Nothing here keeps the initial
+    teacher once an EMA update has replaced it.
     """
     if not noisy_corpus:
         raise EmptyCorpus("noisy corpus is empty")
@@ -359,14 +368,16 @@ def distill(
         raise ValueError("shuffle-based strategies need batch_size >= 2")
 
     rng = np.random.default_rng(config.seed)
-    student = teacher.copy()
+    student = teacher.copy(np.float64)
+    forward_dtype = teacher.dtype
+    forward = teacher  # the teacher, in forward_dtype
     segment = config.segment_samples
 
     def make_batch(indices):
         x = _gather_rows(noisy_corpus, indices, segment, rng)
         perm = Permutation.random(config.batch_size, rng)
         with ad.no_grad():
-            s_hat = teacher.apply(x).data
+            s_hat = forward.apply(x).data.astype(np.float64, copy=False)
         n_hat = x - s_hat
         ext = None
         if config.strategy.needs_ext_noise:
@@ -391,8 +402,11 @@ def distill(
         return y, target
 
     def end_epoch():
-        nonlocal teacher
+        nonlocal teacher, forward
         teacher = update_teacher(config.tup, teacher, student)
+        if teacher is not forward:
+            forward = None  # free the old copy before casting the new one
+            forward = teacher.astype(forward_dtype)
 
     stats = _train(student, len(noisy_corpus), make_batch, config, rng, end_epoch)
     return DistillResult(student, teacher, stats)

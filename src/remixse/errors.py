@@ -87,6 +87,10 @@ class MissingFile(RemixSEError):
     pass
 
 
+class UnreadableFile(RemixSEError):
+    """A file exists but opening or reading it failed (permissions, I/O)."""
+
+
 class RoleMismatch(UsageError):
     pass
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .audio import DEFAULT_SAMPLE_RATE, SignalBatch
-from .errors import ConfigMismatch, CorruptHeader, MissingFile, VersionMismatch
+from .errors import ConfigMismatch, CorruptHeader, MissingFile, UnreadableFile, VersionMismatch
 from .fileio import atomic_open
 
 CHECKPOINT_MAGIC = b"RMXSE1"
@@ -147,9 +147,14 @@ class DenoiserModel:
             self.config, {name: ad.Tensor(p.data.astype(dtype)) for name, p in self.params.items()}
         )
 
-    def copy(self) -> "DenoiserModel":
+    def copy(self, dtype=None) -> "DenoiserModel":
+        """A copy with fresh parameter arrays, cast to ``dtype`` if given."""
         return DenoiserModel(
-            self.config, {name: ad.Tensor(p.data.copy()) for name, p in self.params.items()}
+            self.config,
+            {
+                name: ad.Tensor(p.data.astype(p.data.dtype if dtype is None else dtype))
+                for name, p in self.params.items()
+            },
         )
 
     def zero_grads(self) -> None:
@@ -242,11 +247,16 @@ def init_model(config: ModelConfig, seed: int) -> DenoiserModel:
 
 
 def ema_combine(teacher: DenoiserModel, student: DenoiserModel, gamma: float) -> DenoiserModel:
-    """Per-parameter gamma * student + (1 - gamma) * teacher."""
+    """Per-parameter gamma * student + (1 - gamma) * teacher, computed in
+    float64 even for a float32 teacher: the average accumulates updates far
+    below float32's resolution."""
     if teacher.config != student.config:
         raise ConfigMismatch("teacher and student configs differ")
     params = {
-        name: ad.Tensor(gamma * student.params[name].data + (1.0 - gamma) * t.data)
+        name: ad.Tensor(
+            gamma * student.params[name].data
+            + (1.0 - gamma) * t.data.astype(np.float64, copy=False)
+        )
         for name, t in teacher.params.items()
     }
     return DenoiserModel(teacher.config, params)
@@ -257,28 +267,14 @@ def ema_combine(teacher: DenoiserModel, student: DenoiserModel, gamma: float) ->
 # ---------------------------------------------------------------------------
 
 @dataclass
-class OptimizerSnapshot:
-    """Adam hyperparameters, timestep, and first/second moment arrays."""
-
-    step_size: float
-    beta1: float
-    beta2: float
-    epsilon: float
-    timestep: int
-    moments1: dict[str, np.ndarray] = field(default_factory=dict)
-    moments2: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass
 class Checkpoint:
-    """Everything needed to resume or reuse a model, stored bit-exactly."""
+    """A model's arrays and provenance, stored bit-exactly."""
 
     config: ModelConfig
     arrays: dict[str, np.ndarray]
     epoch: int = 0
     seed: int | None = None
     sample_rate_hz: int = DEFAULT_SAMPLE_RATE
-    optimizer: OptimizerSnapshot | None = None
 
 
 def model_to_checkpoint(
@@ -286,22 +282,9 @@ def model_to_checkpoint(
     epoch: int = 0,
     seed: int | None = None,
     sample_rate_hz: int = DEFAULT_SAMPLE_RATE,
-    adam: "ad.AdamState | None" = None,
 ) -> Checkpoint:
     arrays = {name: p.data for name, p in model.params.items()}
-    opt = None
-    if adam is not None and adam.m:
-        names = list(model.params)
-        opt = OptimizerSnapshot(
-            step_size=adam.step_size,
-            beta1=adam.beta1,
-            beta2=adam.beta2,
-            epsilon=adam.epsilon,
-            timestep=adam.timestep,
-            moments1={n: m for n, m in zip(names, adam.m)},
-            moments2={n: v for n, v in zip(names, adam.v)},
-        )
-    return Checkpoint(model.config, arrays, epoch, seed, sample_rate_hz, opt)
+    return Checkpoint(model.config, arrays, epoch, seed, sample_rate_hz)
 
 
 def model_from_checkpoint(
@@ -325,7 +308,9 @@ def model_from_checkpoint(
 
 
 def _header_dict(ckpt: Checkpoint, manifest: list[dict]) -> dict:
-    header = {
+    # "optimizer" is always null (no optimizer state is stored); the key stays
+    # so that headers keep their bytes, and a reader rejects any other value.
+    return {
         "config": asdict(ckpt.config),
         "epoch": ckpt.epoch,
         "seed": ckpt.seed,
@@ -333,32 +318,15 @@ def _header_dict(ckpt: Checkpoint, manifest: list[dict]) -> dict:
         "arrays": manifest,
         "optimizer": None,
     }
-    if ckpt.optimizer is not None:
-        opt = ckpt.optimizer
-        header["optimizer"] = {
-            "kind": "adam",
-            "step_size": opt.step_size,
-            "beta1": opt.beta1,
-            "beta2": opt.beta2,
-            "epsilon": opt.epsilon,
-            "timestep": opt.timestep,
-        }
-    return header
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """File layout: magic, newline, JSON text header, NUL, float32 payload
     (little-endian, declaration order), trailing CRC32 of the payload."""
-    entries: list[tuple[str, np.ndarray]] = list(ckpt.arrays.items())
-    if ckpt.optimizer is not None:
-        for n, a in ckpt.optimizer.moments1.items():
-            entries.append((f"adam.m.{n}", a))
-        for n, a in ckpt.optimizer.moments2.items():
-            entries.append((f"adam.v.{n}", a))
     manifest = []
     chunks = []
     offset = 0
-    for name, arr in entries:
+    for name, arr in ckpt.arrays.items():
         raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
         manifest.append(
             {"name": name, "shape": list(arr.shape), "dtype": "<f4", "offset": offset, "nbytes": len(raw)}
@@ -399,11 +367,7 @@ def _header_fields(header, payload_size: int):
     _require(_is_int(header["epoch"]), "epoch")
     _require(header["seed"] is None or _is_int(header["seed"]), "seed")
     _require(_is_int(header.get("sample_rate_hz", DEFAULT_SAMPLE_RATE)), "sample_rate_hz")
-    meta = header.get("optimizer")
-    if meta:
-        _require(_is_int(meta["timestep"]), "optimizer.timestep")
-        for key in ("step_size", "beta1", "beta2", "epsilon"):
-            _require(type(meta[key]) in (int, float), f"optimizer.{key}")
+    _require(header.get("optimizer") is None, "optimizer")
     entries = header["arrays"]
     _require(isinstance(entries, list), "arrays")
     names, offset = set(), 0
@@ -431,8 +395,9 @@ def _header_fields(header, payload_size: int):
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    A missing file raises ``MissingFile``, another format version
-    ``VersionMismatch``, and any other malformed input ``CorruptHeader``.
+    A missing file raises ``MissingFile``, one that cannot be read
+    ``UnreadableFile``, another format version ``VersionMismatch``, and any
+    other malformed input ``CorruptHeader``.
     Arrays are read through one view of the file's bytes, so each is copied
     once, out of the payload.
     """
@@ -441,6 +406,8 @@ def load_checkpoint(path) -> Checkpoint:
             blob = fh.read()
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         raise MissingFile(f"checkpoint not found: {path}") from exc
+    except OSError as exc:
+        raise UnreadableFile(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
     if len(blob) < len(CHECKPOINT_MAGIC) + 1:
         raise CorruptHeader("file too small")
     magic = blob[: len(CHECKPOINT_MAGIC)]
@@ -469,24 +436,10 @@ def load_checkpoint(path) -> Checkpoint:
         flat = np.frombuffer(payload, dtype="<f4", count=count, offset=entry["offset"])
         arrays[entry["name"]] = flat.reshape(entry["shape"]).copy()
 
-    opt = None
-    if header.get("optimizer"):
-        meta = header["optimizer"]
-        opt = OptimizerSnapshot(
-            step_size=meta["step_size"],
-            beta1=meta["beta1"],
-            beta2=meta["beta2"],
-            epsilon=meta["epsilon"],
-            timestep=meta["timestep"],
-            moments1={k[len("adam.m.") :]: v for k, v in arrays.items() if k.startswith("adam.m.")},
-            moments2={k[len("adam.v.") :]: v for k, v in arrays.items() if k.startswith("adam.v.")},
-        )
-    model_arrays = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
     return Checkpoint(
         config=config,
-        arrays=model_arrays,
+        arrays=arrays,
         epoch=header["epoch"],
         seed=header["seed"],
         sample_rate_hz=header.get("sample_rate_hz", DEFAULT_SAMPLE_RATE),
-        optimizer=opt,
     )

@@ -58,3 +58,38 @@ def assert_grad_close(analytic, numeric, rtol=1e-4, atol=1e-7):
     diff = np.abs(analytic - numeric)
     bound = atol + rtol * np.abs(numeric)
     assert np.all(diff <= bound), f"max violation {(diff - bound).max():.3e}"
+
+
+def fail_reading(monkeypatch, module, target, error, at="open"):
+    """Make ``module``'s ``open`` raise ``error`` for the path ``target``,
+    either when it is opened (``at="open"``) or when it is read
+    (``at="read"``); every other path opens normally. Tests inject read
+    errors this way because file permissions do not stop a root process."""
+    import builtins
+    from pathlib import Path
+
+    real_open = builtins.open
+
+    class FailingRead:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def read(self, *args):
+            raise error
+
+        readlines = read
+
+    def fake_open(path, *args, **kwargs):
+        if Path(path) != Path(target):
+            return real_open(path, *args, **kwargs)
+        if at == "open":
+            raise error
+        return FailingRead(real_open(path, *args, **kwargs))
+
+    monkeypatch.setattr(module, "open", fake_open, raising=False)

@@ -280,6 +280,50 @@ def test_lstm_matches_naive_cell(batch, steps, c_in, hidden):
     np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-14)
 
 
+def _lstm_h_wt_forward(x, w_ih, w_hh, bias):
+    """lstm_layer's forward with the recurrence as h @ w_hh.T, the form
+    float64 runs, step for step in the input's dtype."""
+    batch, steps, _ = x.shape
+    hidden = w_hh.shape[1]
+    act_scale = np.full(4 * hidden, 0.5, dtype=x.dtype)
+    act_scale[2 * hidden : 3 * hidden] = 1.0
+    act_shift = np.full(4 * hidden, 0.5, dtype=x.dtype)
+    act_shift[2 * hidden : 3 * hidden] = 0.0
+    pre = x @ w_ih.T + bias
+    h = np.zeros((batch, hidden), dtype=x.dtype)
+    c = np.zeros((batch, hidden), dtype=x.dtype)
+    outs = []
+    for t in range(steps):
+        a = np.matmul(h, w_hh.T)
+        a += pre[:, t]
+        a *= act_scale
+        np.tanh(a, out=a)
+        a *= act_scale
+        a += act_shift
+        i, f, g, o = a.reshape(batch, 4, hidden).swapaxes(0, 1)
+        c = f * c
+        c += i * g
+        h = o * np.tanh(c)
+        outs.append(h)
+    return np.stack(outs, axis=1)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 4])
+def test_float32_lstm_is_bit_equal_to_the_h_wt_form(batch):
+    # float32 runs its recurrence as w_hh @ h.T; at the paper bottleneck
+    # (H = 768) it must give the very bits of the h @ w_hh.T form.
+    rng = np.random.default_rng(batch)
+    hidden = 768
+    x = rng.normal(size=(batch, 5, hidden)).astype(np.float32)
+    w_ih, w_hh = (rng.uniform(-0.036, 0.036, size=(4 * hidden, hidden)).astype(np.float32)
+                  for _ in range(2))
+    bias = rng.normal(scale=0.1, size=4 * hidden).astype(np.float32)
+    with ad.no_grad():
+        out = ad.lstm_layer(ad.Tensor(x), ad.Tensor(w_ih), ad.Tensor(w_hh), ad.Tensor(bias))
+    assert out.data.dtype == np.float32
+    assert np.array_equal(out.data, _lstm_h_wt_forward(x, w_ih, w_hh, bias))
+
+
 def test_lstm_zero_weights_zero_output():
     x = ad.Tensor(np.random.default_rng(0).normal(size=(2, 6, 3)))
     out = ad.lstm_layer(

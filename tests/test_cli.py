@@ -1,6 +1,8 @@
 """CLI command behavior, exit codes, config files, and output echoing."""
+import errno
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +10,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import remixse.audio
+import remixse.corpus
+import remixse.distill
+import remixse.model
 from remixse.cli import OPTIONS, _resolve, build_parser, main
 from remixse.corpus import ManifestEntry, write_manifest
 from remixse.errors import RemixSEError, UsageError
-from remixse.model import load_checkpoint
+from remixse.model import DenoiserModel, load_checkpoint
+from conftest import fail_reading
 
 
 def run(*argv):
@@ -317,6 +324,53 @@ def test_missing_checkpoint_is_missing_file(workspace, tmp_path, capsys, command
     assert run(*argv) == 3
     assert "checkpoint not found" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "manifest", "wav"])
+def test_unreadable_input_file_exits_3(workspace, tmp_path, capsys, monkeypatch, target):
+    data = workspace["data"]
+    manifest = data / "noisy.manifest.jsonl"
+    module, path = {
+        "checkpoint": (remixse.model, workspace["ckpt"]),
+        "manifest": (remixse.corpus, manifest),
+        "wav": (remixse.audio, next((data / "noisy").glob("*.wav"))),
+    }[target]
+    fail_reading(monkeypatch, module, path, PermissionError(errno.EACCES, "Permission denied"))
+    code = run("distill", "--teacher", str(workspace["ckpt"]), "--noisy", str(manifest),
+               "--epochs", "1", "--out", str(tmp_path / "x.ckpt"))
+    assert code == 3
+    assert "cannot read" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_distill_frees_the_initial_teacher_at_the_first_ema_update(workspace, tmp_path,
+                                                                  monkeypatch):
+    # cmd_distill must keep no reference to the loaded checkpoint or the
+    # initial teacher: once an EMA update has replaced it, its arrays go.
+    update_teacher = remixse.distill.update_teacher
+    initial, alive_in_epoch_2 = [], []
+
+    def recording(protocol, teacher, student):
+        if not initial:
+            initial.append(weakref.ref(teacher.params["lstm0.w_hh"].data))
+        return update_teacher(protocol, teacher, student)
+
+    apply = DenoiserModel.apply
+
+    def checking(self, x, *args, **kwargs):
+        if initial:
+            alive_in_epoch_2.append(initial[0]() is not None)
+        return apply(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(remixse.distill, "update_teacher", recording)
+    monkeypatch.setattr(DenoiserModel, "apply", checking)
+    data = workspace["data"]
+    code = run("distill", "--teacher", str(workspace["ckpt"]),
+               "--noisy", str(data / "noisy.manifest.jsonl"), "--strategy", "nytt1",
+               "--tup", "ema", "--epochs", "2", "--batch-size", "4", "--segment", "2500",
+               "--shift-max", "400", "--out", str(tmp_path / "student.ckpt"))
+    assert code == 0
+    assert alive_in_epoch_2 and not any(alive_in_epoch_2)
 
 
 # ---------------------------------------------------------------------------

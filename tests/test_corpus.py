@@ -1,10 +1,14 @@
 """Synthetic corpus determinism, manifest handling, and crop/pad."""
+import errno
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import remixse.audio
+import remixse.corpus
+import remixse.model
 from remixse.audio import Waveform, read_wav
 from remixse.corpus import (
     Manifest,
@@ -17,7 +21,15 @@ from remixse.corpus import (
     synth_corpus,
     write_manifest,
 )
-from remixse.errors import MissingFile, ParseError, RemixSEError, RoleMismatch
+from remixse.errors import MissingFile, ParseError, RemixSEError, RoleMismatch, UnreadableFile
+from remixse.model import (
+    TINY_CONFIG,
+    init_model,
+    load_checkpoint,
+    model_to_checkpoint,
+    save_checkpoint,
+)
+from conftest import fail_reading
 
 
 def test_synth_same_seed_bit_identical(tmp_path):
@@ -254,3 +266,27 @@ def test_a_directory_or_missing_path_is_a_missing_file(tmp_path, read):
     for path in (tmp_path, tmp_path / "ghost", tmp_path / "ghost" / "deeper"):
         with pytest.raises(MissingFile):
             read(path)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [PermissionError(errno.EACCES, "Permission denied"), OSError(errno.EIO, "Input/output error")],
+    ids=["EACCES", "EIO"],
+)
+@pytest.mark.parametrize("at", ["open", "read"])
+@pytest.mark.parametrize("reader", ["manifest", "wav", "checkpoint"])
+def test_a_file_that_cannot_be_read_is_unreadable_file(tiny_corpus, tmp_path, monkeypatch,
+                                                       reader, at, error):
+    manifest_path = tiny_corpus["noisy"]
+    if reader == "manifest":
+        module, path, read = remixse.corpus, manifest_path, load_manifest
+    elif reader == "wav":
+        manifest = load_manifest(manifest_path)
+        module, path, read = remixse.audio, manifest.resolve(manifest.entries[0]), read_wav
+    else:
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model_to_checkpoint(init_model(TINY_CONFIG, seed=0)))
+        module, read = remixse.model, load_checkpoint
+    fail_reading(monkeypatch, module, path, error, at)
+    with pytest.raises(UnreadableFile, match="cannot read"):
+        read(path)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import remixse.distill
+from remixse import autodiff as ad
 from remixse.audio import Permutation, SignalBatch, mix_at_snr, shuffle_rows
 from remixse.corpus import load_corpus, load_manifest
 from remixse.distill import (
@@ -21,7 +22,7 @@ from remixse.errors import (
     ShapeMismatch,
     UnexpectedExtNoise,
 )
-from remixse.model import TINY_CONFIG, ema_combine, init_model
+from remixse.model import TINY_CONFIG, DenoiserModel, ema_combine, init_model
 
 RATE = 16000
 
@@ -360,6 +361,75 @@ def test_distill_replay_is_bit_identical(corpora):
             assert np.array_equal(a.data, b.data)
         losses[augment] = r1.stats.step_losses
     assert losses[False] != losses[True]  # the augmented run trains on other batches
+
+
+def _record_forwards(monkeypatch) -> list[tuple[bool, np.dtype, dict]]:
+    """(grad enabled, parameter dtype, parameter copies) of every apply call."""
+    calls = []
+    apply = DenoiserModel.apply
+
+    def recording(self, x, *args, **kwargs):
+        params = {name: p.data.copy() for name, p in self.params.items()}
+        calls.append((ad.grad_enabled(), self.dtype, params))
+        return apply(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(DenoiserModel, "apply", recording)
+    return calls
+
+
+def test_distill_float32_teacher_forward_and_float64_ema_master(corpora, monkeypatch):
+    noisy, _ = corpora
+    teacher = init_model(TINY_CONFIG, seed=4).astype(np.float32)
+    initial = {n: p.data.copy() for n, p in teacher.params.items()}
+    updates = []
+
+    def recording(protocol, old, student):
+        new = update_teacher(protocol, old, student)
+        updates.append(({n: p.data.copy() for n, p in old.params.items()},
+                        {n: p.data.copy() for n, p in student.params.items()}, new))
+        return new
+
+    monkeypatch.setattr(remixse.distill, "update_teacher", recording)
+    calls = _record_forwards(monkeypatch)
+    gamma = 0.25
+    config = _quick_config(epochs=2, strategy=MixStrategy.NYTT1, tup=TeacherUpdateProtocol.ema(gamma))
+    result = distill(teacher, noisy, None, config)
+
+    teacher_calls = [(dtype, params) for grad, dtype, params in calls if not grad]
+    student_calls = [(dtype, params) for grad, dtype, params in calls if grad]
+    assert len(teacher_calls) == len(student_calls) == 4  # 2 steps per epoch
+    assert all(dtype == np.float32 for dtype, _ in teacher_calls)
+    assert all(dtype == np.float64 for dtype, _ in student_calls)
+    for name, arr in student_calls[0][1].items():  # the student starts as a float64 copy
+        assert np.array_equal(arr, initial[name].astype(np.float64))
+    for _, params in teacher_calls[:2]:  # epoch 1: the initial teacher
+        assert all(np.array_equal(params[n], initial[n]) for n in initial)
+
+    assert len(updates) == 2
+    for old, student, master in updates:
+        assert master.dtype == np.float64
+        for name, p in master.params.items():
+            expected = gamma * student[name] + (1 - gamma) * old[name].astype(np.float64)
+            np.testing.assert_allclose(p.data, expected, rtol=0, atol=1e-12)
+    first_master = updates[0][2]
+    for _, params in teacher_calls[2:]:  # epoch 2: the first master, cast to float32
+        for name, arr in params.items():
+            assert np.array_equal(arr, first_master.params[name].data.astype(np.float32))
+    assert result.teacher is updates[1][2]
+    assert result.student.dtype == np.float64
+
+
+def test_distill_static_float32_teacher_is_returned_unchanged(corpora, monkeypatch):
+    noisy, _ = corpora
+    teacher = init_model(TINY_CONFIG, seed=3).astype(np.float32)
+    initial = {n: p.data.copy() for n, p in teacher.params.items()}
+    calls = _record_forwards(monkeypatch)
+    result = distill(teacher, noisy, None, _quick_config(epochs=2, strategy=MixStrategy.NYTT1))
+    assert result.teacher is teacher
+    assert all(np.array_equal(p.data, initial[n]) for n, p in teacher.params.items())
+    teacher_dtypes = [dtype for grad, dtype, _ in calls if not grad]
+    assert len(teacher_dtypes) == 4 and all(dtype == np.float32 for dtype in teacher_dtypes)
+    assert result.student.dtype == np.float64
 
 
 def test_distill_ext_noise_consistency(corpora):
