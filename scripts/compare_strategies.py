@@ -75,9 +75,7 @@ def run(args) -> int:
                 epochs=args.distill_epochs, strategy=strategy, tup=tup, **base
             )
             t0 = time.perf_counter()
-            result = distill(
-                teacher.copy(), noisy, ext if strategy.needs_ext_noise else None, config
-            )
+            result = distill(teacher, noisy, ext if strategy.needs_ext_noise else None, config)
             one = mean_si_sdr([result.student], test_clean, test_noisy)
             two = mean_si_sdr([teacher, result.student], test_clean, test_noisy)
             print(

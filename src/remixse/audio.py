@@ -1,13 +1,13 @@
-"""Waveforms, batches, SNR mixing, augmentations, resampling, and WAV I/O.
+"""Waveforms, SNR mixing, augmentations, resampling, and WAV I/O.
 
-Everything here is pure given an explicit ``numpy.random.Generator``;
-batches are treated as immutable values and every function returns fresh
-arrays.
+Everything here is pure given an explicit ``numpy.random.Generator``.
+A batch is a (B, M) float64 array of equally long rows; the functions
+never write into the arrays they are given.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,30 +53,6 @@ class Waveform:
     @property
     def duration_s(self) -> float:
         return len(self) / self.sample_rate_hz
-
-
-@dataclass(frozen=True)
-class SignalBatch:
-    """B equally long waveform rows sharing one sample rate, as a (B, M) array."""
-
-    data: np.ndarray
-    sample_rate_hz: int = DEFAULT_SAMPLE_RATE
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        object.__setattr__(self, "data", data)
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError(f"batch must be (B>=1, M>=1), got shape {data.shape}")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample rate must be positive")
-
-    @property
-    def batch_size(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def num_samples(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -149,11 +125,11 @@ def snr_db(signal: np.ndarray, noise: np.ndarray) -> float:
 # batch shuffling and augmentations
 # ---------------------------------------------------------------------------
 
-def shuffle_rows(batch: SignalBatch, p: Permutation) -> SignalBatch:
-    """Reorder rows: output row i is input row p.order[i]."""
-    if len(p) != batch.batch_size:
-        raise SizeMismatch(f"permutation of size {len(p)} on batch of {batch.batch_size}")
-    return SignalBatch(batch.data[p.order].copy(), batch.sample_rate_hz)
+def shuffle_rows(batch: np.ndarray, p: Permutation) -> np.ndarray:
+    """Reorder rows into a new array: output row i is input row p.order[i]."""
+    if len(p) != batch.shape[0]:
+        raise SizeMismatch(f"permutation of size {len(p)} on batch of {batch.shape[0]}")
+    return batch[p.order]
 
 
 def shift_row(row: np.ndarray, offset: int) -> np.ndarray:
@@ -166,26 +142,25 @@ def shift_row(row: np.ndarray, offset: int) -> np.ndarray:
 
 
 def augment_shift(
-    input_batch: SignalBatch,
-    target_batch: SignalBatch,
+    input_batch: np.ndarray,
+    target_batch: np.ndarray,
     max_shift_samples: int,
     rng: np.random.Generator,
 ):
     """Per row, draw one offset in [0, max_shift_samples] and apply it to both
     the input row and the target row, preserving their alignment."""
-    if input_batch.data.shape != target_batch.data.shape:
+    if input_batch.shape != target_batch.shape:
         raise SizeMismatch("input and target batches must share (B, M)")
-    length = input_batch.num_samples
+    rows, length = input_batch.shape
     if max_shift_samples >= length:
         raise ValueError(f"max shift {max_shift_samples} must be < row length {length}")
-    offsets = rng.integers(0, max_shift_samples + 1, size=input_batch.batch_size)
-    out_in = np.empty_like(input_batch.data)
-    out_tg = np.empty_like(target_batch.data)
+    offsets = rng.integers(0, max_shift_samples + 1, size=rows)
+    out_in = np.empty_like(input_batch)
+    out_tg = np.empty_like(target_batch)
     for i, off in enumerate(offsets):
-        out_in[i] = shift_row(input_batch.data[i], int(off))
-        out_tg[i] = shift_row(target_batch.data[i], int(off))
-    rate = input_batch.sample_rate_hz
-    return SignalBatch(out_in, rate), SignalBatch(out_tg, rate)
+        out_in[i] = shift_row(input_batch[i], int(off))
+        out_tg[i] = shift_row(target_batch[i], int(off))
+    return out_in, out_tg
 
 
 def hz_to_mel(f):
@@ -201,12 +176,13 @@ def _periodic_hann(n: int) -> np.ndarray:
 
 
 def augment_bandmask(
-    batch: SignalBatch,
+    batch: np.ndarray,
+    rate: int,
     mask_fraction: float = 0.2,
     rng: np.random.Generator | None = None,
-) -> SignalBatch:
-    """Band-stop each row over a random mel band of width mask_fraction of the
-    full mel range.
+) -> np.ndarray:
+    """Band-stop each row, sampled at ``rate`` Hz, over a random mel band of
+    width mask_fraction of the full mel range.
 
     One uniform draw per row (in row order) places the band start on the mel
     axis; STFT bins inside the band are zeroed (window 1024, hop 256, Hann
@@ -217,8 +193,7 @@ def augment_bandmask(
         raise ValueError("mask_fraction must be in (0, 1)")
     if rng is None:
         rng = np.random.default_rng()
-    rows, length = batch.data.shape
-    rate = batch.sample_rate_hz
+    rows, length = batch.shape
     win, hop = BANDMASK_WINDOW, BANDMASK_HOP
 
     mel_max = hz_to_mel(rate / 2.0)
@@ -233,7 +208,7 @@ def augment_bandmask(
     n_frames = int(np.ceil((length + left) / hop)) + 3
     total = (n_frames - 1) * hop + win
     padded = np.zeros((rows, total))
-    padded[:, left : left + length] = batch.data
+    padded[:, left : left + length] = batch
 
     window = _periodic_hann(win)
     idx = np.arange(n_frames)[:, None] * hop + np.arange(win)[None, :]
@@ -253,7 +228,7 @@ def augment_bandmask(
         norm[sl] += window * window
     # Every retained sample sits in the constant-overlap region (norm == 1.5).
     kept = slice(left, left + length)
-    return SignalBatch(out[:, kept] / norm[kept], rate)
+    return out[:, kept] / norm[kept]
 
 
 # ---------------------------------------------------------------------------

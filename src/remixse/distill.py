@@ -18,14 +18,7 @@ from enum import Enum
 import numpy as np
 
 from . import autodiff as ad
-from .audio import (
-    Permutation,
-    SignalBatch,
-    augment_bandmask,
-    augment_shift,
-    mix_batch_at_snr,
-    shuffle_rows,
-)
+from .audio import Permutation, augment_bandmask, augment_shift, mix_batch_at_snr, shuffle_rows
 from .corpus import crop_or_pad
 from .errors import (
     EmptyCorpus,
@@ -178,13 +171,10 @@ def _augment(target: np.ndarray, noise: np.ndarray, config: TrainConfig, rate: i
     masked, so the target never contains content the input lacks.
     """
     if config.bandmask:
-        noise = augment_bandmask(SignalBatch(noise, rate), config.bandmask_fraction, rng).data
+        noise = augment_bandmask(noise, rate, config.bandmask_fraction, rng)
     y = target + noise
     if config.shift and config.shift_max_samples > 0:
-        shifted_in, shifted_tg = augment_shift(
-            SignalBatch(y, rate), SignalBatch(target, rate), config.shift_max_samples, rng
-        )
-        y, target = shifted_in.data, shifted_tg.data
+        y, target = augment_shift(y, target, config.shift_max_samples, rng)
     return y, target
 
 
@@ -264,57 +254,57 @@ def bootstrap_nytt(
 
 def build_student_batch(
     strategy: MixStrategy,
-    x: SignalBatch,
-    s_hat: SignalBatch,
-    n_hat: SignalBatch,
+    x: np.ndarray,
+    s_hat: np.ndarray,
+    n_hat: np.ndarray,
     p: Permutation,
-    n_ext: SignalBatch | None,
+    n_ext: np.ndarray | None,
     rng: np.random.Generator,
     snr_low_db: float = -5.0,
     snr_high_db: float = 5.0,
-) -> tuple[SignalBatch, SignalBatch]:
-    """Compose one (input, target) pair for the student.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Compose one (input, target) pair of (B, M) arrays for the student.
 
     Shuffled in-domain noise is added straight; extraneous noise is scaled to
     a per-row uniform SNR in [snr_low_db, snr_high_db] relative to the signal
     it is added to. RNG draw order (fixed, so tests can replay it): first the
     SNR array (size B, only for strategies using extraneous noise), then the
     NYTT2 source coins (size B).
+
+    The target is the ``s_hat`` (CTT) or ``x`` (NYTT) passed in, not a copy,
+    and so is CTT1's input ``x``: callers must not write into them.
     """
-    shapes = {x.data.shape, s_hat.data.shape, n_hat.data.shape}
+    shapes = {x.shape, s_hat.shape, n_hat.shape}
     if n_ext is not None:
-        shapes.add(n_ext.data.shape)
+        shapes.add(n_ext.shape)
     if len(shapes) != 1:
         raise ShapeMismatch(f"batches disagree on shape: {sorted(shapes)}")
     if strategy.needs_ext_noise and n_ext is None:
         raise MissingExtNoise(f"{strategy.value} requires an extraneous noise batch")
     if not strategy.needs_ext_noise and n_ext is not None:
         raise UnexpectedExtNoise(f"{strategy.value} does not take extraneous noise")
-    rate = x.sample_rate_hz
+    rows = x.shape[0]
 
-    shuffled = shuffle_rows(n_hat, p).data if strategy.uses_shuffled_noise else None
+    shuffled = shuffle_rows(n_hat, p) if strategy.uses_shuffled_noise else None
     if strategy.needs_ext_noise:
-        snrs = rng.uniform(snr_low_db, snr_high_db, size=x.batch_size)
+        snrs = rng.uniform(snr_low_db, snr_high_db, size=rows)
 
     if strategy is MixStrategy.CTT1:
-        return SignalBatch(x.data.copy(), rate), SignalBatch(s_hat.data.copy(), rate)
+        return x, s_hat
     if strategy is MixStrategy.CTT2:
-        return SignalBatch(s_hat.data + shuffled, rate), SignalBatch(s_hat.data.copy(), rate)
+        return s_hat + shuffled, s_hat
     if strategy is MixStrategy.CTT3:
-        base = s_hat.data + shuffled
-        mixture, _ = mix_batch_at_snr(base, n_ext.data, snrs)
-        return SignalBatch(mixture, rate), SignalBatch(s_hat.data.copy(), rate)
+        mixture, _ = mix_batch_at_snr(s_hat + shuffled, n_ext, snrs)
+        return mixture, s_hat
     if strategy is MixStrategy.NYTT1:
-        return SignalBatch(x.data + shuffled, rate), SignalBatch(x.data.copy(), rate)
+        return x + shuffled, x
     if strategy is MixStrategy.NYTT2:
-        coins = rng.random(x.batch_size) < 0.5
-        _, scaled_ext = mix_batch_at_snr(x.data, n_ext.data, snrs)
-        chosen = np.where(coins[:, None], shuffled, scaled_ext)
-        return SignalBatch(x.data + chosen, rate), SignalBatch(x.data.copy(), rate)
+        coins = rng.random(rows) < 0.5
+        _, scaled_ext = mix_batch_at_snr(x, n_ext, snrs)
+        return x + np.where(coins[:, None], shuffled, scaled_ext), x
     if strategy is MixStrategy.NYTT3:
-        base = x.data + shuffled
-        mixture, _ = mix_batch_at_snr(base, n_ext.data, snrs)
-        return SignalBatch(mixture, rate), SignalBatch(x.data.copy(), rate)
+        mixture, _ = mix_batch_at_snr(x + shuffled, n_ext, snrs)
+        return mixture, x
     raise AssertionError(f"unhandled strategy {strategy}")
 
 
@@ -344,12 +334,12 @@ def distill(
     """Teacher-student training.
 
     Per batch: sample noisy speech X, draw a fresh permutation, run the
-    teacher without gradients to get the speech estimate and the in-domain
-    noise estimate X - speech, build the strategy pair, and take one student
-    Adam step. After each epoch the teacher-update protocol runs. The student
-    starts as a float64 copy of the initial teacher and trains in float64;
-    the result holds the student and the teacher as they stand after the
-    last epoch.
+    teacher pass (``DenoiserModel.forward``) to get the speech estimate and
+    the in-domain noise estimate X - speech, build the strategy pair, and
+    take one student Adam step. After each epoch the teacher-update protocol
+    runs. The student starts as a float64 copy of the initial teacher and
+    trains in float64; the result holds the student and the teacher as they
+    stand after the last epoch.
 
     The teacher's forward runs in the dtype of the teacher passed in. An EMA
     update accumulates in float64 (``ema_combine``), so after the first one
@@ -370,43 +360,30 @@ def distill(
     rng = np.random.default_rng(config.seed)
     student = teacher.copy(np.float64)
     forward_dtype = teacher.dtype
-    forward = teacher  # the teacher, in forward_dtype
+    fwd_teacher = teacher  # the teacher, in forward_dtype
     segment = config.segment_samples
 
     def make_batch(indices):
         x = _gather_rows(noisy_corpus, indices, segment, rng)
         perm = Permutation.random(config.batch_size, rng)
-        with ad.no_grad():
-            s_hat = forward.apply(x).data.astype(np.float64, copy=False)
-        n_hat = x - s_hat
+        s_hat, n_hat = fwd_teacher.forward(x)
         ext = None
         if config.strategy.needs_ext_noise:
             noise_idx = rng.integers(0, len(ext_noise_corpus), size=config.batch_size)
-            ext = SignalBatch(
-                _gather_rows(ext_noise_corpus, noise_idx, segment, rng), sample_rate_hz
-            )
-        y_batch, t_batch = build_student_batch(
-            config.strategy,
-            SignalBatch(x, sample_rate_hz),
-            SignalBatch(s_hat, sample_rate_hz),
-            SignalBatch(n_hat, sample_rate_hz),
-            perm,
-            ext,
-            rng,
-            config.snr_low_db,
-            config.snr_high_db,
+            ext = _gather_rows(ext_noise_corpus, noise_idx, segment, rng)
+        y, target = build_student_batch(
+            config.strategy, x, s_hat, n_hat, perm, ext, rng, config.snr_low_db, config.snr_high_db
         )
-        y, target = y_batch.data, t_batch.data
         if config.augment_in_distill:
             return _augment(target, y - target, config, sample_rate_hz, rng)
         return y, target
 
     def end_epoch():
-        nonlocal teacher, forward
+        nonlocal teacher, fwd_teacher
         teacher = update_teacher(config.tup, teacher, student)
-        if teacher is not forward:
-            forward = None  # free the old copy before casting the new one
-            forward = teacher.astype(forward_dtype)
+        if teacher is not fwd_teacher:
+            fwd_teacher = None  # free the old copy before casting the new one
+            fwd_teacher = teacher.astype(forward_dtype)
 
     stats = _train(student, len(noisy_corpus), make_batch, config, rng, end_epoch)
     return DistillResult(student, teacher, stats)

@@ -11,7 +11,9 @@ computed values can be merged into reports by id.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +23,7 @@ import numpy as np
 from .audio import Waveform, read_wav
 from .autodiff import resample_array
 from .corpus import Manifest
-from .errors import LengthMismatch, TooShort, ZeroReference
+from .errors import LengthMismatch, MissingFile, ParseError, TooShort, UnreadableFile, ZeroReference
 from .fileio import atomic_open
 
 STOI_RATE = 10_000
@@ -182,13 +184,40 @@ class MetricReport:
 
 
 def read_pesq_csv(path) -> dict[str, float]:
-    """External PESQ values as a two-column (id, pesq) CSV, header optional."""
+    """External PESQ values as a two-column (id, pesq) CSV, header optional.
+
+    A path that is not a file raises MissingFile and one that cannot be read
+    UnreadableFile. Text that is not UTF-8, a row of fewer than two columns
+    and a score that is not a finite number raise ParseError naming the line.
+    """
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise MissingFile(f"PESQ CSV not found: {path}") from exc
+    except OSError as exc:
+        raise UnreadableFile(f"cannot read PESQ CSV {path}: {exc.strerror or exc}") from exc
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8", line=blob.count(b"\n", 0, exc.start) + 1) from exc
     values: dict[str, float] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
             if not row or row[0].strip().lower() in ("id", ""):
                 continue
-            values[row[0].strip()] = float(row[1])
+            if len(row) < 2:
+                raise ParseError("expected two columns, id and pesq", line=reader.line_num)
+            try:
+                score = float(row[1])
+            except ValueError:
+                score = math.nan  # rejected with the non-finite scores below
+            if not math.isfinite(score):
+                raise ParseError(f"score {row[1]!r} is not a finite number", line=reader.line_num)
+            values[row[0].strip()] = score
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from exc
     return values
 
 

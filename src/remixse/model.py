@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .audio import DEFAULT_SAMPLE_RATE, SignalBatch
+from .audio import DEFAULT_SAMPLE_RATE
 from .errors import ConfigMismatch, CorruptHeader, MissingFile, UnreadableFile, VersionMismatch
 from .fileio import atomic_open
 
@@ -225,13 +225,14 @@ class DenoiserModel:
             out = ad.scale(out, sigma)
         return out
 
-    def forward(self, noisy: SignalBatch) -> tuple[SignalBatch, SignalBatch]:
-        """Inference: (speech_estimate, noise_estimate), noise = input - speech."""
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The teacher pass: float64 (speech, noise) estimates for a (B, M)
+        array, with noise = x - speech. The network runs in the parameters'
+        dtype and records no graph."""
+        x = np.asarray(x, dtype=np.float64)
         with ad.no_grad():
-            speech = self.apply(noisy.data).data
-        noise = noisy.data - speech
-        rate = noisy.sample_rate_hz
-        return SignalBatch(speech, rate), SignalBatch(noise, rate)
+            speech = self.apply(x).data.astype(np.float64, copy=False)
+        return speech, x - speech
 
 
 def init_model(config: ModelConfig, seed: int) -> DenoiserModel:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from remixse import autodiff as ad
-from remixse.audio import Permutation, SignalBatch, Waveform, mix_batch_at_snr, read_wav, snr_db
+from remixse.audio import Permutation, Waveform, mix_batch_at_snr, read_wav, snr_db
 from remixse.cli import main as cli_main
 from remixse.corpus import load_corpus, load_manifest
 from remixse.distill import (
@@ -204,12 +204,12 @@ def test_criterion_1_gradient_suite():
 def test_criterion_2_full_config_shapes():
     with criterion(2, "full-size config forward: shape-preserving, exact reconstruction"):
         model = init_model(PAPER_CONFIG, seed=0)
-        batch = SignalBatch(np.random.default_rng(0).normal(size=(1, 16000)) * 0.1, RATE)
+        batch = np.random.default_rng(0).normal(size=(1, 16000)) * 0.1
         speech, noise = model.forward(batch)
-        assert speech.data.shape == (1, 16000)
-        assert noise.data.shape == (1, 16000)
-        err = np.abs(batch.data - (speech.data + noise.data))
-        ulp = np.spacing(np.maximum(np.abs(batch.data), np.abs(speech.data)))
+        assert speech.shape == (1, 16000)
+        assert noise.shape == (1, 16000)
+        err = np.abs(batch - (speech + noise))
+        ulp = np.spacing(np.maximum(np.abs(batch), np.abs(speech)))
         assert np.all(err <= ulp)
 
 
@@ -285,19 +285,19 @@ def test_criterion_5_strategy_conformance():
 
         rng = np.random.default_rng(55)
         b, m = 6, 128
-        x = SignalBatch(rng.normal(size=(b, m)), RATE)
-        s_hat = SignalBatch(rng.normal(size=(b, m)) * 0.5, RATE)
-        n_hat = SignalBatch(x.data - s_hat.data, RATE)
+        x = rng.normal(size=(b, m))
+        s_hat = rng.normal(size=(b, m)) * 0.5
+        n_hat = x - s_hat
         p = Permutation.random(b, rng)
-        n_ext = SignalBatch(rng.normal(size=(b, m)), RATE)
+        n_ext = rng.normal(size=(b, m))
         for strategy in MixStrategy:
             ext = n_ext if strategy.needs_ext_noise else None
             y, t = build_student_batch(
                 strategy, x, s_hat, n_hat, p, ext, np.random.default_rng(77)
             )
             y_ref, t_ref = _oracle_pair(strategy, x, s_hat, n_hat, p, n_ext, seed=77)
-            assert np.array_equal(y.data, y_ref), strategy
-            assert np.array_equal(t.data, t_ref), strategy
+            assert np.array_equal(y, y_ref), strategy
+            assert np.array_equal(t, t_ref), strategy
 
 
 # ---------------------------------------------------------------------------

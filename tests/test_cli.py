@@ -476,6 +476,22 @@ def test_evaluate_merges_pesq_csv(workspace, tmp_path):
     assert by_id["utt0000"]["pesq"] == 2.5
 
 
+def test_evaluate_missing_pesq_csv_exits_3(workspace, tmp_path, capsys):
+    clean = workspace["data"] / "clean.manifest.jsonl"
+    report_path = tmp_path / "report.json"
+    code = run(
+        "evaluate",
+        "--ref", str(clean),
+        "--deg", str(clean),
+        "--pesq-csv", str(tmp_path / "missing.csv"),
+        "--report", str(report_path),
+    )
+    assert code == 3
+    assert "PESQ CSV not found" in capsys.readouterr().err
+    assert not report_path.exists()
+    assert not report_path.with_suffix(".csv").exists()
+
+
 def test_evaluate_unknown_metric_is_usage_error(workspace, tmp_path):
     clean = workspace["data"] / "clean.manifest.jsonl"
     code = run(

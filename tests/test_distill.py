@@ -4,7 +4,7 @@ import pytest
 
 import remixse.distill
 from remixse import autodiff as ad
-from remixse.audio import Permutation, SignalBatch, mix_at_snr, shuffle_rows
+from remixse.audio import Permutation, mix_at_snr
 from remixse.corpus import load_corpus, load_manifest
 from remixse.distill import (
     MixStrategy,
@@ -24,8 +24,6 @@ from remixse.errors import (
 )
 from remixse.model import TINY_CONFIG, DenoiserModel, ema_combine, init_model
 
-RATE = 16000
-
 
 def _inputs(b=4, m=64, seed=0):
     rng = np.random.default_rng(seed)
@@ -34,50 +32,44 @@ def _inputs(b=4, m=64, seed=0):
     n_hat = x - s_hat
     p = Permutation.random(b, rng)
     n_ext = rng.normal(size=(b, m))
-    return (
-        SignalBatch(x, RATE),
-        SignalBatch(s_hat, RATE),
-        SignalBatch(n_hat, RATE),
-        p,
-        SignalBatch(n_ext, RATE),
-    )
+    return x, s_hat, n_hat, p, n_ext
 
 
 def _oracle_pair(strategy, x, s_hat, n_hat, p, n_ext, seed, lo=-5.0, hi=5.0):
     """Literal re-derivation of each recipe, drawing rng values in the
     documented order (SNR array first, then NYTT2 coins)."""
     rng = np.random.default_rng(seed)
-    shuffled = n_hat.data[p.order]
-    b = x.data.shape[0]
+    shuffled = n_hat[p.order]
+    b = x.shape[0]
     if strategy in (MixStrategy.CTT3, MixStrategy.NYTT2, MixStrategy.NYTT3):
         snrs = rng.uniform(lo, hi, size=b)
     if strategy is MixStrategy.CTT1:
-        return x.data, s_hat.data
+        return x, s_hat
     if strategy is MixStrategy.CTT2:
-        return s_hat.data + shuffled, s_hat.data
+        return s_hat + shuffled, s_hat
     if strategy is MixStrategy.CTT3:
-        base = s_hat.data + shuffled
+        base = s_hat + shuffled
         rows = np.stack(
-            [mix_at_snr(base[i], n_ext.data[i], snrs[i])[0] for i in range(b)]
+            [mix_at_snr(base[i], n_ext[i], snrs[i])[0] for i in range(b)]
         )
-        return rows, s_hat.data
+        return rows, s_hat
     if strategy is MixStrategy.NYTT1:
-        return x.data + shuffled, x.data
+        return x + shuffled, x
     if strategy is MixStrategy.NYTT2:
         coins = rng.random(b) < 0.5
         rows = []
         for i in range(b):
             if coins[i]:
-                rows.append(x.data[i] + shuffled[i])
+                rows.append(x[i] + shuffled[i])
             else:
-                rows.append(mix_at_snr(x.data[i], n_ext.data[i], snrs[i])[0])
-        return np.stack(rows), x.data
+                rows.append(mix_at_snr(x[i], n_ext[i], snrs[i])[0])
+        return np.stack(rows), x
     if strategy is MixStrategy.NYTT3:
-        base = x.data + shuffled
+        base = x + shuffled
         rows = np.stack(
-            [mix_at_snr(base[i], n_ext.data[i], snrs[i])[0] for i in range(b)]
+            [mix_at_snr(base[i], n_ext[i], snrs[i])[0] for i in range(b)]
         )
-        return rows, x.data
+        return rows, x
     raise AssertionError
 
 
@@ -87,43 +79,43 @@ def test_strategy_batches_match_literal_recipe(strategy):
     ext = n_ext if strategy.needs_ext_noise else None
     y, t = build_student_batch(strategy, x, s_hat, n_hat, p, ext, np.random.default_rng(99))
     y_ref, t_ref = _oracle_pair(strategy, x, s_hat, n_hat, p, n_ext, seed=99)
-    assert np.array_equal(y.data, y_ref)
-    assert np.array_equal(t.data, t_ref)
+    assert np.array_equal(y, y_ref)
+    assert np.array_equal(t, t_ref)
 
 
 def test_ctt1_is_passthrough():
     x, s_hat, n_hat, p, _ = _inputs(seed=1)
     y, t = build_student_batch(MixStrategy.CTT1, x, s_hat, n_hat, p, None, np.random.default_rng(0))
-    assert np.array_equal(y.data, x.data)
-    assert np.array_equal(t.data, s_hat.data)
+    assert np.array_equal(y, x)
+    assert np.array_equal(t, s_hat)
 
 
 def test_nytt1_algebra_with_identity_permutation():
     # noise estimate = x - s, so input = x + (x - s) = 2x - s
     rng = np.random.default_rng(2)
-    x = SignalBatch(rng.normal(size=(3, 32)), RATE)
-    s_hat = SignalBatch(rng.normal(size=(3, 32)), RATE)
-    n_hat = SignalBatch(x.data - s_hat.data, RATE)
+    x = rng.normal(size=(3, 32))
+    s_hat = rng.normal(size=(3, 32))
+    n_hat = x - s_hat
     y, t = build_student_batch(
         MixStrategy.NYTT1, x, s_hat, n_hat, Permutation(np.arange(3)), None, np.random.default_rng(0)
     )
-    assert np.allclose(y.data, 2.0 * x.data - s_hat.data, atol=1e-15)
-    assert np.array_equal(t.data, x.data)
+    assert np.allclose(y, 2.0 * x - s_hat, atol=1e-15)
+    assert np.array_equal(t, x)
 
 
 def test_nytt2_coin_is_fair():
     # binomial check at 4 sigma over 10^4 rows
     b, m = 10_000, 4
     rng = np.random.default_rng(5)
-    x = SignalBatch(rng.normal(size=(b, m)), RATE)
-    s_hat = SignalBatch(rng.normal(size=(b, m)) * 0.5, RATE)
-    n_hat = SignalBatch(x.data - s_hat.data, RATE)
-    n_ext = SignalBatch(rng.normal(size=(b, m)), RATE)
+    x = rng.normal(size=(b, m))
+    s_hat = rng.normal(size=(b, m)) * 0.5
+    n_hat = x - s_hat
+    n_ext = rng.normal(size=(b, m))
     p = Permutation(np.arange(b))
     y, _ = build_student_batch(
         MixStrategy.NYTT2, x, s_hat, n_hat, p, n_ext, np.random.default_rng(123)
     )
-    used_indomain = np.isclose(y.data, x.data + n_hat.data, atol=1e-12).all(axis=1)
+    used_indomain = np.isclose(y, x + n_hat, atol=1e-12).all(axis=1)
     fraction = used_indomain.mean()
     assert 0.47 <= fraction <= 0.53
 
@@ -144,7 +136,7 @@ def test_ext_noise_forbidden(strategy):
 
 def test_shape_mismatch_rejected():
     x, s_hat, n_hat, p, _ = _inputs()
-    bad = SignalBatch(np.zeros((4, 32)), RATE)
+    bad = np.zeros((4, 32))
     with pytest.raises(ShapeMismatch):
         build_student_batch(MixStrategy.CTT2, x, bad, n_hat, p, None, np.random.default_rng(0))
 
@@ -154,9 +146,9 @@ def test_targets_are_bit_exact_copies():
     for strategy in MixStrategy:
         ext = n_ext if strategy.needs_ext_noise else None
         y, t = build_student_batch(strategy, x, s_hat, n_hat, p, ext, np.random.default_rng(1))
-        expected = s_hat.data if strategy.value.startswith("ctt") else x.data
-        assert np.array_equal(t.data, expected)
-        assert y.data.shape == (4, 64)
+        expected = s_hat if strategy.value.startswith("ctt") else x
+        assert np.array_equal(t, expected)
+        assert y.shape == (4, 64)
 
 
 # ---------------------------------------------------------------------------

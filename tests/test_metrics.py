@@ -1,11 +1,13 @@
 """STOI, SI-SDR, and report assembly."""
+import errno
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from remixse.audio import Waveform, mix_at_snr, write_wav
 from remixse.corpus import ManifestEntry, load_manifest, write_manifest
-from remixse.errors import LengthMismatch, TooShort, ZeroReference
+from remixse.errors import LengthMismatch, MissingFile, ParseError, TooShort, UnreadableFile, ZeroReference
 from remixse.metrics import (
     MetricReport,
     UtteranceScore,
@@ -14,6 +16,7 @@ from remixse.metrics import (
     si_sdr,
     stoi,
 )
+from conftest import fail_reading
 
 RATE = 16000
 
@@ -174,6 +177,37 @@ def test_evaluate_merges_external_pesq(tmp_path):
     assert by_id["utt0"].pesq == 2.1
     assert by_id["utt1"].pesq is None
     assert by_id["utt2"].pesq == 3.3
+
+
+@pytest.mark.parametrize(
+    "case, body, error, match",
+    [
+        ("missing", None, MissingFile, "not found"),
+        ("directory", None, MissingFile, "not found"),
+        ("open-eacces", b"id,pesq\n", UnreadableFile, "cannot read"),
+        ("read-eio", b"id,pesq\n", UnreadableFile, "cannot read"),
+        ("not-utf8", b"id,pesq\nutt0,2.1\n\xffutt1,3.0\n", ParseError, "line 3: not UTF-8"),
+        ("one-column", b"id,pesq\nutt0\n", ParseError, "line 2: expected two columns"),
+        ("non-numeric", b"utt0,2.1\nutt1,good\n", ParseError, "line 2: score 'good'"),
+        ("nan", b"id,pesq\nutt0,nan\n", ParseError, "line 2: score 'nan'"),
+        ("infinite", b"utt0,-inf\n", ParseError, "line 1: score '-inf'"),
+        ("huge-field", b"utt0," + b"9" * 200_000 + b"\n", ParseError, "line 1: malformed CSV"),
+    ],
+)
+def test_read_pesq_csv_raises_package_errors(tmp_path, monkeypatch, case, body, error, match):
+    import remixse.metrics
+
+    path = tmp_path / "pesq.csv"
+    if case == "directory":
+        path.mkdir()
+    elif body is not None:
+        path.write_bytes(body)
+    if case == "open-eacces":
+        fail_reading(monkeypatch, remixse.metrics, path, PermissionError(errno.EACCES, "denied"))
+    elif case == "read-eio":
+        fail_reading(monkeypatch, remixse.metrics, path, OSError(errno.EIO, "I/O error"), "read")
+    with pytest.raises(error, match=match):
+        read_pesq_csv(path)
 
 
 def test_report_json_and_csv_round_trip(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from remixse import autodiff as ad
-from remixse.audio import SignalBatch
 from remixse.errors import (
     ConfigMismatch,
     CorruptHeader,
@@ -138,34 +137,37 @@ def test_valid_length_monotone_and_matches_oracle():
 # forward
 # ---------------------------------------------------------------------------
 
-def test_forward_preserves_shape_and_reconstructs():
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_forward_preserves_shape_and_reconstructs(dtype):
     rng = np.random.default_rng(0)
-    batch = SignalBatch(rng.normal(size=(3, 2000)) * 0.1, 16000)
-    model = init_model(TINY_CONFIG, seed=2)
+    batch = rng.normal(size=(3, 2000)) * 0.1
+    model = init_model(TINY_CONFIG, seed=2).astype(dtype)
     speech, noise = model.forward(batch)
-    assert speech.data.shape == batch.data.shape
-    assert noise.data.shape == batch.data.shape
+    assert speech.shape == batch.shape
+    assert noise.shape == batch.shape
+    # The network runs in the parameters' dtype; both estimates are float64.
+    assert speech.dtype == noise.dtype == np.float64
     # noise = input - speech exactly, so the sum is off by at most one
     # rounding of that subtraction: 1 ulp at the larger operand magnitude.
-    err = np.abs(batch.data - (speech.data + noise.data))
-    ulp = np.spacing(np.maximum(np.abs(batch.data), np.abs(speech.data)))
+    err = np.abs(batch - (speech + noise))
+    ulp = np.spacing(np.maximum(np.abs(batch), np.abs(speech)))
     assert np.all(err <= ulp)
 
 
 def test_forward_zero_input_is_finite():
     model = init_model(TINY_CONFIG, seed=2)
-    speech, noise = model.forward(SignalBatch(np.zeros((2, 1500)), 16000))
-    assert np.all(np.isfinite(speech.data))
-    assert np.all(np.isfinite(noise.data))
+    speech, noise = model.forward(np.zeros((2, 1500)))
+    assert np.all(np.isfinite(speech))
+    assert np.all(np.isfinite(noise))
 
 
 def test_forward_with_internal_resampling():
     config = ModelConfig(depth=2, hidden=4, kernel_size=8, stride=4, resample=2)
     model = init_model(config, seed=4)
-    batch = SignalBatch(np.random.default_rng(1).normal(size=(2, 1234)), 16000)
+    batch = np.random.default_rng(1).normal(size=(2, 1234))
     speech, noise = model.forward(batch)
-    assert speech.data.shape == (2, 1234)
-    assert np.all(np.isfinite(speech.data))
+    assert speech.shape == (2, 1234)
+    assert np.all(np.isfinite(speech))
 
 
 def test_forward_rejects_empty():
