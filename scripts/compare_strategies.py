@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from remixse.audio import Waveform, read_wav
+from remixse.audio import read_wav
 from remixse.corpus import SynthSpec, load_corpus, load_manifest, synth_corpus
 from remixse.distill import (
     MixStrategy,

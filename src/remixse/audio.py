@@ -1,8 +1,10 @@
 """Waveforms, SNR mixing, augmentations, resampling, and WAV I/O.
 
-Everything here is pure given an explicit ``numpy.random.Generator``.
-A batch is a (B, M) float64 array of equally long rows; the functions
-never write into the arrays they are given.
+Every function that draws random numbers takes an explicit
+``numpy.random.Generator`` and is pure given it. A batch is a (B, M) float64
+array of equally long rows; the functions never write into the arrays they
+are given. WAV files are written as mono IEEE float32 and read as mono
+float32 or PCM16.
 """
 from __future__ import annotations
 
@@ -112,15 +114,6 @@ def mix_at_snr(signal: np.ndarray, noise: np.ndarray, snr_db: float):
     return mixture[0], scaled[0]
 
 
-def snr_db(signal: np.ndarray, noise: np.ndarray) -> float:
-    """Achieved SNR of a (signal, noise) pair in dB."""
-    p_signal = float(np.mean(np.square(np.asarray(signal, dtype=np.float64))))
-    p_noise = float(np.mean(np.square(np.asarray(noise, dtype=np.float64))))
-    if p_noise == 0.0:
-        raise ZeroPowerNoise("noise has zero power")
-    return 10.0 * np.log10(p_signal / p_noise)
-
-
 # ---------------------------------------------------------------------------
 # batch shuffling and augmentations
 # ---------------------------------------------------------------------------
@@ -176,10 +169,7 @@ def _periodic_hann(n: int) -> np.ndarray:
 
 
 def augment_bandmask(
-    batch: np.ndarray,
-    rate: int,
-    mask_fraction: float = 0.2,
-    rng: np.random.Generator | None = None,
+    batch: np.ndarray, rate: int, mask_fraction: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Band-stop each row, sampled at ``rate`` Hz, over a random mel band of
     width mask_fraction of the full mel range.
@@ -191,8 +181,6 @@ def augment_bandmask(
     """
     if not 0.0 < mask_fraction < 1.0:
         raise ValueError("mask_fraction must be in (0, 1)")
-    if rng is None:
-        rng = np.random.default_rng()
     rows, length = batch.shape
     win, hop = BANDMASK_WINDOW, BANDMASK_HOP
 
@@ -246,25 +234,16 @@ def resample(w: Waveform, up: int, down: int) -> Waveform:
 
 
 # ---------------------------------------------------------------------------
-# WAV I/O (RIFF/WAVE, mono, PCM16 or IEEE float32)
+# WAV I/O (RIFF/WAVE, mono; written as IEEE float32, read as that or PCM16)
 # ---------------------------------------------------------------------------
 
 _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
 
 
-def write_wav(path, w: Waveform, encoding: str = "float32") -> None:
-    """Write a mono WAV. float32 is lossless; pcm16 quantizes to 1/32768."""
-    if encoding == "float32":
-        payload = w.samples.astype("<f4").tobytes()
-        fmt, bits = _WAVE_FORMAT_IEEE_FLOAT, 32
-    elif encoding == "pcm16":
-        q = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype("<i2")
-        payload = q.tobytes()
-        fmt, bits = _WAVE_FORMAT_PCM, 16
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
-    block = bits // 8
+def write_wav(path, w: Waveform) -> None:
+    """Write a mono IEEE float32 WAV, lossless for float32 samples."""
+    payload = w.samples.astype("<f4").tobytes()
     rate = w.sample_rate_hz
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
@@ -273,12 +252,12 @@ def write_wav(path, w: Waveform, encoding: str = "float32") -> None:
         b"WAVE",
         b"fmt ",
         16,
-        fmt,
+        _WAVE_FORMAT_IEEE_FLOAT,
         1,  # mono
         rate,
-        rate * block,
-        block,
-        bits,
+        rate * 4,  # bytes per second
+        4,  # bytes per sample frame
+        32,
         b"data",
         len(payload),
     )

@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 Covers exactly the op set the waveform denoiser needs: 1-D (transposed)
-convolutions, pointwise nonlinearities, GLU, a single LSTM layer, structural
-ops, polyphase resampling, the two training losses, and Adam.
+convolutions, ReLU, GLU, a single LSTM layer, structural ops (add, scale,
+time slicing, the channel/time swap, reshape), polyphase resampling, the two
+training losses, and Adam.
 
 Dtype follows the data: float32 arrays stay float32 through every op, and
 anything else is computed in float64 (training, Adam and the gradient checks
@@ -175,18 +176,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"sub shape mismatch: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        _accum(a, g)
-        _accum(b, -g, fresh=True)
-
-    return _record(out, (a, b), bwd)
-
-
 def scale(x: Tensor, c) -> Tensor:
     """Multiply by a constant scalar or constant array (e.g. per-row gains).
 
@@ -217,26 +206,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     s += 1.0
     s *= 0.5
     return s
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
-    out = Tensor(s)
-
-    def bwd(g):
-        _accum(x, g * s * (1.0 - s), fresh=True)
-
-    return _record(out, (x,), bwd)
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-    out = Tensor(t)
-
-    def bwd(g):
-        _accum(x, g * (1.0 - t * t), fresh=True)
-
-    return _record(out, (x,), bwd)
 
 
 def glu(x: Tensor, axis: int = 1) -> Tensor:
@@ -488,18 +457,21 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
 # polyphase resampling (linear, fixed filter; differentiated via the adjoint)
 # ---------------------------------------------------------------------------
 
-_kernel_cache: dict[tuple[int, int, int], np.ndarray] = {}
+# Zero crossings of the windowed sinc on each side of its centre.
+RESAMPLE_ZEROS = 64
+
+_kernel_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
-def resample_kernel(up: int, down: int, zeros: int = 64) -> np.ndarray:
+def resample_kernel(up: int, down: int) -> np.ndarray:
     """Hann-windowed sinc lowpass for a rational-rate polyphase resampler."""
-    key = (up, down, zeros)
+    key = (up, down)
     cached = _kernel_cache.get(key)
     if cached is not None:
         return cached
     max_rate = max(up, down)
     cutoff = 1.0 / max_rate  # fraction of Nyquist at the upsampled rate
-    half = zeros * max_rate
+    half = RESAMPLE_ZEROS * max_rate
     n = np.arange(-half, half + 1)
     taps = 2 * half + 1
     window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(taps) / (taps - 1)))
@@ -518,7 +490,7 @@ def _fft_convolve_full(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n_fft)[..., :n_out]
 
 
-def resample_array(x: np.ndarray, up: int, down: int, zeros: int = 64) -> np.ndarray:
+def resample_array(x: np.ndarray, up: int, down: int) -> np.ndarray:
     """Resample the last axis by up/down. Output length ceil(len*up/down).
 
     float32 input is resampled in float32, anything else in float64.
@@ -530,7 +502,7 @@ def resample_array(x: np.ndarray, up: int, down: int, zeros: int = 64) -> np.nda
     x = _float(x)
     if up == down:
         return x.copy()
-    h = resample_kernel(up, down, zeros)
+    h = resample_kernel(up, down)
     half = (h.shape[0] - 1) // 2
     length = x.shape[-1]
     if up > 1:
@@ -544,7 +516,7 @@ def resample_array(x: np.ndarray, up: int, down: int, zeros: int = 64) -> np.nda
     return full[..., idx]
 
 
-def resample_adjoint(g: np.ndarray, up: int, down: int, in_length: int, zeros: int = 64) -> np.ndarray:
+def resample_adjoint(g: np.ndarray, up: int, down: int, in_length: int) -> np.ndarray:
     """Adjoint of resample_array for an input of length ``in_length``, in
     ``g``'s dtype as resample_array would compute it."""
     factor = np.gcd(up, down)
@@ -552,7 +524,7 @@ def resample_adjoint(g: np.ndarray, up: int, down: int, in_length: int, zeros: i
     g = _float(g)
     if up == down:
         return g.copy()
-    h = resample_kernel(up, down, zeros)
+    h = resample_kernel(up, down)
     half = (h.shape[0] - 1) // 2
     full_len = in_length * up + h.shape[0] - 1
     scattered = np.zeros(g.shape[:-1] + (full_len,), dtype=g.dtype)

@@ -17,8 +17,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import distill as distill_mod
 from . import inference as inference_mod
@@ -386,7 +384,7 @@ def cmd_distill(args: SimpleNamespace) -> int:
     # The float32 teacher is exact and shares the checkpoint's arrays. The
     # list hands distill the only reference to it, so its first EMA update
     # frees them.
-    teacher = [model_from_checkpoint(teacher_ckpt, dtype=np.float32)]
+    teacher = [model_from_checkpoint(teacher_ckpt)]
     del teacher_ckpt
 
     noisy_manifest = corpus_mod.load_manifest(args.noisy)

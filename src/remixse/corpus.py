@@ -3,8 +3,10 @@
 The generator produces three families without any licensed data: a harmonic
 speech proxy (for the clean/evaluation side), pink-noise-plus-tones
 in-domain noise baked into the noisy files, and white-burst extraneous
-noise for training. Everything derives per-utterance RNG streams from
-(seed, index) so output bytes never depend on generation order.
+noise for training. ``SynthSpec`` sets the corpus size, length, rate and
+mixing SNR range; the speech proxy's shape is fixed by the ``SPEECH_*``
+constants. Everything derives per-utterance RNG streams from (seed, index)
+so output bytes never depend on generation order.
 """
 from __future__ import annotations
 
@@ -143,22 +145,34 @@ def corpus_hash(manifest: Manifest) -> str:
     return digest.hexdigest()
 
 
-def crop_or_pad(w: Waveform, num_samples: int, rng: np.random.Generator) -> Waveform:
-    """Random contiguous crop to num_samples, or right zero-pad if shorter."""
-    n = len(w)
+def crop_or_pad(samples: np.ndarray, num_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Random contiguous crop of a 1-D sample array to num_samples, or a right
+    zero-pad if it is shorter.
+
+    The crop is a view of ``samples`` (and an exact-length array is
+    ``samples`` itself), so callers must not write into the result.
+    """
+    n = samples.shape[0]
     if n == num_samples:
-        return w
+        return samples
     if n > num_samples:
         start = int(rng.integers(0, n - num_samples + 1))
-        return Waveform(w.samples[start : start + num_samples].copy(), w.sample_rate_hz)
+        return samples[start : start + num_samples]
     out = np.zeros(num_samples)
-    out[:n] = w.samples
-    return Waveform(out, w.sample_rate_hz)
+    out[:n] = samples
+    return out
 
 
 # ---------------------------------------------------------------------------
 # synthesis
 # ---------------------------------------------------------------------------
+
+# The speech proxy: fundamental range, harmonic count and syllabic rate.
+SPEECH_F0_LOW_HZ = 100.0
+SPEECH_F0_HIGH_HZ = 300.0
+SPEECH_HARMONICS = 5
+SPEECH_SYLLABLE_RATE_HZ = 4.0
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -170,10 +184,6 @@ class SynthSpec:
     sample_rate: int = DEFAULT_SAMPLE_RATE
     snr_low_db: float = 0.0
     snr_high_db: float = 10.0
-    f0_low_hz: float = 100.0
-    f0_high_hz: float = 300.0
-    num_harmonics: int = 5
-    syllable_rate_hz: float = 4.0
 
     def __post_init__(self):
         if self.duration_s < 1.0:
@@ -197,13 +207,13 @@ def _speech_proxy(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     """Harmonic stack with a syllabic amplitude envelope and quasi-silences."""
     n = int(round(spec.duration_s * spec.sample_rate))
     t = np.arange(n) / spec.sample_rate
-    f0 = rng.uniform(spec.f0_low_hz, spec.f0_high_hz)
+    f0 = rng.uniform(SPEECH_F0_LOW_HZ, SPEECH_F0_HIGH_HZ)
     x = np.zeros(n)
-    for k in range(1, spec.num_harmonics + 1):
+    for k in range(1, SPEECH_HARMONICS + 1):
         amp = (1.0 / k) * rng.uniform(0.6, 1.0)
         x += amp * np.sin(2.0 * np.pi * k * f0 * t + rng.uniform(0, 2 * np.pi))
     phase = rng.uniform(0, 2 * np.pi)
-    envelope = 0.5 * (1.0 + np.sin(2.0 * np.pi * spec.syllable_rate_hz * t + phase))
+    envelope = 0.5 * (1.0 + np.sin(2.0 * np.pi * SPEECH_SYLLABLE_RATE_HZ * t + phase))
     x *= envelope**2  # squared raised sine carves syllable-like gaps
     return _normalize_rms(x)
 

@@ -154,7 +154,7 @@ def epoch_batches(num_utterances: int, batch_size: int, rng: np.random.Generator
 
 
 def _gather_rows(corpus, indices, num_samples: int, rng: np.random.Generator) -> np.ndarray:
-    rows = [crop_or_pad(corpus[int(i)], num_samples, rng).samples for i in indices]
+    rows = [crop_or_pad(corpus[int(i)].samples, num_samples, rng) for i in indices]
     return np.stack(rows)
 
 

@@ -46,7 +46,7 @@ class InferencePlan:
         rates = {c.sample_rate_hz for c in ckpts}
         if len(rates) != 1:
             raise SampleRateMismatch(f"stages disagree on sample rate: {sorted(rates)}")
-        models = [model_from_checkpoint(c, dtype=np.float32) for c in ckpts]
+        models = [model_from_checkpoint(c) for c in ckpts]
         return cls(models, [str(p) for p in paths], rates.pop())
 
     @property
@@ -132,11 +132,8 @@ def enhance_batch(plan: InferencePlan, manifest: Manifest, out_dir, threads: int
             return FileResult(entry.id, None, plan.num_stages, time.perf_counter() - t0, str(exc))
         return FileResult(entry.id, str(out_path), plan.num_stages, time.perf_counter() - t0)
 
-    if threads > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(process, entries, names))
-    else:
-        results = [process(e, n) for e, n in zip(entries, names)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(process, entries, names))
 
     out_entries = []
     for entry, result in zip(entries, results):

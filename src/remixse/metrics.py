@@ -16,14 +16,21 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .audio import Waveform, read_wav
 from .autodiff import resample_array
 from .corpus import Manifest
-from .errors import LengthMismatch, MissingFile, ParseError, TooShort, UnreadableFile, ZeroReference
+from .errors import (
+    LengthMismatch,
+    MissingFile,
+    ParseError,
+    SampleRateMismatch,
+    TooShort,
+    UnreadableFile,
+    ZeroReference,
+)
 from .fileio import atomic_open
 
 STOI_RATE = 10_000
@@ -54,12 +61,18 @@ def _third_octave_matrix() -> np.ndarray:
     return (freqs[None, :] >= lo[:, None]) & (freqs[None, :] < hi[:, None])
 
 
+def _check_rates(reference: Waveform, other: Waveform) -> None:
+    if reference.sample_rate_hz != other.sample_rate_hz:
+        raise SampleRateMismatch(
+            f"sample rates differ: {reference.sample_rate_hz} vs {other.sample_rate_hz} Hz"
+        )
+
+
 def stoi(clean: Waveform, degraded: Waveform) -> float:
     """Intelligibility score in [-1, 1]; 1.0 for identical inputs."""
     if len(clean) != len(degraded):
         raise LengthMismatch(f"clean {len(clean)} vs degraded {len(degraded)} samples")
-    if clean.sample_rate_hz != degraded.sample_rate_hz:
-        raise LengthMismatch("sample rates differ")
+    _check_rates(clean, degraded)
 
     rate = clean.sample_rate_hz
     x = clean.samples
@@ -115,6 +128,7 @@ def si_sdr(reference: Waveform, estimate: Waveform) -> float:
     """Scale-invariant signal-to-distortion ratio in dB, clamped to +-100."""
     if len(reference) != len(estimate):
         raise LengthMismatch(f"reference {len(reference)} vs estimate {len(estimate)} samples")
+    _check_rates(reference, estimate)
     r = reference.samples
     e = estimate.samples
     r_energy = float(np.dot(r, r))
@@ -186,9 +200,10 @@ class MetricReport:
 def read_pesq_csv(path) -> dict[str, float]:
     """External PESQ values as a two-column (id, pesq) CSV, header optional.
 
-    A path that is not a file raises MissingFile and one that cannot be read
-    UnreadableFile. Text that is not UTF-8, a row of fewer than two columns
-    and a score that is not a finite number raise ParseError naming the line.
+    A leading UTF-8 byte-order mark is skipped. A path that is not a file
+    raises MissingFile and one that cannot be read UnreadableFile. Text that
+    is not UTF-8, a row of fewer than two columns and a score that is not a
+    finite number raise ParseError naming the line.
     """
     try:
         with open(path, "rb") as fh:
@@ -198,9 +213,11 @@ def read_pesq_csv(path) -> dict[str, float]:
     except OSError as exc:
         raise UnreadableFile(f"cannot read PESQ CSV {path}: {exc.strerror or exc}") from exc
     try:
-        text = blob.decode("utf-8")
+        text = blob.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ParseError("not UTF-8", line=blob.count(b"\n", 0, exc.start) + 1) from exc
+        # exc.start indexes exc.object, the bytes after any byte-order mark.
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError("not UTF-8", line=line) from exc
     values: dict[str, float] = {}
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -257,9 +274,6 @@ def evaluate_manifest(
             entry.pesq = pesq_values[uid]
         return entry
 
-    if threads > 1 and len(paired) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            report.utterances = list(pool.map(score, paired))
-    else:
-        report.utterances = [score(uid) for uid in paired]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        report.utterances = list(pool.map(score, paired))
     return report

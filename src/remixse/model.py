@@ -288,14 +288,10 @@ def model_to_checkpoint(
     return Checkpoint(model.config, arrays, epoch, seed, sample_rate_hz)
 
 
-def model_from_checkpoint(
-    ckpt: Checkpoint, config: ModelConfig | None = None, dtype=np.float64
-) -> DenoiserModel:
-    """Rebuild a model with parameters of ``dtype``; a caller-supplied config
-    must match the stored one. Checkpoints store float32, so float32
-    parameters are exact and share the checkpoint's arrays."""
-    if config is not None and config != ckpt.config:
-        raise ConfigMismatch(f"checkpoint config {ckpt.config} != requested {config}")
+def model_from_checkpoint(ckpt: Checkpoint) -> DenoiserModel:
+    """Rebuild a model with float32 parameters. Checkpoints store float32, so
+    the parameters are exact and share the checkpoint's arrays; a missing or
+    mis-shaped array raises ConfigMismatch."""
     expected = [(name, shape) for name, shape, _ in _parameter_spec(ckpt.config)]
     params: dict[str, ad.Tensor] = {}
     for name, shape in expected:
@@ -304,7 +300,7 @@ def model_from_checkpoint(
         arr = ckpt.arrays[name]
         if tuple(arr.shape) != tuple(shape):
             raise ConfigMismatch(f"array {name} has shape {arr.shape}, expected {shape}")
-        params[name] = ad.Tensor(np.asarray(arr, dtype=dtype))
+        params[name] = ad.Tensor(np.asarray(arr, dtype=np.float32))
     return DenoiserModel(ckpt.config, params)
 
 

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Criterion 6 documents a known-unattainable threshold (see the
 comment on test_criterion_6); it runs faithfully and reports its failure.
 """
-import json
 import time
 from contextlib import contextmanager
 
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from remixse import autodiff as ad
-from remixse.audio import Permutation, Waveform, mix_batch_at_snr, read_wav, snr_db
+from remixse.audio import Permutation, Waveform, mix_batch_at_snr, read_wav
 from remixse.cli import main as cli_main
 from remixse.corpus import load_corpus, load_manifest
 from remixse.distill import (
@@ -172,10 +171,9 @@ def test_criterion_1_gradient_suite():
             wt = ad.Tensor(rng.normal(size=(cin, cout, k)))
             bt = ad.Tensor(rng.normal(size=cout))
             check(projected(lambda: ad.conv_transpose1d(xt, wt, bt, s), rng), (xt, wt, bt))
-            # pointwise ops, away from the ReLU kink
+            # ReLU, away from its kink
             xp = ad.Tensor(rng.normal(size=(3, 6)) + np.where(rng.random((3, 6)) < 0.5, -0.3, 0.3))
-            for op in (ad.relu, ad.sigmoid, ad.tanh):
-                check(projected(lambda op=op: op(xp), rng), (xp,))
+            check(projected(lambda: ad.relu(xp), rng), (xp,))
             xg = ad.Tensor(rng.normal(size=(2, 2 * int(rng.integers(1, 4)), 4)))
             check(projected(lambda: ad.glu(xg), rng), (xg,))
             # lstm, T <= 4

@@ -5,7 +5,6 @@ import re
 import weakref
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -106,6 +105,24 @@ def test_bootstrap_rejects_clean_manifest_as_noisy(workspace, tmp_path):
         "--epochs", "1",
     )
     assert code == 2
+
+
+def test_bootstrap_non_finite_loss_exits_3_and_writes_nothing(workspace, tmp_path, capsys,
+                                                              monkeypatch):
+    from test_distill import nan_loss_at_call
+
+    nan_loss_at_call(monkeypatch, 1)
+    data = workspace["data"]
+    code = run(
+        "bootstrap",
+        "--noisy", str(data / "noisy.manifest.jsonl"),
+        "--ext-noise", str(data / "noise.manifest.jsonl"),
+        "--out", str(tmp_path / "nan.ckpt"),
+        "--epochs", "1", "--batch-size", "4", "--segment", "2500", "--shift-max", "400",
+    )
+    assert code == 3
+    assert "loss became nan at epoch 1, step 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bootstrap_refuses_overwrite(workspace):

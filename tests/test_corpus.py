@@ -11,7 +11,6 @@ import remixse.corpus
 import remixse.model
 from remixse.audio import Waveform, read_wav
 from remixse.corpus import (
-    Manifest,
     ManifestEntry,
     SynthSpec,
     corpus_hash,
@@ -157,30 +156,29 @@ def test_load_corpus_enforces_role(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_crop_or_pad_exact_length_unchanged():
-    w = Waveform(np.arange(10, dtype=float), 16000)
-    out = crop_or_pad(w, 10, np.random.default_rng(0))
-    assert np.array_equal(out.samples, w.samples)
+    samples = np.arange(10, dtype=float)
+    assert crop_or_pad(samples, 10, np.random.default_rng(0)) is samples
 
 
 def test_crop_is_contiguous_slice():
-    w = Waveform(np.arange(11, dtype=float), 16000)
-    out = crop_or_pad(w, 10, np.random.default_rng(0))
+    samples = np.arange(11, dtype=float)
+    out = crop_or_pad(samples, 10, np.random.default_rng(0))
     assert len(out) == 10
-    start = int(out.samples[0])
-    assert np.array_equal(out.samples, np.arange(start, start + 10, dtype=float))
+    start = int(out[0])
+    assert np.array_equal(out, np.arange(start, start + 10, dtype=float))
+    assert np.shares_memory(out, samples)  # a view: the caller's stack copies
 
 
 def test_pad_appends_zeros():
-    w = Waveform(np.ones(6), 16000)
-    out = crop_or_pad(w, 10, np.random.default_rng(0))
-    assert np.array_equal(out.samples, np.concatenate([np.ones(6), np.zeros(4)]))
+    out = crop_or_pad(np.ones(6), 10, np.random.default_rng(0))
+    assert np.array_equal(out, np.concatenate([np.ones(6), np.zeros(4)]))
 
 
 def test_crop_deterministic_per_rng():
-    w = Waveform(np.arange(100, dtype=float), 16000)
-    a = crop_or_pad(w, 10, np.random.default_rng(7))
-    b = crop_or_pad(w, 10, np.random.default_rng(7))
-    assert np.array_equal(a.samples, b.samples)
+    samples = np.arange(100, dtype=float)
+    a = crop_or_pad(samples, 10, np.random.default_rng(7))
+    b = crop_or_pad(samples, 10, np.random.default_rng(7))
+    assert np.array_equal(a, b)
 
 
 def test_manifest_not_utf8_is_a_parse_error(tmp_path):

@@ -19,10 +19,11 @@ from remixse.distill import (
 from remixse.errors import (
     EmptyCorpus,
     MissingExtNoise,
+    NonFiniteLoss,
     ShapeMismatch,
     UnexpectedExtNoise,
 )
-from remixse.model import TINY_CONFIG, DenoiserModel, ema_combine, init_model
+from remixse.model import TINY_CONFIG, DenoiserModel, init_model
 
 
 def _inputs(b=4, m=64, seed=0):
@@ -466,6 +467,28 @@ def test_bootstrap_smoke_learning(tmp_path):
     assert len(losses) == 200
     ratio = losses[-10:].mean() / losses[:10].mean()
     assert ratio <= 0.9
+
+
+def nan_loss_at_call(monkeypatch, call: int):
+    """Make the ``call``-th MAE loss (1-based) of the run NaN."""
+    calls = []
+    mae = ad.mae_loss
+
+    def loss(pred, target):
+        calls.append(None)
+        out = mae(pred, target)
+        return ad.scale(out, np.nan) if len(calls) == call else out
+
+    monkeypatch.setattr(ad, "mae_loss", loss)
+
+
+def test_train_raises_non_finite_loss_naming_epoch_and_step(monkeypatch):
+    nan_loss_at_call(monkeypatch, 3)  # two steps per epoch: epoch 2, step 0
+    x = np.random.default_rng(0).normal(size=(2, 2000))
+    config = TrainConfig(epochs=3, batch_size=2, segment_samples=2000, shift=False)
+    with pytest.raises(NonFiniteLoss, match="loss became nan at epoch 2, step 0"):
+        remixse.distill._train(init_model(TINY_CONFIG, seed=0), 4, lambda idx: (x, x), config,
+                               np.random.default_rng(0))
 
 
 def test_train_config_validation():

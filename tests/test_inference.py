@@ -212,7 +212,7 @@ def test_model_from_checkpoint_float32_shares_the_checkpoint_arrays(trained_tiny
     from remixse.model import load_checkpoint, model_from_checkpoint
 
     ckpt = load_checkpoint(_save(trained_tiny_model, tmp_path / "m.ckpt"))
-    model = model_from_checkpoint(ckpt, dtype=np.float32)
+    model = model_from_checkpoint(ckpt)
     for name, p in model.params.items():
         assert p.data.dtype == np.float32
         assert np.shares_memory(p.data, ckpt.arrays[name]), name
@@ -223,7 +223,7 @@ def test_float32_enhance_matches_the_float64_forward(trained_tiny_model, tmp_pat
 
     path = _save(trained_tiny_model, tmp_path / "m.ckpt")
     plan = InferencePlan.from_checkpoints([path] * 2)
-    reference = model_from_checkpoint(load_checkpoint(path))  # float64
+    reference = model_from_checkpoint(load_checkpoint(path)).astype(np.float64)
     wave = Waveform(np.random.default_rng(3).normal(size=3000) * 0.1, RATE)
     ref = wave.samples[None, :]
     with ad.no_grad():

@@ -7,7 +7,15 @@ from hypothesis import given, strategies as st
 
 from remixse.audio import Waveform, mix_at_snr, write_wav
 from remixse.corpus import ManifestEntry, load_manifest, write_manifest
-from remixse.errors import LengthMismatch, MissingFile, ParseError, TooShort, UnreadableFile, ZeroReference
+from remixse.errors import (
+    LengthMismatch,
+    MissingFile,
+    ParseError,
+    SampleRateMismatch,
+    TooShort,
+    UnreadableFile,
+    ZeroReference,
+)
 from remixse.metrics import (
     MetricReport,
     UtteranceScore,
@@ -113,6 +121,13 @@ def test_si_sdr_length_mismatch():
         si_sdr(Waveform(np.ones(16), RATE), Waveform(np.ones(8), RATE))
 
 
+@pytest.mark.parametrize("metric", [stoi, si_sdr])
+def test_metrics_reject_differing_sample_rates(metric):
+    x = _speechlike(0)
+    with pytest.raises(SampleRateMismatch, match="16000 vs 8000 Hz"):
+        metric(x, Waveform(x.samples, 8000))
+
+
 @given(st.floats(0.1, 10.0))
 def test_si_sdr_positive_scaling_invariance(c):
     rng = np.random.default_rng(9)
@@ -187,6 +202,7 @@ def test_evaluate_merges_external_pesq(tmp_path):
         ("open-eacces", b"id,pesq\n", UnreadableFile, "cannot read"),
         ("read-eio", b"id,pesq\n", UnreadableFile, "cannot read"),
         ("not-utf8", b"id,pesq\nutt0,2.1\n\xffutt1,3.0\n", ParseError, "line 3: not UTF-8"),
+        ("bom-not-utf8", b"\xef\xbb\xbfid,pesq\n\n\xff\n", ParseError, "line 3: not UTF-8"),
         ("one-column", b"id,pesq\nutt0\n", ParseError, "line 2: expected two columns"),
         ("non-numeric", b"utt0,2.1\nutt1,good\n", ParseError, "line 2: score 'good'"),
         ("nan", b"id,pesq\nutt0,nan\n", ParseError, "line 2: score 'nan'"),
@@ -208,6 +224,12 @@ def test_read_pesq_csv_raises_package_errors(tmp_path, monkeypatch, case, body, 
         fail_reading(monkeypatch, remixse.metrics, path, OSError(errno.EIO, "I/O error"), "read")
     with pytest.raises(error, match=match):
         read_pesq_csv(path)
+
+
+def test_read_pesq_csv_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "pesq.csv"
+    path.write_bytes(b"\xef\xbb\xbfid,pesq\r\nutt0,2.1\r\n")
+    assert read_pesq_csv(path) == {"utt0": 2.1}
 
 
 def test_report_json_and_csv_round_trip(tmp_path):

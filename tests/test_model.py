@@ -2,6 +2,7 @@
 import math
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from remixse.errors import (
     VersionMismatch,
 )
 from remixse.model import (
-    Checkpoint,
     DenoiserModel,
     ModelConfig,
     TINY_CONFIG,
@@ -435,20 +435,21 @@ def test_checkpoint_fuzz_raises_only_package_errors(tmp_path_factory, checkpoint
         pass
 
 
-def test_model_from_checkpoint_config_mismatch(tmp_path):
-    model = init_model(TINY_CONFIG, seed=3)
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model_to_checkpoint(model))
-    ckpt = load_checkpoint(path)
-    with pytest.raises(ConfigMismatch):
-        model_from_checkpoint(ckpt, config=ModelConfig(depth=3, hidden=4))
+def test_model_from_checkpoint_config_mismatch():
+    ckpt = model_to_checkpoint(init_model(TINY_CONFIG, seed=3))
+    missing = dict(ckpt.arrays)
+    del missing["lstm0.w_hh"]
+    misshaped = dict(ckpt.arrays, **{"enc1.conv.b": np.zeros(5, dtype=np.float32)})
+    for arrays, match in ((missing, "missing array lstm0.w_hh"), (misshaped, "enc1.conv.b")):
+        with pytest.raises(ConfigMismatch, match=match):
+            model_from_checkpoint(replace(ckpt, arrays=arrays))
 
 
 def test_model_round_trip_through_checkpoint(tmp_path):
     model = init_model(TINY_CONFIG, seed=3)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model_to_checkpoint(model))
-    restored = model_from_checkpoint(load_checkpoint(path))
+    restored = model_from_checkpoint(load_checkpoint(path)).astype(np.float64)
     x = np.random.default_rng(0).normal(size=(1, 500))
     with ad.no_grad():
         a = model.apply(x).data
