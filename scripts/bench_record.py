@@ -16,17 +16,20 @@ ratio of the medians and whether the medians differ by more than the base
 IQR. It also keeps each side's environment, error rate and correctness, the
 held-out scores per seed with their deltas, and which output hashes
 (corpora, checkpoints, enhanced files) differ between the sides per seed.
-Only the standard library is used.
+Only the standard library and the benchmark's own modules are used.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import common  # noqa: E402
+from compare import error_rate  # noqa: E402
+
 HELDOUT = ("heldout_sisdr_db", "heldout_stoi")
 
 
@@ -47,11 +50,8 @@ def load_runs(directory) -> dict:
 
 
 def summarize(values: list[float]) -> dict:
-    """Median, quartiles (statistics.quantiles, n=4) and IQR of some runs."""
-    if len(values) == 1:
-        q1 = median = q3 = values[0]
-    else:
-        q1, median, q3 = statistics.quantiles(values, n=4)
+    """Median, quartiles (``common.quartiles``) and IQR of some runs."""
+    q1, median, q3 = common.quartiles(values)
     return {"n": len(values), "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
@@ -76,10 +76,6 @@ def compare_metric(base: dict, new: dict, name: str, better: str) -> dict | None
         "ratio": ns["median"] / bs["median"] if bs["median"] else None,
         "gain_exceeds_base_iqr": gain > bs["iqr"],
     }
-
-
-def error_rate(records) -> float:
-    return sum(r["failed"] for r in records) / max(1, sum(r["attempted"] for r in records))
 
 
 def _flat(hashes: dict, prefix: str = "") -> dict[str, str]:

@@ -208,22 +208,20 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return s
 
 
-def glu(x: Tensor, axis: int = 1) -> Tensor:
-    """Gated linear unit: split channels in half, out = first * sigmoid(second)."""
-    n = x.data.shape[axis]
+def glu(x: Tensor) -> Tensor:
+    """Gated linear unit: split channels (axis 1) in half, out = first * sigmoid(second)."""
+    n = x.data.shape[1]
     if n % 2 != 0:
-        raise ValueError(f"glu needs an even axis size, got {n}")
+        raise ValueError(f"glu needs an even channel count, got {n}")
     half = n // 2
-    lead = (slice(None),) * (axis % x.data.ndim)
-    first, second = lead + (slice(None, half),), lead + (slice(half, None),)
-    a = x.data[first]
-    sb = _sigmoid(x.data[second])
+    a = x.data[:, :half]
+    sb = _sigmoid(x.data[:, half:])
     out = Tensor(a * sb)
 
     def bwd(g):
         gx = np.empty_like(x.data)
-        np.multiply(g, sb, out=gx[first])
-        gb = gx[second]
+        np.multiply(g, sb, out=gx[:, :half])
+        gb = gx[:, half:]
         np.multiply(g, a, out=gb)
         gb *= sb
         gb *= 1.0 - sb

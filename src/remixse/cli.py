@@ -21,17 +21,16 @@ from . import corpus as corpus_mod
 from . import distill as distill_mod
 from . import inference as inference_mod
 from . import metrics as metrics_mod
-from .audio import DEFAULT_SAMPLE_RATE, read_wav, resample, write_wav
-from .errors import RemixSEError, SampleRateMismatch, UsageError
+from .audio import DEFAULT_SAMPLE_RATE
+from .errors import RemixSEError, UsageError
 from .fileio import atomic_open
 from .model import (
     PAPER_CONFIG,
     TINY_CONFIG,
+    Checkpoint,
     ModelConfig,
     init_model,
     load_checkpoint,
-    model_from_checkpoint,
-    model_to_checkpoint,
     save_checkpoint,
 )
 
@@ -344,10 +343,7 @@ def cmd_bootstrap(args: SimpleNamespace) -> int:
     model = init_model(model_config, seed=args.seed)
     model, stats = distill_mod.bootstrap_nytt(noisy, ext, model, config, sample_rate_hz=rate)
 
-    save_checkpoint(
-        out_path,
-        model_to_checkpoint(model, epoch=config.epochs, seed=args.seed, sample_rate_hz=rate),
-    )
+    save_checkpoint(out_path, Checkpoint(model, config.epochs, args.seed, rate))
     distill_mod.write_stats(stats_path, stats)
     hashes = {
         "noisy_corpus": corpus_mod.corpus_hash(noisy_manifest),
@@ -379,13 +375,10 @@ def cmd_distill(args: SimpleNamespace) -> int:
     _check_outputs(args.force, *outputs)
     config = _train_config(args, strategy=strategy, tup=tup, epochs=epochs)
 
-    teacher_ckpt = load_checkpoint(args.teacher)
-    rate = teacher_ckpt.sample_rate_hz
-    # The float32 teacher is exact and shares the checkpoint's arrays. The
-    # list hands distill the only reference to it, so its first EMA update
-    # frees them.
-    teacher = [model_from_checkpoint(teacher_ckpt)]
-    del teacher_ckpt
+    # The list hands distill the only reference to the float32 teacher, so
+    # its first EMA update frees it.
+    teacher_ckpt = [load_checkpoint(args.teacher)]
+    rate = teacher_ckpt[0].sample_rate_hz
 
     noisy_manifest = corpus_mod.load_manifest(args.noisy)
     noisy = corpus_mod.load_corpus(noisy_manifest, expect_role="noisy")
@@ -400,17 +393,11 @@ def cmd_distill(args: SimpleNamespace) -> int:
         hashes["noise_corpus"] = corpus_mod.corpus_hash(noise_manifest)
 
     _make_parents(*outputs)
-    result = distill_mod.distill(teacher.pop(), noisy, ext, config, sample_rate_hz=rate)
+    result = distill_mod.distill(teacher_ckpt.pop().model, noisy, ext, config, sample_rate_hz=rate)
 
-    save_checkpoint(
-        out_path,
-        model_to_checkpoint(result.student, epoch=epochs, seed=args.seed, sample_rate_hz=rate),
-    )
+    save_checkpoint(out_path, Checkpoint(result.student, epochs, args.seed, rate))
     if tup.kind == "ema":
-        save_checkpoint(
-            teacher_out,
-            model_to_checkpoint(result.teacher, epoch=epochs, seed=args.seed, sample_rate_hz=rate),
-        )
+        save_checkpoint(teacher_out, Checkpoint(result.teacher, epochs, args.seed, rate))
         print(f"combined teacher checkpoint {teacher_out}")
     distill_mod.write_stats(stats_path, result.stats)
     hashes["checkpoint"] = _sha256(out_path)
@@ -423,18 +410,6 @@ def cmd_distill(args: SimpleNamespace) -> int:
     return 0
 
 
-def _load_input_wave(path, plan, allow_resample: bool):
-    wave = read_wav(path)
-    if wave.sample_rate_hz != plan.sample_rate_hz:
-        if not allow_resample:
-            raise SampleRateMismatch(
-                f"{path}: {wave.sample_rate_hz} Hz input vs {plan.sample_rate_hz} Hz model; "
-                f"pass --resample to convert"
-            )
-        wave = resample(wave, plan.sample_rate_hz, wave.sample_rate_hz)
-    return wave
-
-
 def cmd_enhance(args: SimpleNamespace) -> int:
     plan = inference_mod.InferencePlan.from_checkpoints(
         [p for p in str(args.stages).split(",") if p]
@@ -442,16 +417,15 @@ def cmd_enhance(args: SimpleNamespace) -> int:
     in_path = Path(args.inp)
     if in_path.suffix.lower() == ".wav":
         _check_outputs(args.force, args.out)
-        wave = _load_input_wave(in_path, plan, args.resample)
-        _make_parents(args.out)
-        enhanced = inference_mod.enhance(plan, wave)
-        write_wav(args.out, enhanced)
+        inference_mod.enhance_file(plan, in_path, args.out, args.resample)
         print(f"enhanced {in_path} -> {args.out} ({plan.num_stages} stages)")
         return 0
     manifest = corpus_mod.load_manifest(in_path)
     out_dir = Path(args.out)
     _check_outputs(args.force, out_dir / "enhance_report.json")
-    report = inference_mod.enhance_batch(plan, manifest, out_dir, threads=_threads(args))
+    report = inference_mod.enhance_batch(
+        plan, manifest, out_dir, threads=_threads(args), allow_resample=args.resample
+    )
     with atomic_open(out_dir / "enhance_report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
     _echo_resolved(

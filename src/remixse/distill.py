@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -137,12 +137,7 @@ def write_stats(path, stats: TrainStats) -> None:
 
     with atomic_open(path, "w", encoding="utf-8") as fh:
         for e in stats.epochs:
-            fh.write(
-                json.dumps(
-                    {"epoch": e.epoch, "mean_loss": e.mean_loss, "seconds": e.seconds, "steps": e.steps}
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(asdict(e)) + "\n")
 
 
 def epoch_batches(num_utterances: int, batch_size: int, rng: np.random.Generator):

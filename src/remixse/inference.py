@@ -4,21 +4,24 @@ A plan is an ordered list of models; each stage feeds its speech estimate to
 the next, so an n-stage plan equals n chained single-stage calls bit-exactly.
 Every stage runs in float32: checkpoints store float32, so loading is exact,
 and a no-grad float32 forward is about twice as fast as float64.
+
+``enhance_file`` is the one path from a WAV file to an enhanced WAV file;
+``enhance_batch`` runs it for every entry of a manifest.
 """
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, write_wav
+from .audio import Waveform, read_wav, resample, write_wav
 from .autodiff import no_grad
 from .corpus import Manifest, ManifestEntry, write_manifest
 from .errors import SampleRateMismatch, UsageError
-from .model import DenoiserModel, load_checkpoint, model_from_checkpoint
+from .model import DenoiserModel, load_checkpoint
 
 
 @dataclass
@@ -46,8 +49,7 @@ class InferencePlan:
         rates = {c.sample_rate_hz for c in ckpts}
         if len(rates) != 1:
             raise SampleRateMismatch(f"stages disagree on sample rate: {sorted(rates)}")
-        models = [model_from_checkpoint(c) for c in ckpts]
-        return cls(models, [str(p) for p in paths], rates.pop())
+        return cls([c.model for c in ckpts], [str(p) for p in paths], rates.pop())
 
     @property
     def num_stages(self) -> int:
@@ -67,6 +69,25 @@ def enhance(plan: InferencePlan, noisy: Waveform) -> Waveform:
     return Waveform(samples, noisy.sample_rate_hz)
 
 
+def enhance_file(plan: InferencePlan, in_path, out_path, allow_resample: bool) -> None:
+    """Enhance the WAV at in_path into out_path, creating its directory.
+
+    Input at another rate than the plan's raises SampleRateMismatch, before
+    anything is created, unless allow_resample: then it is resampled to the
+    plan's rate first.
+    """
+    wave = read_wav(in_path)
+    if wave.sample_rate_hz != plan.sample_rate_hz:
+        if not allow_resample:
+            raise SampleRateMismatch(
+                f"{in_path}: {wave.sample_rate_hz} Hz input vs {plan.sample_rate_hz} Hz model; "
+                f"pass --resample to convert"
+            )
+        wave = resample(wave, plan.sample_rate_hz, wave.sample_rate_hz)
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+    write_wav(out_path, enhance(plan, wave))
+
+
 @dataclass
 class FileResult:
     id: str
@@ -82,31 +103,20 @@ class BatchReport:
     failures: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "results": [
-                {
-                    "id": r.id,
-                    "output_path": r.output_path,
-                    "stages": r.stages,
-                    "seconds": r.seconds,
-                    "error": r.error,
-                }
-                for r in self.results
-            ],
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
-def enhance_batch(plan: InferencePlan, manifest: Manifest, out_dir, threads: int = 1) -> BatchReport:
-    """Enhance every manifest entry into <stem>.enhanced.wav under out_dir.
+def enhance_batch(
+    plan: InferencePlan, manifest: Manifest, out_dir, threads: int = 1, allow_resample: bool = False
+) -> BatchReport:
+    """Enhance every manifest entry into <stem>.enhanced.wav under out_dir,
+    each through ``enhance_file``.
 
     Failures are recorded per entry without aborting the rest. Also writes an
     "enhanced"-role manifest next to the outputs so evaluation can pair files
     by id. Two entries whose paths share a stem would write the same output,
     so that is a UsageError, raised before anything is written.
     """
-    from .audio import read_wav
-
     entries = list(manifest)
     names = [f"{Path(entry.path).stem}.enhanced.wav" for entry in entries]
     owners: dict[str, str] = {}
@@ -125,9 +135,7 @@ def enhance_batch(plan: InferencePlan, manifest: Manifest, out_dir, threads: int
         t0 = time.perf_counter()
         out_path = out_dir / name
         try:
-            wave = read_wav(manifest.resolve(entry))
-            enhanced = enhance(plan, wave)
-            write_wav(out_path, enhanced)
+            enhance_file(plan, manifest.resolve(entry), out_path, allow_resample)
         except Exception as exc:  # per-file isolation is the contract
             return FileResult(entry.id, None, plan.num_stages, time.perf_counter() - t0, str(exc))
         return FileResult(entry.id, str(out_path), plan.num_stages, time.perf_counter() - t0)

@@ -15,7 +15,7 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -172,10 +172,7 @@ class MetricReport:
     def to_dict(self) -> dict:
         return {
             "metadata": self.metadata,
-            "utterances": [
-                {"id": u.id, "stoi": u.stoi, "si_sdr_db": u.si_sdr_db, "pesq": u.pesq}
-                for u in self.utterances
-            ],
+            "utterances": [asdict(u) for u in self.utterances],
             "mean": {
                 "stoi": self.mean("stoi"),
                 "si_sdr_db": self.mean("si_sdr_db"),
@@ -192,9 +189,8 @@ class MetricReport:
     def write_csv(self, path) -> None:
         with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["id", "stoi", "si_sdr_db", "pesq"])
-            for u in self.utterances:
-                writer.writerow([u.id, u.stoi, u.si_sdr_db, u.pesq])
+            writer.writerow(f.name for f in fields(UtteranceScore))
+            writer.writerows(astuple(u) for u in self.utterances)
 
 
 def read_pesq_csv(path) -> dict[str, float]:

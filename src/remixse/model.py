@@ -6,6 +6,8 @@ right zero-padding to a valid length, optional upsampling, L strided
 encoder layers, a two-layer unidirectional LSTM bottleneck, L transposed-
 convolution decoder layers with additive skip connections, downsampling,
 and trimming back to M. The noise estimate is input minus speech estimate.
+
+A ``Checkpoint`` carries a model, stored as float32 and loaded back exactly.
 """
 from __future__ import annotations
 
@@ -147,14 +149,10 @@ class DenoiserModel:
             self.config, {name: ad.Tensor(p.data.astype(dtype)) for name, p in self.params.items()}
         )
 
-    def copy(self, dtype=None) -> "DenoiserModel":
-        """A copy with fresh parameter arrays, cast to ``dtype`` if given."""
+    def copy(self, dtype) -> "DenoiserModel":
+        """A copy with fresh parameter arrays, cast to ``dtype``."""
         return DenoiserModel(
-            self.config,
-            {
-                name: ad.Tensor(p.data.astype(p.data.dtype if dtype is None else dtype))
-                for name, p in self.params.items()
-            },
+            self.config, {name: ad.Tensor(p.data.astype(dtype)) for name, p in self.params.items()}
         )
 
     def zero_grads(self) -> None:
@@ -269,46 +267,19 @@ def ema_combine(teacher: DenoiserModel, student: DenoiserModel, gamma: float) ->
 
 @dataclass
 class Checkpoint:
-    """A model's arrays and provenance, stored bit-exactly."""
+    """A model and its provenance: training epochs, seed and sample rate."""
 
-    config: ModelConfig
-    arrays: dict[str, np.ndarray]
+    model: DenoiserModel
     epoch: int = 0
     seed: int | None = None
     sample_rate_hz: int = DEFAULT_SAMPLE_RATE
-
-
-def model_to_checkpoint(
-    model: DenoiserModel,
-    epoch: int = 0,
-    seed: int | None = None,
-    sample_rate_hz: int = DEFAULT_SAMPLE_RATE,
-) -> Checkpoint:
-    arrays = {name: p.data for name, p in model.params.items()}
-    return Checkpoint(model.config, arrays, epoch, seed, sample_rate_hz)
-
-
-def model_from_checkpoint(ckpt: Checkpoint) -> DenoiserModel:
-    """Rebuild a model with float32 parameters. Checkpoints store float32, so
-    the parameters are exact and share the checkpoint's arrays; a missing or
-    mis-shaped array raises ConfigMismatch."""
-    expected = [(name, shape) for name, shape, _ in _parameter_spec(ckpt.config)]
-    params: dict[str, ad.Tensor] = {}
-    for name, shape in expected:
-        if name not in ckpt.arrays:
-            raise ConfigMismatch(f"checkpoint missing array {name}")
-        arr = ckpt.arrays[name]
-        if tuple(arr.shape) != tuple(shape):
-            raise ConfigMismatch(f"array {name} has shape {arr.shape}, expected {shape}")
-        params[name] = ad.Tensor(np.asarray(arr, dtype=np.float32))
-    return DenoiserModel(ckpt.config, params)
 
 
 def _header_dict(ckpt: Checkpoint, manifest: list[dict]) -> dict:
     # "optimizer" is always null (no optimizer state is stored); the key stays
     # so that headers keep their bytes, and a reader rejects any other value.
     return {
-        "config": asdict(ckpt.config),
+        "config": asdict(ckpt.model.config),
         "epoch": ckpt.epoch,
         "seed": ckpt.seed,
         "sample_rate_hz": ckpt.sample_rate_hz,
@@ -318,16 +289,17 @@ def _header_dict(ckpt: Checkpoint, manifest: list[dict]) -> dict:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """File layout: magic, newline, JSON text header, NUL, float32 payload
+    """Write the model's parameters and the provenance.
+
+    File layout: magic, newline, JSON text header, NUL, float32 payload
     (little-endian, declaration order), trailing CRC32 of the payload."""
     manifest = []
     chunks = []
     offset = 0
-    for name, arr in ckpt.arrays.items():
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        manifest.append(
-            {"name": name, "shape": list(arr.shape), "dtype": "<f4", "offset": offset, "nbytes": len(raw)}
-        )
+    for name, p in ckpt.model.params.items():
+        raw = np.ascontiguousarray(p.data, dtype="<f4").tobytes()
+        manifest.append({"name": name, "shape": list(p.data.shape), "dtype": "<f4",
+                         "offset": offset, "nbytes": len(raw)})
         chunks.append(raw)
         offset += len(raw)
     payload = b"".join(chunks)
@@ -390,13 +362,14 @@ def _header_fields(header, payload_size: int):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint written by ``save_checkpoint``.
+    """Read a checkpoint written by ``save_checkpoint``; its model has
+    float32 parameters, exactly as stored.
 
     A missing file raises ``MissingFile``, one that cannot be read
-    ``UnreadableFile``, another format version ``VersionMismatch``, and any
-    other malformed input ``CorruptHeader``.
-    Arrays are read through one view of the file's bytes, so each is copied
-    once, out of the payload.
+    ``UnreadableFile``, another format version ``VersionMismatch``, any
+    other malformed input ``CorruptHeader``, and a missing or mis-shaped
+    array ``ConfigMismatch``. Arrays are read through one view of the file's
+    bytes, so each is copied once, out of the payload.
     """
     try:
         with open(path, "rb") as fh:
@@ -427,15 +400,20 @@ def load_checkpoint(path) -> Checkpoint:
     if (zlib.crc32(payload) & 0xFFFFFFFF) != int.from_bytes(blob[-4:], "little"):
         raise CorruptHeader("payload checksum mismatch")
 
-    arrays: dict[str, np.ndarray] = {}
-    for entry in entries:
-        count = entry["nbytes"] // 4
-        flat = np.frombuffer(payload, dtype="<f4", count=count, offset=entry["offset"])
-        arrays[entry["name"]] = flat.reshape(entry["shape"]).copy()
+    entries = {entry["name"]: entry for entry in entries}
+    params: dict[str, ad.Tensor] = {}
+    for name, shape, _ in _parameter_spec(config):
+        if name not in entries:
+            raise ConfigMismatch(f"checkpoint missing array {name}")
+        stored = tuple(entries[name]["shape"])
+        if stored != shape:
+            raise ConfigMismatch(f"array {name} has shape {stored}, expected {shape}")
+        count, offset = math.prod(shape), entries[name]["offset"]
+        flat = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
+        params[name] = ad.Tensor(flat.reshape(shape).astype(np.float32))
 
     return Checkpoint(
-        config=config,
-        arrays=arrays,
+        model=DenoiserModel(config, params),
         epoch=header["epoch"],
         seed=header["seed"],
         sample_rate_hz=header.get("sample_rate_hz", DEFAULT_SAMPLE_RATE),

@@ -426,6 +426,41 @@ def test_enhance_two_stage_manifest(workspace, tmp_path):
     assert (out_dir / "enhanced.manifest.jsonl").exists()
 
 
+@pytest.fixture(scope="module")
+def corpus_8k(tmp_path_factory):
+    """An 8 kHz corpus, for the 16 kHz checkpoint of ``workspace``."""
+    data = tmp_path_factory.mktemp("sr8k")
+    assert run("synth", "--num", "2", "--dur", "1.0", "--sr", "8000", "--out", str(data)) == 0
+    return data
+
+
+def test_enhance_single_file_at_another_rate_needs_resample(workspace, corpus_8k, tmp_path,
+                                                             capsys):
+    wav_in = next((corpus_8k / "noisy").glob("*.wav"))
+    out = tmp_path / "new" / "out.wav"
+    argv = ("enhance", "--stages", str(workspace["ckpt"]), "--in", str(wav_in), "--out", str(out))
+    assert run(*argv) == 3
+    assert "--resample" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    assert run(*argv, "--resample") == 0
+    enhanced = remixse.audio.read_wav(out)
+    assert enhanced.sample_rate_hz == 16_000
+    assert len(enhanced.samples) == 2 * len(remixse.audio.read_wav(wav_in).samples)
+
+
+def test_enhance_manifest_resamples_every_file(workspace, corpus_8k, tmp_path):
+    manifest = corpus_8k / "noisy.manifest.jsonl"
+    out_dir = tmp_path / "enh"
+    code = run("enhance", "--stages", str(workspace["ckpt"]), "--in", str(manifest),
+               "--out", str(out_dir), "--resample")
+    assert code == 0
+    report = json.loads((out_dir / "enhance_report.json").read_text())
+    assert len(report["results"]) == 2
+    assert report["failures"] == []
+    for result in report["results"]:
+        assert remixse.audio.read_wav(result["output_path"]).sample_rate_hz == 16_000
+
+
 def test_enhance_bad_checkpoint_exits_3(workspace, tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"nope")
@@ -581,8 +616,10 @@ _QUICK = "train.batch_size=4\ntrain.segment=2500\ntrain.shift_max=400\n"
     "command, line, flags, stored",
     [
         ("distill", "train.epochs=35", [], lambda ckpt: ckpt.epoch == 35),
-        ("bootstrap", "model.depth=2", ["--epochs", "1"], lambda ckpt: ckpt.config.depth == 2),
-        ("bootstrap", "model.hidden=2", ["--epochs", "1"], lambda ckpt: ckpt.config.hidden == 2),
+        ("bootstrap", "model.depth=2", ["--epochs", "1"],
+         lambda ckpt: ckpt.model.config.depth == 2),
+        ("bootstrap", "model.hidden=2", ["--epochs", "1"],
+         lambda ckpt: ckpt.model.config.hidden == 2),
     ],
     ids=["distill-epochs", "bootstrap-depth", "bootstrap-hidden"],
 )

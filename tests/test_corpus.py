@@ -23,9 +23,9 @@ from remixse.corpus import (
 from remixse.errors import MissingFile, ParseError, RemixSEError, RoleMismatch, UnreadableFile
 from remixse.model import (
     TINY_CONFIG,
+    Checkpoint,
     init_model,
     load_checkpoint,
-    model_to_checkpoint,
     save_checkpoint,
 )
 from conftest import fail_reading
@@ -283,7 +283,7 @@ def test_a_file_that_cannot_be_read_is_unreadable_file(tiny_corpus, tmp_path, mo
         module, path, read = remixse.audio, manifest.resolve(manifest.entries[0]), read_wav
     else:
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model_to_checkpoint(init_model(TINY_CONFIG, seed=0)))
+        save_checkpoint(path, Checkpoint(init_model(TINY_CONFIG, seed=0)))
         module, read = remixse.model, load_checkpoint
     fail_reading(monkeypatch, module, path, error, at)
     with pytest.raises(UnreadableFile, match="cannot read"):

@@ -347,8 +347,8 @@ def test_distill_replay_is_bit_identical(corpora):
             seed=11,
             augment_in_distill=augment,
         )
-        r1 = distill(teacher.copy(), noisy, ext, config)
-        r2 = distill(teacher.copy(), noisy, ext, config)
+        r1 = distill(teacher.copy(np.float64), noisy, ext, config)
+        r2 = distill(teacher.copy(np.float64), noisy, ext, config)
         assert r1.stats.step_losses == r2.stats.step_losses
         for a, b in zip(r1.student.parameters(), r2.student.parameters()):
             assert np.array_equal(a.data, b.data)

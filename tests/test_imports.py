@@ -1,9 +1,12 @@
-"""Every imported name in src/, tests/ and scripts/ is used.
+"""Every imported name in src/, tests/ and scripts/ is used, and every
+function, class and method of the package is named by code outside tests.
 
-A stdlib-``ast`` check in place of a linter: per file, each name an
+Stdlib-``ast`` checks in place of a linter. Per file, each name an
 ``import`` binds must appear as a name somewhere in the file, or be
 re-exported through ``__all__``. One scope per file: a name imported in one
-function and used in another counts as used.
+function and used in another counts as used. Each function, class and
+method defined in src/remixse/ (dunder methods excepted) must appear as a
+name or an attribute in src/, scripts/ or perfbench/, test files not counted.
 """
 import ast
 from pathlib import Path
@@ -15,6 +18,12 @@ FILES = sorted(
     path.relative_to(ROOT).as_posix()
     for folder in ("src", "tests", "scripts")
     for path in (ROOT / folder).rglob("*.py")
+)
+CALLERS = sorted(
+    path
+    for folder in ("src", "scripts", "perfbench")
+    for path in (ROOT / folder).rglob("*.py")
+    if not path.name.startswith("test_")
 )
 
 
@@ -43,9 +52,33 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
+def _defined(tree: ast.Module) -> dict[str, int]:
+    """Name -> line of each function, class and method, dunder methods excepted."""
+    return {
+        node.name: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def _named(tree: ast.Module) -> set[str]:
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    return named
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 @pytest.mark.parametrize("relpath", FILES)
 def test_no_unused_imports(relpath):
-    tree = ast.parse((ROOT / relpath).read_text(encoding="utf-8"), filename=relpath)
+    tree = _parse(ROOT / relpath)
     used = _used(tree)
     unused = sorted(f"line {line}: {name}" for name, line in _imported(tree).items()
                     if name not in used)
@@ -55,3 +88,24 @@ def test_no_unused_imports(relpath):
 def test_finds_an_unused_import():
     tree = ast.parse("import os\nfrom json import dumps, loads as parse\nparse('1')\n")
     assert set(_imported(tree)) - _used(tree) == {"os", "dumps"}
+
+
+def test_every_definition_is_named_outside_tests():
+    named = set().union(*(_named(_parse(path)) for path in CALLERS))
+    unused = sorted(
+        f"{path.relative_to(ROOT).as_posix()}:{line}: {name}"
+        for path in sorted((ROOT / "src" / "remixse").rglob("*.py"))
+        for name, line in _defined(_parse(path)).items()
+        if name not in named
+    )
+    assert not unused, f"defined but named nowhere in src/, scripts/ or perfbench/: {unused}"
+
+
+def test_finds_a_definition_nothing_names():
+    tree = ast.parse(
+        "class A:\n    def __init__(self): pass\n    def used(self): pass\n"
+        "    def unused(self): pass\n"
+        "def run(): A().used()\n"
+        "run()\n"
+    )
+    assert set(_defined(tree)) - _named(tree) == {"unused"}

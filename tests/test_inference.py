@@ -10,11 +10,12 @@ from remixse.corpus import ManifestEntry, load_manifest, write_manifest
 from remixse.errors import SampleRateMismatch, UsageError
 from remixse.inference import InferencePlan, enhance, enhance_batch
 from remixse.model import (
+    Checkpoint,
     DenoiserModel,
     ModelConfig,
     TINY_CONFIG,
     init_model,
-    model_to_checkpoint,
+    load_checkpoint,
     save_checkpoint,
 )
 
@@ -49,7 +50,7 @@ def _identity_model() -> DenoiserModel:
 
 
 def _save(model, path, rate=RATE):
-    save_checkpoint(path, model_to_checkpoint(model, sample_rate_hz=rate))
+    save_checkpoint(path, Checkpoint(model, sample_rate_hz=rate))
     return str(path)
 
 
@@ -208,22 +209,18 @@ def test_plan_stages_are_float32_and_loaded_without_a_copy(trained_tiny_model, t
         assert np.array_equal(p.data, in_memory.models[0].params[name].data), name
 
 
-def test_model_from_checkpoint_float32_shares_the_checkpoint_arrays(trained_tiny_model, tmp_path):
-    from remixse.model import load_checkpoint, model_from_checkpoint
-
-    ckpt = load_checkpoint(_save(trained_tiny_model, tmp_path / "m.ckpt"))
-    model = model_from_checkpoint(ckpt)
+def test_load_checkpoint_gives_float32_parameters(trained_tiny_model, tmp_path):
+    model = load_checkpoint(_save(trained_tiny_model, tmp_path / "m.ckpt")).model
+    assert model.astype(np.float32) is model  # a plan takes it without a copy
     for name, p in model.params.items():
         assert p.data.dtype == np.float32
-        assert np.shares_memory(p.data, ckpt.arrays[name]), name
+        assert np.array_equal(p.data, trained_tiny_model.params[name].data.astype(np.float32)), name
 
 
 def test_float32_enhance_matches_the_float64_forward(trained_tiny_model, tmp_path):
-    from remixse.model import load_checkpoint, model_from_checkpoint
-
     path = _save(trained_tiny_model, tmp_path / "m.ckpt")
     plan = InferencePlan.from_checkpoints([path] * 2)
-    reference = model_from_checkpoint(load_checkpoint(path)).astype(np.float64)
+    reference = load_checkpoint(path).model.astype(np.float64)
     wave = Waveform(np.random.default_rng(3).normal(size=3000) * 0.1, RATE)
     ref = wave.samples[None, :]
     with ad.no_grad():

@@ -2,8 +2,6 @@
 import math
 
 import json
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,14 +15,13 @@ from remixse.errors import (
     VersionMismatch,
 )
 from remixse.model import (
+    Checkpoint,
     DenoiserModel,
     ModelConfig,
     TINY_CONFIG,
     ema_combine,
     init_model,
     load_checkpoint,
-    model_from_checkpoint,
-    model_to_checkpoint,
     output_length,
     save_checkpoint,
     valid_length,
@@ -267,13 +264,13 @@ def test_ema_rejects_config_mismatch():
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     model = init_model(TINY_CONFIG, seed=12)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model_to_checkpoint(model, epoch=7, seed=12))
+    save_checkpoint(path, Checkpoint(model, epoch=7, seed=12))
     ckpt = load_checkpoint(path)
     assert ckpt.epoch == 7
     assert ckpt.seed == 12
-    assert ckpt.config == TINY_CONFIG
+    assert ckpt.model.config == TINY_CONFIG
     for name, p in model.params.items():
-        assert np.array_equal(ckpt.arrays[name], p.data.astype(np.float32))
+        assert np.array_equal(ckpt.model.params[name].data, p.data.astype(np.float32))
     # saving the loaded checkpoint reproduces the same file bytes
     save_checkpoint(tmp_path / "m2.ckpt", ckpt)
     assert (tmp_path / "m.ckpt").read_bytes() == (tmp_path / "m2.ckpt").read_bytes()
@@ -282,7 +279,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 def test_checkpoint_truncated_file(tmp_path):
     model = init_model(TINY_CONFIG, seed=3)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model_to_checkpoint(model))
+    save_checkpoint(path, Checkpoint(model))
     blob = path.read_bytes()
     (tmp_path / "cut.ckpt").write_bytes(blob[: len(blob) - 100])
     with pytest.raises(CorruptHeader):
@@ -292,7 +289,7 @@ def test_checkpoint_truncated_file(tmp_path):
 def test_checkpoint_crc_detects_corruption(tmp_path):
     model = init_model(TINY_CONFIG, seed=3)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model_to_checkpoint(model))
+    save_checkpoint(path, Checkpoint(model))
     blob = bytearray(path.read_bytes())
     blob[-50] ^= 0xFF  # flip a payload byte
     (tmp_path / "bad.ckpt").write_bytes(bytes(blob))
@@ -303,7 +300,7 @@ def test_checkpoint_crc_detects_corruption(tmp_path):
 def test_checkpoint_version_mismatch(tmp_path):
     model = init_model(TINY_CONFIG, seed=3)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model_to_checkpoint(model))
+    save_checkpoint(path, Checkpoint(model))
     blob = bytearray(path.read_bytes())
     blob[5] = ord("2")  # future version byte
     (tmp_path / "v2.ckpt").write_bytes(bytes(blob))
@@ -374,7 +371,7 @@ def _set_entry(key, value, index=1):
 )
 def test_checkpoint_malformed_header_is_corrupt_header(tmp_path, edit):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model_to_checkpoint(init_model(TINY_CONFIG, seed=3)))
+    save_checkpoint(path, Checkpoint(init_model(TINY_CONFIG, seed=3)))
     path.write_bytes(_with_header(path.read_bytes(), edit))
     with pytest.raises(CorruptHeader):
         load_checkpoint(path)
@@ -384,16 +381,17 @@ def test_checkpoint_header_with_the_old_fixed_config_fields_still_loads(tmp_path
     # Headers once carried "lstm_layers": 2 and "causal": true; both fields
     # took no other value and are no longer written.
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model_to_checkpoint(init_model(TINY_CONFIG, seed=3), epoch=2, seed=3))
+    save_checkpoint(path, Checkpoint(init_model(TINY_CONFIG, seed=3), epoch=2, seed=3))
     blob = path.read_bytes()
     assert b"lstm_layers" not in blob and b"causal" not in blob
     (tmp_path / "old.ckpt").write_bytes(
         _with_header(blob, lambda h: h["config"].update(lstm_layers=2, causal=True))
     )
     new, old = load_checkpoint(path), load_checkpoint(tmp_path / "old.ckpt")
-    assert old.config == new.config == TINY_CONFIG
-    assert old.arrays.keys() == new.arrays.keys()
-    assert all(np.array_equal(old.arrays[n], new.arrays[n]) for n in new.arrays)
+    assert old.model.config == new.model.config == TINY_CONFIG
+    assert old.model.params.keys() == new.model.params.keys()
+    assert all(np.array_equal(old.model.params[n].data, new.model.params[n].data)
+               for n in new.model.params)
     save_checkpoint(tmp_path / "resaved.ckpt", old)
     assert (tmp_path / "resaved.ckpt").read_bytes() == blob
     for name, value in [("lstm_layers", 3), ("lstm_layers", 2.0), ("causal", False),
@@ -412,7 +410,7 @@ def checkpoint_bytes(tmp_path_factory):
         p.grad = np.ones_like(p.data)
     ad.adam_step(model.parameters(), adam)
     path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
-    save_checkpoint(path, model_to_checkpoint(model, epoch=3, seed=5))
+    save_checkpoint(path, Checkpoint(model, epoch=3, seed=5))
     return path.read_bytes()
 
 
@@ -435,21 +433,23 @@ def test_checkpoint_fuzz_raises_only_package_errors(tmp_path_factory, checkpoint
         pass
 
 
-def test_model_from_checkpoint_config_mismatch():
-    ckpt = model_to_checkpoint(init_model(TINY_CONFIG, seed=3))
-    missing = dict(ckpt.arrays)
-    del missing["lstm0.w_hh"]
-    misshaped = dict(ckpt.arrays, **{"enc1.conv.b": np.zeros(5, dtype=np.float32)})
-    for arrays, match in ((missing, "missing array lstm0.w_hh"), (misshaped, "enc1.conv.b")):
+def test_load_checkpoint_config_mismatch(tmp_path):
+    params = init_model(TINY_CONFIG, seed=3).params
+    missing = {n: p for n, p in params.items() if n != "lstm0.w_hh"}
+    misshaped = dict(params, **{"enc1.conv.b": ad.Tensor(np.zeros(5))})
+    for arrays, match in ((missing, "missing array lstm0.w_hh"),
+                          (misshaped, r"enc1.conv.b has shape \(5,\), expected \(4,\)")):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Checkpoint(DenoiserModel(TINY_CONFIG, arrays)))
         with pytest.raises(ConfigMismatch, match=match):
-            model_from_checkpoint(replace(ckpt, arrays=arrays))
+            load_checkpoint(path)
 
 
 def test_model_round_trip_through_checkpoint(tmp_path):
     model = init_model(TINY_CONFIG, seed=3)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model_to_checkpoint(model))
-    restored = model_from_checkpoint(load_checkpoint(path)).astype(np.float64)
+    save_checkpoint(path, Checkpoint(model))
+    restored = load_checkpoint(path).model.astype(np.float64)
     x = np.random.default_rng(0).normal(size=(1, 500))
     with ad.no_grad():
         a = model.apply(x).data
