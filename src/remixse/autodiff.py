@@ -6,9 +6,10 @@ time slicing, the channel/time swap, reshape), polyphase resampling, the two
 training losses, and Adam.
 
 Dtype follows the data: float32 arrays stay float32 through every op, and
-anything else is computed in float64 (training, Adam and the gradient checks
-run in float64; no-grad enhancement runs in float32). Intermediate buffers
-take the dtype of the op's inputs.
+anything else is computed in float64. Intermediate buffers take the dtype of
+the op's inputs. A float32 model therefore trains and enhances in float32,
+and a float64 one (the gradient checks) in float64; Adam keeps float64
+moments and, for float32 parameters, a float64 master copy.
 
 The graph is define-by-run: every op closes over what its backward pass
 needs, and ``backward`` replays the closures in exact reverse creation
@@ -591,13 +592,20 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 # ---------------------------------------------------------------------------
 
 # Elements per block of the Adam update: 256 KiB of float64, so the blocks of
-# p, m, v, the gradient and two scratch buffers fit in a core's cache together.
+# p, m, v, the gradient and the scratch buffers fit in a core's cache together.
 ADAM_BLOCK = 1 << 15
 
 
 @dataclass
 class AdamState:
-    """Adam optimizer state: hyperparameters plus per-parameter moments."""
+    """Adam optimizer state: hyperparameters plus per-parameter moments.
+
+    The moments are float64. So is ``master``, the copy of the weights that
+    Adam updates, for each parameter that is not float64 (a float32 model
+    trains on a float64 master; the parameter holds float32(master)). For a
+    float64 parameter ``master`` holds ``None`` and Adam updates the
+    parameter itself.
+    """
 
     step_size: float = 3e-4
     beta1: float = 0.9
@@ -606,11 +614,15 @@ class AdamState:
     timestep: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
+    master: list = field(default_factory=list)
 
     def ensure(self, params) -> None:
         if not self.m:
             self.m = [np.zeros(p.data.shape) for p in params]
             self.v = [np.zeros(p.data.shape) for p in params]
+            self.master = [
+                None if p.data.dtype == np.float64 else p.data.astype(np.float64) for p in params
+            ]
         for p, m in zip(params, self.m):
             if p.data.shape != m.shape:
                 raise ValueError("AdamState moments do not match parameter shapes")
@@ -619,16 +631,20 @@ class AdamState:
 def adam_step(params, state: AdamState) -> None:
     """One in-place Adam update with bias correction. Missing grads count as zero.
 
-    Each parameter is updated in blocks of ``ADAM_BLOCK`` elements through two
+    Each parameter is updated in blocks of ``ADAM_BLOCK`` elements through
     scratch buffers. Per element the operations and their order are those of
 
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * (g * g)
-        p -= step_size * (m / bc1) / (sqrt(v / bc2) + epsilon)
+        w -= step_size * (m / bc1) / (sqrt(v / bc2) + epsilon)
 
     so the result is bit-identical to evaluating it on whole arrays, with far
-    less memory traffic. Parameters and moments must be C-contiguous, because
-    the update writes through flat views of them.
+    less memory traffic. For a float64 parameter ``w`` is the parameter. For
+    any other, ``w`` is its float64 master in ``state.master``: each gradient
+    block is cast to float64 first, so the arithmetic is the float64
+    arithmetic, and the updated block is rounded back into the parameter.
+    Parameters and moments must be C-contiguous, because the update writes
+    through flat views of them.
     """
     state.ensure(params)
     state.timestep += 1
@@ -637,16 +653,20 @@ def adam_step(params, state: AdamState) -> None:
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     size = min(ADAM_BLOCK, max((p.data.size for p in params), default=0))
-    s1, s2 = np.empty(size), np.empty(size)
-    for p, m, v in zip(params, state.m, state.v):
+    s1, s2, s3 = np.empty(size), np.empty(size), np.empty(size)
+    for p, m, v, master in zip(params, state.m, state.v, state.master):
         if not (p.data.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
             raise ValueError("adam_step needs C-contiguous parameters and moments")
         p_flat, m_flat, v_flat = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
+        w_flat = p_flat if master is None else master.reshape(-1)
         g_flat = np.zeros(p_flat.size) if p.grad is None else np.ravel(p.grad)
         for lo in range(0, p_flat.size, ADAM_BLOCK):
             hi = min(lo + ADAM_BLOCK, p_flat.size)
             a, b = s1[: hi - lo], s2[: hi - lo]
             g, mb, vb = g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
+            if master is not None:  # square and scale in float64, not float32
+                g = s3[: hi - lo]
+                np.copyto(g, g_flat[lo:hi])
             mb *= beta1
             np.multiply(1.0 - beta1, g, out=a)
             mb += a
@@ -660,4 +680,6 @@ def adam_step(params, state: AdamState) -> None:
             np.sqrt(b, out=b)
             b += state.epsilon
             a /= b
-            p_flat[lo:hi] -= a
+            w_flat[lo:hi] -= a
+            if master is not None:
+                np.copyto(p_flat[lo:hi], w_flat[lo:hi])

@@ -17,6 +17,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from . import distill as distill_mod
 from . import inference as inference_mod
@@ -340,7 +342,7 @@ def cmd_bootstrap(args: SimpleNamespace) -> int:
     rate = noisy[0].sample_rate_hz
 
     _make_parents(out_path, stats_path)
-    model = init_model(model_config, seed=args.seed)
+    model = init_model(model_config, seed=args.seed).astype(np.float32)
     model, stats = distill_mod.bootstrap_nytt(noisy, ext, model, config, sample_rate_hz=rate)
 
     save_checkpoint(out_path, Checkpoint(model, config.epochs, args.seed, rate))
@@ -438,6 +440,12 @@ def cmd_enhance(args: SimpleNamespace) -> int:
     print(f"enhanced {ok}/{len(report.results)} files into {out_dir}")
     if report.failures:
         print(f"failures: {', '.join(report.failures)}")
+    if report.results and ok == 0:
+        first = report.results[0]
+        raise RemixSEError(
+            f"no file was enhanced; failed: {', '.join(report.failures)} "
+            f"(first error: {first.id}: {first.error})"
+        )
     return 0
 
 

@@ -5,8 +5,12 @@ The bootstrap stage trains a denoiser with the original noisy speech as the
 target and noisy speech plus extraneous noise as input. Distillation then
 lets a frozen-per-epoch teacher estimate speech and noise from noisy
 batches, remixes those estimates (or the raw noisy speech) into fresh
-input/target pairs per the selected strategy, and trains a float64 student
-on them. The teacher's no-grad forward may run in float32.
+input/target pairs per the selected strategy, and trains a student on them.
+
+Training computes in the dtype of the model it is handed: a float32 model
+runs its forward and backward in float32 on a float64 Adam master (see
+``autodiff.adam_step``), and a float64 model trains in float64 throughout.
+Adam's moments and the EMA teacher are float64 either way.
 """
 from __future__ import annotations
 
@@ -101,6 +105,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.strategy.uses_shuffled_noise and self.batch_size < 2:
+            raise ValueError(
+                f"strategy {self.strategy.value} shuffles noise between rows and needs "
+                f"batch_size >= 2, got {self.batch_size}"
+            )
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.snr_low_db > self.snr_high_db:
@@ -332,9 +343,10 @@ def distill(
     teacher pass (``DenoiserModel.forward``) to get the speech estimate and
     the in-domain noise estimate X - speech, build the strategy pair, and
     take one student Adam step. After each epoch the teacher-update protocol
-    runs. The student starts as a float64 copy of the initial teacher and
-    trains in float64; the result holds the student and the teacher as they
-    stand after the last epoch.
+    runs. The student starts as a fresh copy of the initial teacher, in the
+    teacher's dtype, and trains in that dtype (a float32 student on a
+    float64 Adam master); the result holds the student and the teacher as
+    they stand after the last epoch.
 
     The teacher's forward runs in the dtype of the teacher passed in. An EMA
     update accumulates in float64 (``ema_combine``), so after the first one
@@ -349,11 +361,9 @@ def distill(
         raise MissingExtNoise(f"{config.strategy.value} requires an extraneous noise corpus")
     if not config.strategy.needs_ext_noise and ext_noise_corpus:
         raise UnexpectedExtNoise(f"{config.strategy.value} does not take extraneous noise")
-    if config.strategy.uses_shuffled_noise and config.batch_size < 2:
-        raise ValueError("shuffle-based strategies need batch_size >= 2")
 
     rng = np.random.default_rng(config.seed)
-    student = teacher.copy(np.float64)
+    student = teacher.copy(teacher.dtype)  # a fresh copy: a static teacher must not change
     forward_dtype = teacher.dtype
     fwd_teacher = teacher  # the teacher, in forward_dtype
     segment = config.segment_samples

@@ -599,6 +599,46 @@ def test_blocked_adam_is_bit_identical_to_the_whole_array_formula():
         assert np.array_equal(v, rv)
 
 
+def test_float32_adam_updates_a_float64_master_and_rounds_it_into_the_parameter():
+    rng = np.random.default_rng(13)
+    shapes = [(ad.ADAM_BLOCK + 77,), (5, 3), (4,)]
+    params = [ad.Tensor(rng.normal(size=s).astype(np.float32)) for s in shapes]
+    ref = [ad.Tensor(p.data.astype(np.float64)) for p in params]
+    state, ref_state = ad.AdamState(step_size=1e-3), ad.AdamState(step_size=1e-3)
+    for _ in range(3):
+        grads = [rng.normal(size=s).astype(np.float32) for s in shapes[:-1]] + [None]
+        for p, r, g in zip(params, ref, grads):
+            p.grad = g
+            r.grad = None if g is None else g.astype(np.float64)
+        ad.adam_step(params, state)
+        ad.adam_step(ref, ref_state)
+        for p, r, w in zip(params, ref, state.master):
+            assert w.dtype == np.float64 and np.array_equal(w, r.data)
+            assert p.data.dtype == np.float32 and np.array_equal(p.data, w.astype(np.float32))
+    assert ref_state.master == [None, None, None]
+    for m, v, rm, rv in zip(state.m, state.v, ref_state.m, ref_state.v):
+        assert np.array_equal(m, rm) and np.array_equal(v, rv)
+
+
+@pytest.mark.parametrize("preset, batch", [("tiny", 8), ("paper", 1)])
+def test_a_float32_training_step_computes_in_float32(preset, batch):
+    # Only the loss and its float64 target may be wider than float32: one
+    # op that widened its output would put every later op in float64.
+    from remixse.model import PAPER_CONFIG, TINY_CONFIG
+
+    model = init_model({"tiny": TINY_CONFIG, "paper": PAPER_CONFIG}[preset], seed=2)
+    model = model.astype(np.float32)
+    x = 0.1 * np.random.default_rng(2).normal(size=(batch, 4000))
+    loss = ad.mae_loss(model.apply(x), x)
+    wide = [t for t in _graph_nodes(loss) if t.data.dtype != np.float32]
+    assert len(wide) == 2 and loss in wide
+    ad.backward(loss)
+    ad.adam_step(model.parameters(), ad.AdamState())
+    assert np.isfinite(loss.data)
+    for name, p in model.params.items():
+        assert p.grad.dtype == np.float32 and p.data.dtype == np.float32, name
+
+
 def test_adam_rejects_a_non_contiguous_parameter():
     p = ad.Tensor(np.ones((3, 4)))
     p.data = p.data.T  # a view: an update through reshape(-1) would be lost

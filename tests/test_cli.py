@@ -5,11 +5,13 @@ import re
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import remixse.audio
+import remixse.autodiff
 import remixse.corpus
 import remixse.distill
 import remixse.model
@@ -195,6 +197,8 @@ def test_force_rerun_replaces_stats_instead_of_appending(workspace, tmp_path):
         ["bootstrap", "--lr", "inf", "--epochs", "1"],
         ["bootstrap", "--lr", "0", "--epochs", "1"],
         ["distill", "--lr", "-1", "--epochs", "1"],
+        ["bootstrap", "--batch-size", "0", "--epochs", "1"],
+        ["distill", "--batch-size", "1", "--strategy", "nytt1", "--epochs", "1"],
     ],
     ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
 )
@@ -256,6 +260,34 @@ def test_distill_ema_writes_both_checkpoints(workspace, tmp_path):
     assert code == 0
     assert out.exists()
     assert out.with_name("student.teacher.ckpt").exists()
+
+
+def test_training_computes_in_float32_and_reruns_bit_identically(workspace, tmp_path,
+                                                                monkeypatch):
+    apply = DenoiserModel.apply
+    graph_dtypes = []
+
+    def recording(self, x, *args, **kwargs):
+        if remixse.autodiff.grad_enabled():
+            graph_dtypes.append(self.dtype)
+        return apply(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(DenoiserModel, "apply", recording)
+    data = workspace["data"]
+    quick = ["--epochs", "2", "--batch-size", "4", "--segment", "2500", "--shift-max", "400"]
+    outputs = []
+    for name in ("first", "second"):
+        boot, student = tmp_path / name / "boot.ckpt", tmp_path / name / "student.ckpt"
+        assert run("bootstrap", "--noisy", str(data / "noisy.manifest.jsonl"),
+                   "--ext-noise", str(data / "noise.manifest.jsonl"), *quick,
+                   "--out", str(boot)) == 0
+        assert run("distill", "--teacher", str(boot), "--noisy", str(data / "noisy.manifest.jsonl"),
+                   "--tup", "ema", *quick, "--out", str(student)) == 0
+        teacher = student.with_name("student.teacher.ckpt")
+        outputs.append([path.read_bytes() for path in (boot, student, teacher)])
+    assert len(graph_dtypes) == 16  # 2 runs x 2 commands x 2 epochs x 2 steps
+    assert all(dtype == np.float32 for dtype in graph_dtypes)
+    assert outputs[0] == outputs[1]
 
 
 def test_distill_ctt3_without_ext_noise_is_usage_error(workspace, tmp_path):
@@ -459,6 +491,20 @@ def test_enhance_manifest_resamples_every_file(workspace, corpus_8k, tmp_path):
     assert report["failures"] == []
     for result in report["results"]:
         assert remixse.audio.read_wav(result["output_path"]).sample_rate_hz == 16_000
+
+
+def test_enhance_manifest_where_every_file_fails_exits_3(workspace, corpus_8k, tmp_path,
+                                                        capsys):
+    out_dir = tmp_path / "enh"
+    code = run("enhance", "--stages", str(workspace["ckpt"]),
+               "--in", str(corpus_8k / "noisy.manifest.jsonl"), "--out", str(out_dir))
+    assert code == 3
+    err = capsys.readouterr().err
+    report = json.loads((out_dir / "enhance_report.json").read_text())
+    assert len(report["results"]) == 2
+    assert report["failures"] == [r["id"] for r in report["results"]]
+    assert all(failed in err for failed in report["failures"])
+    assert "--resample" in err
 
 
 def test_enhance_bad_checkpoint_exits_3(workspace, tmp_path):

@@ -392,9 +392,9 @@ def test_distill_float32_teacher_forward_and_float64_ema_master(corpora, monkeyp
     student_calls = [(dtype, params) for grad, dtype, params in calls if grad]
     assert len(teacher_calls) == len(student_calls) == 4  # 2 steps per epoch
     assert all(dtype == np.float32 for dtype, _ in teacher_calls)
-    assert all(dtype == np.float64 for dtype, _ in student_calls)
-    for name, arr in student_calls[0][1].items():  # the student starts as a float64 copy
-        assert np.array_equal(arr, initial[name].astype(np.float64))
+    assert all(dtype == np.float32 for dtype, _ in student_calls)
+    for name, arr in student_calls[0][1].items():  # the student starts as a float32 copy
+        assert np.array_equal(arr, initial[name])
     for _, params in teacher_calls[:2]:  # epoch 1: the initial teacher
         assert all(np.array_equal(params[n], initial[n]) for n in initial)
 
@@ -409,7 +409,7 @@ def test_distill_float32_teacher_forward_and_float64_ema_master(corpora, monkeyp
         for name, arr in params.items():
             assert np.array_equal(arr, first_master.params[name].data.astype(np.float32))
     assert result.teacher is updates[1][2]
-    assert result.student.dtype == np.float64
+    assert result.student.dtype == np.float32
 
 
 def test_distill_static_float32_teacher_is_returned_unchanged(corpora, monkeypatch):
@@ -422,7 +422,19 @@ def test_distill_static_float32_teacher_is_returned_unchanged(corpora, monkeypat
     assert all(np.array_equal(p.data, initial[n]) for n, p in teacher.params.items())
     teacher_dtypes = [dtype for grad, dtype, _ in calls if not grad]
     assert len(teacher_dtypes) == 4 and all(dtype == np.float32 for dtype in teacher_dtypes)
-    assert result.student.dtype == np.float64
+    assert result.student.dtype == np.float32
+
+
+def test_float32_bootstrap_tracks_float64_from_the_same_init(corpora):
+    # The precision claim of float32 training on a float64 Adam master.
+    noisy, ext = corpora
+    init = init_model(TINY_CONFIG, seed=6).astype(np.float32)
+    config = _quick_config(epochs=20)  # 2 steps per epoch
+    f32, s32 = bootstrap_nytt(noisy, ext, init.copy(np.float32), config)
+    f64, s64 = bootstrap_nytt(noisy, ext, init.copy(np.float64), config)
+    assert f32.dtype == np.float32 and f64.dtype == np.float64
+    assert len(s32.step_losses) == 40
+    np.testing.assert_allclose(s32.step_losses, s64.step_losses, rtol=1e-7, atol=0)
 
 
 def test_distill_ext_noise_consistency(corpora):
