@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import zlib
 from dataclasses import asdict, dataclass, fields
 
@@ -368,49 +369,67 @@ def load_checkpoint(path) -> Checkpoint:
     A missing file raises ``MissingFile``, one that cannot be read
     ``UnreadableFile``, another format version ``VersionMismatch``, any
     other malformed input ``CorruptHeader``, and a missing or mis-shaped
-    array ``ConfigMismatch``. Arrays are read through one view of the file's
-    bytes, so each is copied once, out of the payload.
+    array ``ConfigMismatch``. The header is read first; each array is then
+    read from the file straight into its own buffer, so the payload is
+    never held in memory twice.
     """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _read_checkpoint(fh)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         raise MissingFile(f"checkpoint not found: {path}") from exc
     except OSError as exc:
         raise UnreadableFile(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
-    if len(blob) < len(CHECKPOINT_MAGIC) + 1:
+
+
+def _read_checkpoint(fh) -> Checkpoint:
+    start = len(CHECKPOINT_MAGIC) + 1
+    head = bytearray()
+    nul = -1
+    while nul < 0:
+        chunk = fh.read(1 << 16)
+        if not chunk:
+            break
+        head += chunk
+        nul = head.find(b"\x00", start)
+    size = os.fstat(fh.fileno()).st_size
+    if len(head) < start:
         raise CorruptHeader("file too small")
-    magic = blob[: len(CHECKPOINT_MAGIC)]
+    magic = bytes(head[: len(CHECKPOINT_MAGIC)])
     if magic != CHECKPOINT_MAGIC:
         if magic[:5] == CHECKPOINT_MAGIC[:5]:
             raise VersionMismatch(f"unsupported checkpoint version {magic!r}")
         raise CorruptHeader(f"bad magic {magic!r}")
-    nul = blob.find(b"\x00", len(CHECKPOINT_MAGIC) + 1)
-    if nul < 0 or len(blob) < nul + 5:
+    if nul < 0 or size < nul + 5:
         raise CorruptHeader("missing header terminator or checksum")
     try:
-        header = json.loads(blob[len(CHECKPOINT_MAGIC) + 1 : nul].decode("utf-8"))
+        header = json.loads(head[start:nul].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptHeader(f"unparseable header: {exc}") from exc
-    payload = memoryview(blob)[nul + 1 : -4]
     try:
-        config, entries = _header_fields(header, len(payload))
+        config, entries = _header_fields(header, size - nul - 5)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptHeader(f"malformed header: {exc!r}") from exc
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != int.from_bytes(blob[-4:], "little"):
+
+    fh.seek(nul + 1)
+    arrays, crc = {}, 0
+    for entry in entries:  # in payload order
+        flat = np.empty(entry["nbytes"] // 4, dtype="<f4")
+        if fh.readinto(flat) != flat.nbytes:
+            raise CorruptHeader("payload is shorter than the manifest says")
+        crc = zlib.crc32(flat, crc)
+        arrays[entry["name"]] = flat
+    if (crc & 0xFFFFFFFF) != int.from_bytes(fh.read(4), "little"):
         raise CorruptHeader("payload checksum mismatch")
 
-    entries = {entry["name"]: entry for entry in entries}
+    shapes = {entry["name"]: tuple(entry["shape"]) for entry in entries}
     params: dict[str, ad.Tensor] = {}
     for name, shape, _ in _parameter_spec(config):
-        if name not in entries:
+        if name not in shapes:
             raise ConfigMismatch(f"checkpoint missing array {name}")
-        stored = tuple(entries[name]["shape"])
-        if stored != shape:
-            raise ConfigMismatch(f"array {name} has shape {stored}, expected {shape}")
-        count, offset = math.prod(shape), entries[name]["offset"]
-        flat = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        params[name] = ad.Tensor(flat.reshape(shape).astype(np.float32))
+        if shapes[name] != shape:
+            raise ConfigMismatch(f"array {name} has shape {shapes[name]}, expected {shape}")
+        params[name] = ad.Tensor(arrays[name].astype(np.float32, copy=False).reshape(shape))
 
     return Checkpoint(
         model=DenoiserModel(config, params),

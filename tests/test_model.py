@@ -1,7 +1,8 @@
 """Architecture, forward contracts, EMA combination, and checkpoint format."""
-import math
-
 import json
+import math
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -274,6 +275,49 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     # saving the loaded checkpoint reproduces the same file bytes
     save_checkpoint(tmp_path / "m2.ckpt", ckpt)
     assert (tmp_path / "m.ckpt").read_bytes() == (tmp_path / "m2.ckpt").read_bytes()
+
+
+def test_checkpoint_file_layout(tmp_path):
+    # magic, newline, JSON header, NUL, the float32 arrays back to back in
+    # declaration order, CRC32 of those arrays; a float64 model is cast
+    model = init_model(TINY_CONFIG, seed=12)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, Checkpoint(model, epoch=2, seed=12))
+    blob = path.read_bytes()
+    payload = b"".join(p.data.astype("<f4").tobytes() for p in model.parameters())
+    nul = blob.index(b"\x00")
+    assert blob[:7] == b"RMXSE1\n"
+    assert blob[nul + 1 : -4] == payload
+    assert blob[-4:] == zlib.crc32(payload).to_bytes(4, "little")
+    offsets = [entry["offset"] for entry in json.loads(blob[7:nul])["arrays"]]
+    assert offsets == list(np.cumsum([0] + [4 * p.data.size for p in model.parameters()])[:-1])
+
+
+@pytest.mark.parametrize("cut", ["header", "payload", "checksum"])
+def test_checkpoint_cut_anywhere_is_corrupt_header(tmp_path, cut):
+    model = init_model(TINY_CONFIG, seed=3)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, Checkpoint(model))
+    blob = path.read_bytes()
+    end = {"header": blob.index(b"\x00") - 5, "payload": blob.index(b"\x00") + 9,
+           "checksum": len(blob) - 2}[cut]
+    (tmp_path / "cut.ckpt").write_bytes(blob[:end])
+    with pytest.raises(CorruptHeader):
+        load_checkpoint(tmp_path / "cut.ckpt")
+
+
+def test_checkpoint_header_longer_than_one_read_loads(tmp_path):
+    # the loader reads the header in 64 KiB pieces until its NUL
+    model = init_model(TINY_CONFIG, seed=3)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, Checkpoint(model, epoch=4))
+    blob = path.read_bytes()
+    padded = blob[:7] + b"{" + b" " * 70_000 + blob[8:]
+    (tmp_path / "long.ckpt").write_bytes(padded)
+    ckpt = load_checkpoint(tmp_path / "long.ckpt")
+    assert ckpt.epoch == 4
+    for name, p in model.params.items():
+        assert np.array_equal(ckpt.model.params[name].data, p.data.astype(np.float32))
 
 
 def test_checkpoint_truncated_file(tmp_path):
