@@ -19,8 +19,8 @@ import numpy as np
 from remixse.audio import read_wav
 from remixse.corpus import SynthSpec, load_corpus, load_manifest, synth_corpus
 from remixse.distill import (
+    DistillConfig,
     MixStrategy,
-    TeacherUpdateProtocol,
     TrainConfig,
     bootstrap_nytt,
     distill,
@@ -68,11 +68,9 @@ def run(args) -> int:
     print(header)
     print("-" * len(header))
     for strategy in MixStrategy:
-        for tup_name in ("static", "ema"):
-            tup = (TeacherUpdateProtocol.static() if tup_name == "static"
-                   else TeacherUpdateProtocol.ema())
-            config = TrainConfig(
-                epochs=args.distill_epochs, strategy=strategy, tup=tup, **base
+        for tup_name, ema_gamma in (("static", None), ("ema", 0.005)):
+            config = DistillConfig(
+                epochs=args.distill_epochs, strategy=strategy, ema_gamma=ema_gamma, **base
             )
             t0 = time.perf_counter()
             result = distill(teacher, noisy, ext if strategy.needs_ext_noise else None, config)

@@ -6,19 +6,19 @@ EMA teacher updates, multi-stage inference, and STOI/SI-SDR evaluation.
 """
 
 from .audio import Permutation, Waveform
-from .distill import MixStrategy, TeacherUpdateProtocol, TrainConfig
+from .distill import DistillConfig, MixStrategy, TrainConfig
 from .model import PAPER_CONFIG, TINY_CONFIG, DenoiserModel, ModelConfig, init_model
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DenoiserModel",
+    "DistillConfig",
     "MixStrategy",
     "ModelConfig",
     "PAPER_CONFIG",
     "Permutation",
     "TINY_CONFIG",
-    "TeacherUpdateProtocol",
     "TrainConfig",
     "Waveform",
     "init_model",

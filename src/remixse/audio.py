@@ -16,14 +16,12 @@ import numpy as np
 from .autodiff import resample_array
 from .errors import (
     LengthMismatch,
-    MissingFile,
     SizeMismatch,
-    UnreadableFile,
     UnsupportedFormat,
     ZeroPowerNoise,
     ZeroPowerSignal,
 )
-from .fileio import atomic_open
+from .fileio import atomic_open, open_input
 
 DEFAULT_SAMPLE_RATE = 16_000
 
@@ -270,13 +268,8 @@ def read_wav(path) -> Waveform:
     """Read a mono PCM16 or float32 WAV; anything else, including non-finite
     samples or a zero sample rate, raises UnsupportedFormat, a path that is
     not a file MissingFile, and a file that cannot be read UnreadableFile."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-        raise MissingFile(f"WAV file not found: {path}") from exc
-    except OSError as exc:
-        raise UnreadableFile(f"cannot read WAV file {path}: {exc.strerror or exc}") from exc
+    with open_input(path, "WAV file") as fh:
+        blob = fh.read()
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise UnsupportedFormat("not a RIFF/WAVE file")
     pos = 12

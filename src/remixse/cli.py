@@ -25,7 +25,7 @@ from . import inference as inference_mod
 from . import metrics as metrics_mod
 from .audio import DEFAULT_SAMPLE_RATE
 from .errors import RemixSEError, UsageError
-from .fileio import atomic_open
+from .fileio import atomic_open, open_input
 from .model import (
     PAPER_CONFIG,
     TINY_CONFIG,
@@ -217,7 +217,8 @@ def _resolve(command: str, namespace: argparse.Namespace) -> SimpleNamespace:
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    with open_input(path, "checkpoint") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _check_outputs(force: bool, *paths) -> None:
@@ -307,8 +308,9 @@ def cmd_synth(args: SimpleNamespace) -> int:
     return 0
 
 
-def _train_config(args: SimpleNamespace, **overrides) -> distill_mod.TrainConfig:
-    kwargs = dict(
+def _train_config(args: SimpleNamespace, factory, **settings):
+    """``factory(**settings)`` over the options both training commands share."""
+    shared = dict(
         epochs=args.epochs,
         batch_size=args.batch_size,
         segment_samples=args.segment,
@@ -320,19 +322,16 @@ def _train_config(args: SimpleNamespace, **overrides) -> distill_mod.TrainConfig
         shift_max_samples=args.shift_max,
         bandmask_fraction=args.bandmask_frac,
     )
-    kwargs.update(overrides)
-    if hasattr(args, "shift"):
-        kwargs.update(shift=args.shift, remix=args.remix, bandmask=args.bandmask)
-    if getattr(args, "augment", False):
-        kwargs.update(augment_in_distill=True, shift=True, bandmask=True)
-    return _build_config(distill_mod.TrainConfig, **kwargs)
+    return _build_config(factory, **{**shared, **settings})
 
 
 def cmd_bootstrap(args: SimpleNamespace) -> int:
     out_path = Path(args.out)
     stats_path = Path(args.stats) if args.stats else out_path.with_suffix(".stats.jsonl")
     _check_outputs(args.force, out_path, stats_path)
-    config = _train_config(args)
+    config = _train_config(
+        args, distill_mod.TrainConfig, shift=args.shift, remix=args.remix, bandmask=args.bandmask
+    )
     model_config = _model_config(args)
 
     noisy_manifest = corpus_mod.load_manifest(args.noisy)
@@ -360,11 +359,12 @@ def cmd_bootstrap(args: SimpleNamespace) -> int:
 
 def cmd_distill(args: SimpleNamespace) -> int:
     strategy = distill_mod.MixStrategy(args.strategy)
-    if args.tup == "ema":
-        tup = _build_config(distill_mod.TeacherUpdateProtocol.ema, args.gamma)
-    else:
-        tup = distill_mod.TeacherUpdateProtocol.static()
-    epochs = args.epochs if args.epochs is not None else (35 if tup.kind == "ema" else 500)
+    ema = args.tup == "ema"
+    epochs = args.epochs if args.epochs is not None else (35 if ema else 500)
+    config = _train_config(
+        args, distill_mod.DistillConfig, epochs=epochs, strategy=strategy,
+        shift=args.augment, bandmask=args.augment, ema_gamma=args.gamma if ema else None,
+    )
     if strategy.needs_ext_noise and args.ext_noise is None:
         raise UsageError(f"--ext-noise is required for strategy {strategy.value}")
     if not strategy.needs_ext_noise and args.ext_noise is not None:
@@ -373,9 +373,8 @@ def cmd_distill(args: SimpleNamespace) -> int:
     out_path = Path(args.out)
     teacher_out = out_path.with_name(out_path.stem + ".teacher" + out_path.suffix)
     stats_path = Path(args.stats) if args.stats else out_path.with_suffix(".stats.jsonl")
-    outputs = [out_path, stats_path] + ([teacher_out] if tup.kind == "ema" else [])
+    outputs = [out_path, stats_path] + ([teacher_out] if ema else [])
     _check_outputs(args.force, *outputs)
-    config = _train_config(args, strategy=strategy, tup=tup, epochs=epochs)
 
     # The list hands distill the only reference to the float32 teacher, so
     # its first EMA update frees it.
@@ -398,14 +397,14 @@ def cmd_distill(args: SimpleNamespace) -> int:
     result = distill_mod.distill(teacher_ckpt.pop().model, noisy, ext, config, sample_rate_hz=rate)
 
     save_checkpoint(out_path, Checkpoint(result.student, epochs, args.seed, rate))
-    if tup.kind == "ema":
+    if ema:
         save_checkpoint(teacher_out, Checkpoint(result.teacher, epochs, args.seed, rate))
         print(f"combined teacher checkpoint {teacher_out}")
     distill_mod.write_stats(stats_path, result.stats)
     hashes["checkpoint"] = _sha256(out_path)
     _echo_resolved(out_path.parent, "distill", args, hashes)
     print(
-        f"distill done: {strategy.value}+{tup.kind}, {epochs} epochs, "
+        f"distill done: {strategy.value}+{args.tup}, {epochs} epochs, "
         f"final loss {result.stats.epochs[-1].mean_loss:.6f}"
     )
     print(f"student checkpoint {out_path}")

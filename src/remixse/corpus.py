@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .audio import DEFAULT_SAMPLE_RATE, Waveform, mix_at_snr, write_wav
-from .errors import EmptyCorpus, MissingFile, ParseError, RoleMismatch, UnreadableFile
-from .fileio import atomic_open
+from .errors import EmptyCorpus, MissingFile, ParseError, RoleMismatch
+from .fileio import atomic_open, open_input
 
 ROLES = ("noisy", "noise", "clean", "enhanced")
 MANIFEST_FIELDS = ("id", "path", "role", "duration_s")
@@ -81,17 +81,13 @@ def load_manifest(path) -> Manifest:
     the first three strings and the last a number.
 
     Malformed input raises ParseError naming the line; a manifest that is
-    not a file, or an entry whose file does not exist, raises MissingFile,
+    not a file, or an entry that is not a regular file, raises MissingFile,
     and a manifest that cannot be read UnreadableFile.
     """
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path, "manifest", "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-        raise MissingFile(f"manifest not found: {path}") from exc
-    except OSError as exc:
-        raise UnreadableFile(f"cannot read manifest {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"manifest is not UTF-8: {exc}") from exc
     root = path.parent
@@ -111,10 +107,10 @@ def load_manifest(path) -> Manifest:
             raise ParseError(f"duplicate id {entry.id!r}", line=lineno)
         seen.add(entry.id)
         try:
-            exists = (root / entry.path).exists()
+            is_file = (root / entry.path).is_file()
         except OSError as exc:  # e.g. a name too long for the file system
             raise ParseError(f"unusable path: {exc.strerror}", line=lineno) from exc
-        if not exists:
+        if not is_file:
             raise MissingFile(f"line {lineno}: missing file {root / entry.path}")
         entries.append(entry)
     return Manifest(tuple(entries), root)
@@ -141,7 +137,8 @@ def corpus_hash(manifest: Manifest) -> str:
     """SHA-256 over all WAV bytes in manifest order."""
     digest = hashlib.sha256()
     for entry in manifest:
-        digest.update(Path(manifest.resolve(entry)).read_bytes())
+        with open_input(manifest.resolve(entry), "WAV file") as fh:
+            digest.update(fh.read())
     return digest.hexdigest()
 
 

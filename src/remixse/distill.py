@@ -1,11 +1,15 @@
-"""Bootstrap training, the six student remix strategies, teacher update
-protocols, and the epoch driver for teacher-student distillation.
+"""Bootstrap training, the six student remix strategies, the static and
+EMA teacher updates, and the epoch driver for teacher-student distillation.
 
 The bootstrap stage trains a denoiser with the original noisy speech as the
 target and noisy speech plus extraneous noise as input. Distillation then
 lets a frozen-per-epoch teacher estimate speech and noise from noisy
 batches, remixes those estimates (or the raw noisy speech) into fresh
 input/target pairs per the selected strategy, and trains a student on them.
+
+``bootstrap_nytt`` takes a ``TrainConfig``; ``distill`` takes a
+``DistillConfig``, which adds the strategy and the EMA weight and defaults
+augmentation to off.
 
 Training computes in the dtype of the model it is handed: a float32 model
 runs its forward and backward in float32 on a float64 Adam master (see
@@ -62,29 +66,9 @@ class MixStrategy(Enum):
 
 
 @dataclass(frozen=True)
-class TeacherUpdateProtocol:
-    """Static (frozen teacher) or exponential moving average with gamma."""
-
-    kind: str  # "static" | "ema"
-    gamma: float = 0.005
-
-    def __post_init__(self):
-        if self.kind not in ("static", "ema"):
-            raise ValueError(f"unknown teacher update protocol {self.kind!r}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
-
-    @classmethod
-    def static(cls) -> "TeacherUpdateProtocol":
-        return cls("static")
-
-    @classmethod
-    def ema(cls, gamma: float = 0.005) -> "TeacherUpdateProtocol":
-        return cls("ema", gamma)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
+    """The settings of the training loop: ``bootstrap_nytt`` reads every one."""
+
     epochs: int = 500
     batch_size: int = 8
     segment_samples: int = 16_000
@@ -97,21 +81,13 @@ class TrainConfig:
     remix: bool = True
     bandmask: bool = True
     bandmask_fraction: float = 0.2
-    augment_in_distill: bool = False
     seed: int = 0
-    strategy: MixStrategy = MixStrategy.NYTT1
-    tup: TeacherUpdateProtocol = field(default_factory=TeacherUpdateProtocol.static)
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.strategy.uses_shuffled_noise and self.batch_size < 2:
-            raise ValueError(
-                f"strategy {self.strategy.value} shuffles noise between rows and needs "
-                f"batch_size >= 2, got {self.batch_size}"
-            )
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.snr_low_db > self.snr_high_db:
@@ -123,6 +99,28 @@ class TrainConfig:
                 f"shift_max_samples ({self.shift_max_samples}) must be < "
                 f"segment_samples ({self.segment_samples}); lower it or disable shift"
             )
+
+
+@dataclass(frozen=True)
+class DistillConfig(TrainConfig):
+    """``distill``'s settings: the loop's, the strategy and the EMA weight
+    (None: a static teacher). Setting ``shift`` or ``bandmask``, both off by
+    default, turns augmentation on; ``remix`` is bootstrap's and unused here."""
+
+    shift: bool = False
+    bandmask: bool = False
+    strategy: MixStrategy = MixStrategy.NYTT1
+    ema_gamma: float | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.strategy.uses_shuffled_noise and self.batch_size < 2:
+            raise ValueError(
+                f"strategy {self.strategy.value} shuffles noise between rows and needs "
+                f"batch_size >= 2, got {self.batch_size}"
+            )
+        if self.ema_gamma is not None and not 0.0 < self.ema_gamma <= 1.0:
+            raise ValueError("gamma must be in (0, 1]")
 
 
 @dataclass
@@ -315,12 +313,12 @@ def build_student_batch(
 
 
 def update_teacher(
-    protocol: TeacherUpdateProtocol, teacher: DenoiserModel, student: DenoiserModel
+    ema_gamma: float | None, teacher: DenoiserModel, student: DenoiserModel
 ) -> DenoiserModel:
-    """Static returns the teacher unchanged; EMA blends in the student."""
-    if protocol.kind == "static":
+    """Static (``ema_gamma`` None) returns the teacher; EMA blends in the student."""
+    if ema_gamma is None:
         return teacher
-    return ema_combine(teacher, student, protocol.gamma)
+    return ema_combine(teacher, student, ema_gamma)
 
 
 @dataclass
@@ -334,19 +332,20 @@ def distill(
     teacher: DenoiserModel,
     noisy_corpus,
     ext_noise_corpus,
-    config: TrainConfig,
+    config: DistillConfig,
     sample_rate_hz: int = 16_000,
 ) -> DistillResult:
     """Teacher-student training.
 
     Per batch: sample noisy speech X, draw a fresh permutation, run the
     teacher pass (``DenoiserModel.forward``) to get the speech estimate and
-    the in-domain noise estimate X - speech, build the strategy pair, and
-    take one student Adam step. After each epoch the teacher-update protocol
-    runs. The student starts as a fresh copy of the initial teacher, in the
-    teacher's dtype, and trains in that dtype (a float32 student on a
-    float64 Adam master); the result holds the student and the teacher as
-    they stand after the last epoch.
+    the in-domain noise estimate X - speech, build the strategy pair,
+    augment it if the config sets shift or BandMask, and take one student
+    Adam step. After each epoch ``update_teacher`` runs. The student starts
+    as a fresh copy of the initial teacher, in the teacher's dtype, and
+    trains in that dtype (a float32 student on a float64 Adam master); the
+    result holds the student and the teacher as they stand after the last
+    epoch.
 
     The teacher's forward runs in the dtype of the teacher passed in. An EMA
     update accumulates in float64 (``ema_combine``), so after the first one
@@ -379,13 +378,13 @@ def distill(
         y, target = build_student_batch(
             config.strategy, x, s_hat, n_hat, perm, ext, rng, config.snr_low_db, config.snr_high_db
         )
-        if config.augment_in_distill:
+        if config.shift or config.bandmask:
             return _augment(target, y - target, config, sample_rate_hz, rng)
         return y, target
 
     def end_epoch():
         nonlocal teacher, fwd_teacher
-        teacher = update_teacher(config.tup, teacher, student)
+        teacher = update_teacher(config.ema_gamma, teacher, student)
         if teacher is not fwd_teacher:
             fwd_teacher = None  # free the old copy before casting the new one
             fwd_teacher = teacher.astype(forward_dtype)

@@ -1,10 +1,13 @@
-"""Crash-safe file writes shared by every module that writes outputs."""
+"""File access shared by every module: crash-safe writes, and reads whose
+failures map onto the package errors."""
 from __future__ import annotations
 
 import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import MissingFile, UnreadableFile
 
 
 @contextmanager
@@ -25,3 +28,18 @@ def atomic_open(path, mode: str = "wb", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def open_input(path, what: str, mode: str = "rb", **kwargs):
+    """Open ``path`` for reading inside the block. A path that is not a file
+    raises ``MissingFile("<what> not found: <path>")``, and an open or a read
+    in the block that fails ``UnreadableFile("cannot read <what> <path>: ...")``.
+    """
+    try:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise MissingFile(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise UnreadableFile(f"cannot read {what} {path}: {exc.strerror or exc}") from exc

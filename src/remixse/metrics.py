@@ -24,14 +24,12 @@ from .autodiff import resample_array
 from .corpus import Manifest
 from .errors import (
     LengthMismatch,
-    MissingFile,
     ParseError,
     SampleRateMismatch,
     TooShort,
-    UnreadableFile,
     ZeroReference,
 )
-from .fileio import atomic_open
+from .fileio import atomic_open, open_input
 
 STOI_RATE = 10_000
 STOI_FRAME = 256
@@ -201,13 +199,8 @@ def read_pesq_csv(path) -> dict[str, float]:
     is not UTF-8, a row of fewer than two columns and a score that is not a
     finite number raise ParseError naming the line.
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-        raise MissingFile(f"PESQ CSV not found: {path}") from exc
-    except OSError as exc:
-        raise UnreadableFile(f"cannot read PESQ CSV {path}: {exc.strerror or exc}") from exc
+    with open_input(path, "PESQ CSV") as fh:
+        blob = fh.read()
     try:
         text = blob.decode("utf-8-sig")
     except UnicodeDecodeError as exc:

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .audio import DEFAULT_SAMPLE_RATE
-from .errors import ConfigMismatch, CorruptHeader, MissingFile, UnreadableFile, VersionMismatch
-from .fileio import atomic_open
+from .errors import ConfigMismatch, CorruptHeader, VersionMismatch
+from .fileio import atomic_open, open_input
 
 CHECKPOINT_MAGIC = b"RMXSE1"
 SIGMA_FLOOR = 1e-3
@@ -373,13 +373,8 @@ def load_checkpoint(path) -> Checkpoint:
     read from the file straight into its own buffer, so the payload is
     never held in memory twice.
     """
-    try:
-        with open(path, "rb") as fh:
-            return _read_checkpoint(fh)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-        raise MissingFile(f"checkpoint not found: {path}") from exc
-    except OSError as exc:
-        raise UnreadableFile(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
+    with open_input(path, "checkpoint") as fh:
+        return _read_checkpoint(fh)
 
 
 def _read_checkpoint(fh) -> Checkpoint:

@@ -60,13 +60,16 @@ def assert_grad_close(analytic, numeric, rtol=1e-4, atol=1e-7):
     assert np.all(diff <= bound), f"max violation {(diff - bound).max():.3e}"
 
 
-def fail_reading(monkeypatch, module, target, error, at="open"):
-    """Make ``module``'s ``open`` raise ``error`` for the path ``target``,
-    either when it is opened (``at="open"``) or when it is read
-    (``at="read"``); every other path opens normally. Tests inject read
-    errors this way because file permissions do not stop a root process."""
+def fail_reading(monkeypatch, target, error, at="open"):
+    """Make the package's reads (``fileio.open_input``) raise ``error`` for
+    the path ``target``, either when it is opened (``at="open"``) or when it
+    is read (``at="read"``); every other path opens normally. Tests inject
+    read errors this way because file permissions do not stop a root
+    process."""
     import builtins
     from pathlib import Path
+
+    import remixse.fileio
 
     real_open = builtins.open
 
@@ -92,4 +95,4 @@ def fail_reading(monkeypatch, module, target, error, at="open"):
             raise error
         return FailingRead(real_open(path, *args, **kwargs))
 
-    monkeypatch.setattr(module, "open", fake_open, raising=False)
+    monkeypatch.setattr(remixse.fileio, "open", fake_open, raising=False)

@@ -15,8 +15,8 @@ from remixse.audio import Permutation, Waveform, mix_batch_at_snr, read_wav
 from remixse.cli import main as cli_main
 from remixse.corpus import load_corpus, load_manifest
 from remixse.distill import (
+    DistillConfig,
     MixStrategy,
-    TeacherUpdateProtocol,
     TrainConfig,
     bootstrap_nytt,
     distill,
@@ -253,7 +253,7 @@ def test_criterion_4_teacher_update_protocols(desk_corpus, monkeypatch):
         snapshots = record_teacher_updates(monkeypatch)
         distill(
             teacher, noisy, None,
-            TrainConfig(epochs=3, strategy=MixStrategy.NYTT1, **base),
+            DistillConfig(epochs=3, strategy=MixStrategy.NYTT1, **base),
         )
         assert len(snapshots) == 3
         for snapshot in snapshots:
@@ -263,10 +263,7 @@ def test_criterion_4_teacher_update_protocols(desk_corpus, monkeypatch):
         teacher = init_model(TINY_CONFIG, seed=1)
         ema = distill(
             teacher, noisy, None,
-            TrainConfig(
-                epochs=1, strategy=MixStrategy.NYTT1,
-                tup=TeacherUpdateProtocol.ema(0.005), **base,
-            ),
+            DistillConfig(epochs=1, strategy=MixStrategy.NYTT1, ema_gamma=0.005, **base),
         )
         for name, p in ema.teacher.params.items():
             expected = 0.005 * ema.student.params[name].data + 0.995 * initial[name]

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 import remixse.audio
 import remixse.autodiff
-import remixse.corpus
 import remixse.distill
-import remixse.model
 from remixse.cli import OPTIONS, _resolve, build_parser, main
 from remixse.corpus import ManifestEntry, write_manifest
 from remixse.errors import RemixSEError, UsageError
@@ -199,6 +197,7 @@ def test_force_rerun_replaces_stats_instead_of_appending(workspace, tmp_path):
         ["distill", "--lr", "-1", "--epochs", "1"],
         ["bootstrap", "--batch-size", "0", "--epochs", "1"],
         ["distill", "--batch-size", "1", "--strategy", "nytt1", "--epochs", "1"],
+        ["distill", "--augment", "--segment", "1000", "--epochs", "1"],  # shifts 4000 of 1000
     ],
     ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
 )
@@ -216,6 +215,23 @@ def test_invalid_config_value_is_usage_error(workspace, tmp_path, capsys, argv):
     assert run(command, *inputs, *options, "--out", str(out)) == 2
     assert "invalid configuration" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # bootstrap has no strategy, and it skips the remix at one row
+        ["bootstrap", "--batch-size", "1", "--epochs", "1"],
+        # distill shifts only under --augment, so --shift-max 4000 is not checked
+        ["distill", "--segment", "1000", "--batch-size", "2", "--epochs", "1"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
+)
+def test_a_setting_the_command_does_not_use_is_not_checked(workspace, tmp_path, argv):
+    command, *options = argv
+    out = tmp_path / "model.ckpt"
+    assert run(command, *_training_inputs(workspace, command), *options, "--out", str(out)) == 0
+    assert load_checkpoint(out).epoch == 1
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +395,12 @@ def test_missing_checkpoint_is_missing_file(workspace, tmp_path, capsys, command
 def test_unreadable_input_file_exits_3(workspace, tmp_path, capsys, monkeypatch, target):
     data = workspace["data"]
     manifest = data / "noisy.manifest.jsonl"
-    module, path = {
-        "checkpoint": (remixse.model, workspace["ckpt"]),
-        "manifest": (remixse.corpus, manifest),
-        "wav": (remixse.audio, next((data / "noisy").glob("*.wav"))),
+    path = {
+        "checkpoint": workspace["ckpt"],
+        "manifest": manifest,
+        "wav": next((data / "noisy").glob("*.wav")),
     }[target]
-    fail_reading(monkeypatch, module, path, PermissionError(errno.EACCES, "Permission denied"))
+    fail_reading(monkeypatch, path, PermissionError(errno.EACCES, "Permission denied"))
     code = run("distill", "--teacher", str(workspace["ckpt"]), "--noisy", str(manifest),
                "--epochs", "1", "--out", str(tmp_path / "x.ckpt"))
     assert code == 3
@@ -532,6 +548,29 @@ def test_enhance_output_name_collision_is_usage_error(workspace, tmp_path):
                "--out", str(out_dir))
     assert code == 2
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["enhance", "evaluate"])
+def test_a_manifest_entry_that_is_a_directory_exits_3(workspace, tmp_path, capsys, command):
+    wav = next((workspace["data"] / "noisy").glob("*.wav"))
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / wav.name).write_bytes(wav.read_bytes())
+    (data / "dir.wav").mkdir()
+    manifest = data / "m.jsonl"
+    write_manifest(manifest, [
+        ManifestEntry("a", wav.name, "noisy", 1.0),
+        ManifestEntry("b", "dir.wav", "noisy", 1.0),
+    ])
+    out = tmp_path / "out"
+    argv = {
+        "enhance": ["--stages", str(workspace["ckpt"]), "--in", str(manifest), "--out", str(out)],
+        "evaluate": ["--ref", str(manifest), "--deg", str(manifest),
+                     "--report", str(out / "r.json")],
+    }[command]
+    assert run(command, *argv) == 3
+    assert f"line 2: missing file {data / 'dir.wav'}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import remixse.audio
-import remixse.corpus
-import remixse.model
 from remixse.audio import Waveform, read_wav
 from remixse.corpus import (
     ManifestEntry,
@@ -124,10 +121,12 @@ def test_manifest_unknown_field_rejected(tmp_path):
 
 
 def test_manifest_missing_file(tmp_path):
-    record = {"id": "a", "path": "ghost.wav", "role": "noisy", "duration_s": 0.1}
-    (tmp_path / "m.jsonl").write_text(json.dumps(record) + "\n")
-    with pytest.raises(MissingFile):
-        load_manifest(tmp_path / "m.jsonl")
+    (tmp_path / "dir.wav").mkdir()  # not a regular file either
+    for name in ("ghost.wav", "dir.wav"):
+        record = {"id": "a", "path": name, "role": "noisy", "duration_s": 0.1}
+        (tmp_path / "m.jsonl").write_text(json.dumps(record) + "\n")
+        with pytest.raises(MissingFile, match="line 1: missing file"):
+            load_manifest(tmp_path / "m.jsonl")
 
 
 def test_manifest_bad_json_reports_line(tmp_path):
@@ -277,14 +276,14 @@ def test_a_file_that_cannot_be_read_is_unreadable_file(tiny_corpus, tmp_path, mo
                                                        reader, at, error):
     manifest_path = tiny_corpus["noisy"]
     if reader == "manifest":
-        module, path, read = remixse.corpus, manifest_path, load_manifest
+        path, read = manifest_path, load_manifest
     elif reader == "wav":
         manifest = load_manifest(manifest_path)
-        module, path, read = remixse.audio, manifest.resolve(manifest.entries[0]), read_wav
+        path, read = manifest.resolve(manifest.entries[0]), read_wav
     else:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, Checkpoint(init_model(TINY_CONFIG, seed=0)))
-        module, read = remixse.model, load_checkpoint
-    fail_reading(monkeypatch, module, path, error, at)
+        read = load_checkpoint
+    fail_reading(monkeypatch, path, error, at)
     with pytest.raises(UnreadableFile, match="cannot read"):
         read(path)

@@ -5,10 +5,11 @@ import pytest
 import remixse.distill
 from remixse import autodiff as ad
 from remixse.audio import Permutation, mix_at_snr
+from remixse.cli import OPTIONS
 from remixse.corpus import load_corpus, load_manifest
 from remixse.distill import (
+    DistillConfig,
     MixStrategy,
-    TeacherUpdateProtocol,
     TrainConfig,
     bootstrap_nytt,
     build_student_batch,
@@ -22,6 +23,7 @@ from remixse.errors import (
     NonFiniteLoss,
     ShapeMismatch,
     UnexpectedExtNoise,
+    UsageError,
 )
 from remixse.model import TINY_CONFIG, DenoiserModel, init_model
 
@@ -159,14 +161,14 @@ def test_targets_are_bit_exact_copies():
 def test_update_teacher_static_returns_same_object():
     teacher = init_model(TINY_CONFIG, seed=0)
     student = init_model(TINY_CONFIG, seed=1)
-    out = update_teacher(TeacherUpdateProtocol.static(), teacher, student)
+    out = update_teacher(None, teacher, student)
     assert out is teacher
 
 
 def test_update_teacher_ema_gamma_one_copies_student():
     teacher = init_model(TINY_CONFIG, seed=0)
     student = init_model(TINY_CONFIG, seed=1)
-    out = update_teacher(TeacherUpdateProtocol.ema(1.0), teacher, student)
+    out = update_teacher(1.0, teacher, student)
     for name, p in out.params.items():
         assert np.array_equal(p.data, student.params[name].data)
 
@@ -178,16 +180,19 @@ def test_update_teacher_ema_default_arithmetic():
         p.data[...] = 1.0
     for p in student.parameters():
         p.data[...] = 0.0
-    out = update_teacher(TeacherUpdateProtocol.ema(), teacher, student)
+    out = update_teacher(0.005, teacher, student)  # the default --gamma
     for p in out.parameters():
         assert np.allclose(p.data, 0.995, atol=1e-15)
 
 
 def test_tup_validation():
-    with pytest.raises(ValueError):
-        TeacherUpdateProtocol("momentum")
-    with pytest.raises(ValueError):
-        TeacherUpdateProtocol.ema(0.0)
+    tup = next(o for o in OPTIONS if o.key == "train.tup")
+    with pytest.raises(UsageError):
+        tup.parse("momentum")
+    for gamma in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="gamma"):
+            DistillConfig(ema_gamma=gamma)
+    assert DistillConfig(ema_gamma=1.0).ema_gamma == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +217,7 @@ def test_epoch_batches_exact_division():
 # training loops (tiny corpora)
 # ---------------------------------------------------------------------------
 
-def _quick_config(**overrides):
+def _quick_config(factory=TrainConfig, **overrides):
     base = dict(
         epochs=1,
         batch_size=4,
@@ -221,7 +226,11 @@ def _quick_config(**overrides):
         seed=5,
     )
     base.update(overrides)
-    return TrainConfig(**base)
+    return factory(**base)
+
+
+def _distill_config(**overrides):
+    return _quick_config(DistillConfig, **overrides)
 
 
 @pytest.fixture(scope="module")
@@ -274,8 +283,8 @@ def record_teacher_updates(monkeypatch) -> list[dict[str, np.ndarray]]:
     """Snapshot the teacher that each epoch-boundary update returns."""
     snapshots = []
 
-    def recording(protocol, teacher, student):
-        updated = update_teacher(protocol, teacher, student)
+    def recording(ema_gamma, teacher, student):
+        updated = update_teacher(ema_gamma, teacher, student)
         snapshots.append({name: p.data.copy() for name, p in updated.params.items()})
         return updated
 
@@ -288,7 +297,7 @@ def test_distill_static_teacher_frozen(corpora, monkeypatch):
     teacher = init_model(TINY_CONFIG, seed=3)
     initial = {n: p.data.copy() for n, p in teacher.params.items()}
     snapshots = record_teacher_updates(monkeypatch)
-    result = distill(teacher, noisy, None, _quick_config(epochs=3, strategy=MixStrategy.NYTT1))
+    result = distill(teacher, noisy, None, _distill_config(epochs=3, strategy=MixStrategy.NYTT1))
     assert len(snapshots) == 3  # one per epoch boundary
     for snapshot in snapshots:
         for name, arr in snapshot.items():
@@ -306,7 +315,7 @@ def test_distill_ema_single_epoch_arithmetic(corpora):
         teacher,
         noisy,
         None,
-        _quick_config(epochs=1, strategy=MixStrategy.NYTT1, tup=TeacherUpdateProtocol.ema(gamma)),
+        _distill_config(epochs=1, strategy=MixStrategy.NYTT1, ema_gamma=gamma),
     )
     for name, p in result.teacher.params.items():
         expected = gamma * result.student.params[name].data + (1 - gamma) * initial[name]
@@ -317,7 +326,7 @@ def test_distill_student_learns(corpora):
     noisy, _ = corpora
     teacher = init_model(TINY_CONFIG, seed=6)
     initial = {n: p.data.copy() for n, p in teacher.params.items()}
-    result = distill(teacher, noisy, None, _quick_config(epochs=1, strategy=MixStrategy.CTT2))
+    result = distill(teacher, noisy, None, _distill_config(epochs=1, strategy=MixStrategy.CTT2))
     assert any(
         not np.array_equal(result.student.params[n].data, initial[n]) for n in initial
     )
@@ -329,7 +338,7 @@ def test_distill_ctt1_with_copied_student_is_a_fixed_point(corpora):
     noisy, _ = corpora
     teacher = init_model(TINY_CONFIG, seed=6)
     initial = {n: p.data.copy() for n, p in teacher.params.items()}
-    result = distill(teacher, noisy, None, _quick_config(epochs=1, strategy=MixStrategy.CTT1))
+    result = distill(teacher, noisy, None, _distill_config(epochs=1, strategy=MixStrategy.CTT1))
     assert result.stats.step_losses == [0.0, 0.0]
     for name, p in result.student.params.items():
         assert np.array_equal(p.data, initial[name])
@@ -340,12 +349,13 @@ def test_distill_replay_is_bit_identical(corpora):
     teacher = init_model(TINY_CONFIG, seed=7)
     losses = {}
     for augment in (False, True):
-        config = _quick_config(
+        config = _distill_config(
             epochs=2,
             strategy=MixStrategy.NYTT3,
-            tup=TeacherUpdateProtocol.ema(),
+            ema_gamma=0.005,
             seed=11,
-            augment_in_distill=augment,
+            shift=augment,
+            bandmask=augment,
         )
         r1 = distill(teacher.copy(np.float64), noisy, ext, config)
         r2 = distill(teacher.copy(np.float64), noisy, ext, config)
@@ -376,8 +386,8 @@ def test_distill_float32_teacher_forward_and_float64_ema_master(corpora, monkeyp
     initial = {n: p.data.copy() for n, p in teacher.params.items()}
     updates = []
 
-    def recording(protocol, old, student):
-        new = update_teacher(protocol, old, student)
+    def recording(ema_gamma, old, student):
+        new = update_teacher(ema_gamma, old, student)
         updates.append(({n: p.data.copy() for n, p in old.params.items()},
                         {n: p.data.copy() for n, p in student.params.items()}, new))
         return new
@@ -385,7 +395,7 @@ def test_distill_float32_teacher_forward_and_float64_ema_master(corpora, monkeyp
     monkeypatch.setattr(remixse.distill, "update_teacher", recording)
     calls = _record_forwards(monkeypatch)
     gamma = 0.25
-    config = _quick_config(epochs=2, strategy=MixStrategy.NYTT1, tup=TeacherUpdateProtocol.ema(gamma))
+    config = _distill_config(epochs=2, strategy=MixStrategy.NYTT1, ema_gamma=gamma)
     result = distill(teacher, noisy, None, config)
 
     teacher_calls = [(dtype, params) for grad, dtype, params in calls if not grad]
@@ -417,7 +427,7 @@ def test_distill_static_float32_teacher_is_returned_unchanged(corpora, monkeypat
     teacher = init_model(TINY_CONFIG, seed=3).astype(np.float32)
     initial = {n: p.data.copy() for n, p in teacher.params.items()}
     calls = _record_forwards(monkeypatch)
-    result = distill(teacher, noisy, None, _quick_config(epochs=2, strategy=MixStrategy.NYTT1))
+    result = distill(teacher, noisy, None, _distill_config(epochs=2, strategy=MixStrategy.NYTT1))
     assert result.teacher is teacher
     assert all(np.array_equal(p.data, initial[n]) for n, p in teacher.params.items())
     teacher_dtypes = [dtype for grad, dtype, _ in calls if not grad]
@@ -441,16 +451,52 @@ def test_distill_ext_noise_consistency(corpora):
     noisy, ext = corpora
     teacher = init_model(TINY_CONFIG, seed=8)
     with pytest.raises(MissingExtNoise):
-        distill(teacher, noisy, None, _quick_config(strategy=MixStrategy.CTT3))
+        distill(teacher, noisy, None, _distill_config(strategy=MixStrategy.CTT3))
     with pytest.raises(UnexpectedExtNoise):
-        distill(teacher, noisy, ext, _quick_config(strategy=MixStrategy.NYTT1))
+        distill(teacher, noisy, ext, _distill_config(strategy=MixStrategy.NYTT1))
 
 
 def test_distill_batch_size_guard(corpora):
     noisy, _ = corpora
     teacher = init_model(TINY_CONFIG, seed=9)
     with pytest.raises(ValueError):
-        distill(teacher, noisy, None, _quick_config(batch_size=1, strategy=MixStrategy.NYTT1))
+        distill(teacher, noisy, None, _distill_config(batch_size=1, strategy=MixStrategy.NYTT1))
+    for strategy in MixStrategy:  # only a shuffle of noise rows needs a second row
+        if strategy.uses_shuffled_noise:
+            with pytest.raises(ValueError, match="shuffles noise between rows"):
+                _distill_config(batch_size=1, strategy=strategy)
+    assert _distill_config(batch_size=1, strategy=MixStrategy.CTT1).batch_size == 1
+    assert _quick_config(batch_size=1).batch_size == 1  # bootstrap has no strategy
+
+
+@pytest.mark.parametrize("shift, bandmask", [(False, False), (True, False), (False, True)])
+def test_distill_augments_exactly_when_shift_or_bandmask_is_set(corpora, monkeypatch, shift,
+                                                                bandmask):
+    noisy, _ = corpora
+    built, trained = [], []
+    build, train = remixse.distill.build_student_batch, remixse.distill._train
+
+    def recording_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def recording_train(model, num_utterances, make_batch, *args):
+        def recording_make_batch(indices):
+            trained.append(make_batch(indices))
+            return trained[-1]
+
+        return train(model, num_utterances, recording_make_batch, *args)
+
+    monkeypatch.setattr(remixse.distill, "build_student_batch", recording_build)
+    monkeypatch.setattr(remixse.distill, "_train", recording_train)
+    config = _distill_config(shift=shift, bandmask=bandmask)
+    distill(init_model(TINY_CONFIG, seed=2), noisy, None, config)
+    assert len(built) == len(trained) == 2
+    for (y, target), (y_in, target_in) in zip(built, trained):
+        if shift or bandmask:
+            assert not np.array_equal(y_in, y)
+        else:  # the very arrays the strategy built, not target + (y - target)
+            assert y_in is y and target_in is target
 
 
 def test_bootstrap_smoke_learning(tmp_path):

@@ -1,13 +1,18 @@
-"""Output files are replaced whole: a write that fails leaves the old file."""
+"""Output files are replaced whole: a write that fails leaves the old file.
+Every reader names what it could not read in the same words."""
 import builtins
+import errno
 
 import numpy as np
 import pytest
 
 from remixse import fileio
-from remixse.audio import Waveform, write_wav
-from remixse.corpus import ManifestEntry, write_manifest
-from remixse.metrics import MetricReport, UtteranceScore
+from remixse.audio import Waveform, read_wav, write_wav
+from remixse.corpus import ManifestEntry, load_manifest, write_manifest
+from remixse.errors import MissingFile, UnreadableFile
+from remixse.metrics import MetricReport, UtteranceScore, read_pesq_csv
+from remixse.model import load_checkpoint
+from conftest import fail_reading
 
 
 class _FailingFile:
@@ -59,3 +64,21 @@ def test_write_failing_midway_leaves_old_file(tmp_path, monkeypatch, kind):
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
     _writes(path, 2)[kind]()
     assert path.read_bytes() != before
+
+
+@pytest.mark.parametrize(
+    "read, what",
+    [(read_wav, "WAV file"), (load_manifest, "manifest"), (read_pesq_csv, "PESQ CSV"),
+     (load_checkpoint, "checkpoint")],
+    ids=["wav", "manifest", "pesq", "checkpoint"],
+)
+def test_readers_name_what_they_could_not_read(tmp_path, monkeypatch, read, what):
+    path = tmp_path / "input"
+    with pytest.raises(MissingFile) as err:
+        read(path)
+    assert str(err.value) == f"{what} not found: {path}"
+    path.write_bytes(b"x")
+    fail_reading(monkeypatch, path, PermissionError(errno.EACCES, "Permission denied"))
+    with pytest.raises(UnreadableFile) as err:
+        read(path)
+    assert str(err.value) == f"cannot read {what} {path}: Permission denied"

@@ -211,17 +211,15 @@ def test_evaluate_merges_external_pesq(tmp_path):
     ],
 )
 def test_read_pesq_csv_raises_package_errors(tmp_path, monkeypatch, case, body, error, match):
-    import remixse.metrics
-
     path = tmp_path / "pesq.csv"
     if case == "directory":
         path.mkdir()
     elif body is not None:
         path.write_bytes(body)
     if case == "open-eacces":
-        fail_reading(monkeypatch, remixse.metrics, path, PermissionError(errno.EACCES, "denied"))
+        fail_reading(monkeypatch, path, PermissionError(errno.EACCES, "denied"))
     elif case == "read-eio":
-        fail_reading(monkeypatch, remixse.metrics, path, OSError(errno.EIO, "I/O error"), "read")
+        fail_reading(monkeypatch, path, OSError(errno.EIO, "I/O error"), "read")
     with pytest.raises(error, match=match):
         read_pesq_csv(path)
 
