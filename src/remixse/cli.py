@@ -217,8 +217,11 @@ def _resolve(command: str, namespace: argparse.Namespace) -> SimpleNamespace:
 
 
 def _sha256(path) -> str:
+    digest = hashlib.sha256()
     with open_input(path, "checkpoint") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _check_outputs(force: bool, *paths) -> None:
@@ -329,9 +332,7 @@ def cmd_bootstrap(args: SimpleNamespace) -> int:
     out_path = Path(args.out)
     stats_path = Path(args.stats) if args.stats else out_path.with_suffix(".stats.jsonl")
     _check_outputs(args.force, out_path, stats_path)
-    config = _train_config(
-        args, distill_mod.TrainConfig, shift=args.shift, remix=args.remix, bandmask=args.bandmask
-    )
+    config = _train_config(args, distill_mod.TrainConfig, shift=args.shift, bandmask=args.bandmask)
     model_config = _model_config(args)
 
     noisy_manifest = corpus_mod.load_manifest(args.noisy)
@@ -342,7 +343,9 @@ def cmd_bootstrap(args: SimpleNamespace) -> int:
 
     _make_parents(out_path, stats_path)
     model = init_model(model_config, seed=args.seed).astype(np.float32)
-    model, stats = distill_mod.bootstrap_nytt(noisy, ext, model, config, sample_rate_hz=rate)
+    model, stats = distill_mod.bootstrap_nytt(
+        noisy, ext, model, config, sample_rate_hz=rate, remix=args.remix
+    )
 
     save_checkpoint(out_path, Checkpoint(model, config.epochs, args.seed, rate))
     distill_mod.write_stats(stats_path, stats)

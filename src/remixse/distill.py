@@ -7,9 +7,9 @@ lets a frozen-per-epoch teacher estimate speech and noise from noisy
 batches, remixes those estimates (or the raw noisy speech) into fresh
 input/target pairs per the selected strategy, and trains a student on them.
 
-``bootstrap_nytt`` takes a ``TrainConfig``; ``distill`` takes a
-``DistillConfig``, which adds the strategy and the EMA weight and defaults
-augmentation to off.
+``bootstrap_nytt`` takes a ``TrainConfig`` and a ``remix`` switch; ``distill``
+takes a ``DistillConfig``, which adds the strategy and the EMA weight and
+defaults augmentation to off.
 
 Training computes in the dtype of the model it is handed: a float32 model
 runs its forward and backward in float32 on a float64 Adam master (see
@@ -78,7 +78,6 @@ class TrainConfig:
     snr_high_db: float = 5.0
     shift: bool = True
     shift_max_samples: int = 4_000
-    remix: bool = True
     bandmask: bool = True
     bandmask_fraction: float = 0.2
     seed: int = 0
@@ -105,7 +104,7 @@ class TrainConfig:
 class DistillConfig(TrainConfig):
     """``distill``'s settings: the loop's, the strategy and the EMA weight
     (None: a static teacher). Setting ``shift`` or ``bandmask``, both off by
-    default, turns augmentation on; ``remix`` is bootstrap's and unused here."""
+    default, turns augmentation on."""
 
     shift: bool = False
     bandmask: bool = False
@@ -227,13 +226,14 @@ def bootstrap_nytt(
     model: DenoiserModel,
     config: TrainConfig,
     sample_rate_hz: int = 16_000,
+    remix: bool = True,
 ) -> tuple[DenoiserModel, TrainStats]:
     """Train the initial model: input = noisy + extraneous noise at a random
     SNR in [snr_low_db, snr_high_db], target = the noisy speech itself.
 
     Augmentation order per batch: SNR-scale ext noise -> Remix (permute noise
-    rows) -> BandMask (noise component) -> sum -> joint Shift. Deterministic
-    given config.seed.
+    rows, if ``remix`` and the batch has two or more) -> BandMask (noise
+    component) -> sum -> joint Shift. Deterministic given config.seed.
     """
     if not noisy_corpus:
         raise EmptyCorpus("noisy corpus is empty")
@@ -248,7 +248,7 @@ def bootstrap_nytt(
         noise = _gather_rows(ext_noise_corpus, noise_idx, segment, rng)
         snrs = rng.uniform(config.snr_low_db, config.snr_high_db, size=config.batch_size)
         _, scaled = mix_batch_at_snr(x, noise, snrs)
-        if config.remix and config.batch_size >= 2:
+        if remix and config.batch_size >= 2:
             scaled = scaled[rng.permutation(config.batch_size)]
         return _augment(x, scaled, config, sample_rate_hz, rng)
 

@@ -321,13 +321,12 @@ def test_criterion_6_bootstrap_smoke(tmp_path):
             segment_samples=2000,
             learning_rate=3e-4,
             shift=False,
-            remix=False,
             bandmask=False,
             seed=0,
         )
         model = init_model(TINY_CONFIG, seed=0)
         start = time.perf_counter()
-        model, stats = bootstrap_nytt(noisy, ext, model, config)
+        model, stats = bootstrap_nytt(noisy, ext, model, config, remix=False)
         elapsed = time.perf_counter() - start
         losses = np.array(stats.step_losses)
         assert len(losses) == 200

@@ -1,5 +1,6 @@
 """CLI command behavior, exit codes, config files, and output echoing."""
 import errno
+import hashlib
 import json
 import re
 import weakref
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import remixse.audio
 import remixse.autodiff
 import remixse.distill
-from remixse.cli import OPTIONS, _resolve, build_parser, main
+from remixse.cli import OPTIONS, _resolve, _sha256, build_parser, main
 from remixse.corpus import ManifestEntry, write_manifest
 from remixse.errors import RemixSEError, UsageError
 from remixse.model import DenoiserModel, load_checkpoint
@@ -92,7 +93,15 @@ def test_bootstrap_outputs_exist(workspace):
     assert set(record) == {"epoch", "mean_loss", "seconds", "steps"}
     resolved = (workspace["ckpt"].parent / "resolved.cfg").read_text()
     assert "train.epochs=1" in resolved
-    assert "hash.checkpoint=" in resolved
+    digest = hashlib.sha256(workspace["ckpt"].read_bytes()).hexdigest()
+    assert f"hash.checkpoint={digest}" in resolved
+
+
+def test_checkpoint_hash_reads_in_chunks(tmp_path):
+    # spans several of the helper's 1 MiB reads, the last one short
+    data = np.random.default_rng(0).bytes(3 * (1 << 20) + 5)
+    (tmp_path / "big.ckpt").write_bytes(data)
+    assert _sha256(tmp_path / "big.ckpt") == hashlib.sha256(data).hexdigest()
 
 
 def test_bootstrap_rejects_clean_manifest_as_noisy(workspace, tmp_path):

@@ -195,6 +195,8 @@ def test_tup_validation():
     assert DistillConfig(ema_gamma=1.0).ema_gamma == 1.0
 
 
+
+
 # ---------------------------------------------------------------------------
 # epoch batching
 # ---------------------------------------------------------------------------
@@ -277,6 +279,21 @@ def test_bootstrap_stats_shape(corpora):
     assert stats.epochs[0].steps == 2  # 8 utterances / batch 4
     assert len(stats.step_losses) == 4
     assert all(np.isfinite(e.mean_loss) for e in stats.epochs)
+
+
+def test_remix_is_a_bootstrap_switch(corpora):
+    # distill never remixes the bootstrap way, so no config carries the switch
+    with pytest.raises(TypeError):
+        DistillConfig(remix=False)
+    with pytest.raises(TypeError):
+        TrainConfig(remix=False)
+    noisy, ext = corpora
+    losses = [
+        bootstrap_nytt(noisy, ext, init_model(TINY_CONFIG, seed=1), _quick_config(), remix=remix)[1]
+        .step_losses
+        for remix in (True, False)
+    ]
+    assert losses[0] != losses[1]
 
 
 def record_teacher_updates(monkeypatch) -> list[dict[str, np.ndarray]]:
@@ -516,11 +533,10 @@ def test_bootstrap_smoke_learning(tmp_path):
         segment_samples=2000,
         learning_rate=3e-4,
         shift=False,
-        remix=False,
         bandmask=False,
         seed=0,
     )
-    model, stats = bootstrap_nytt(noisy, ext, init_model(TINY_CONFIG, seed=0), config)
+    model, stats = bootstrap_nytt(noisy, ext, init_model(TINY_CONFIG, seed=0), config, remix=False)
     losses = np.array(stats.step_losses)
     assert len(losses) == 200
     ratio = losses[-10:].mean() / losses[:10].mean()
