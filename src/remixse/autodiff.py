@@ -16,10 +16,21 @@ needs, and ``backward`` replays the closures in exact reverse creation
 order, releasing each node as it goes. An op is recorded only if one of its
 inputs requires a gradient, so constants (model inputs, loss targets) cost
 nothing in backward.
+
+A training step is one call, ``adam_step(params, state, loss)``. It runs
+``backward`` and hides Adam behind it: a parameter's gradient is final once
+the last op that consumed the parameter has run its closure, which for the
+decoder and the LSTM comes long before the walk ends. The step then hands
+that parameter's update to a worker thread, which applies it while backward
+goes on, and releases the gradient, so the step's gradients never all exist
+at once. The worker lives only for the call: it is joined before
+``adam_step`` returns, also when a closure raises. The large numpy and BLAS
+calls on both threads release the GIL, so the two run at the same time.
 """
 from __future__ import annotations
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -125,7 +136,7 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
         t.grad += g
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, final=None) -> None:
     """Backpropagate from a scalar loss, filling ``.grad`` on the leaves it reaches.
 
     Leaves are tensors without a backward closure (parameters and inputs);
@@ -133,10 +144,16 @@ def backward(loss: Tensor) -> None:
     the node drops its gradient, its closure and its parents, so activations
     are freed during the walk instead of when the caller drops the loss. A
     graph can therefore be backpropagated once.
+
+    ``final(leaf)``, if given, is called once for each leaf that requires a
+    gradient and feeds a node of the graph, as soon as the closures of all
+    the nodes it feeds have run: its ``.grad`` is then final, and nothing
+    left in the walk reads its data.
     """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
     nodes: list[Tensor] = []
+    consumers: dict[int, int] = {}  # id(leaf) -> nodes it feeds, per edge
     seen: set[int] = set()
     stack = [loss]
     while stack:
@@ -146,6 +163,9 @@ def backward(loss: Tensor) -> None:
         seen.add(id(t))
         nodes.append(t)
         stack.extend(t._parents)
+        for p in t._parents:
+            if p._backward is None and p.requires_grad:
+                consumers[id(p)] = consumers.get(id(p), 0) + 1
     # Creation order is execution order, so popping the highest ``_seq`` first
     # is exact reverse execution order. A popped node's children have all run.
     nodes.sort(key=lambda t: t._seq)
@@ -156,9 +176,15 @@ def backward(loss: Tensor) -> None:
             continue
         if t.grad is not None:
             t._backward(t.grad)
+        parents = t._parents
         t.grad = None
         t._backward = None
         t._parents = ()
+        for p in parents:
+            if id(p) in consumers:
+                consumers[id(p)] -= 1
+                if consumers[id(p)] == 0 and final is not None:
+                    final(p)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +630,9 @@ class AdamState:
     Adam updates, for each parameter that is not float64 (a float32 model
     trains on a float64 master; the parameter holds float32(master)). For a
     float64 parameter ``master`` holds ``None`` and Adam updates the
-    parameter itself.
+    parameter itself. A parameter's moments and master are made at its
+    first update, by the thread that applies it; until then its ``m`` entry
+    is ``None``.
     """
 
     step_size: float = 3e-4
@@ -618,17 +646,51 @@ class AdamState:
 
     def ensure(self, params) -> None:
         if not self.m:
-            self.m = [np.zeros(p.data.shape) for p in params]
-            self.v = [np.zeros(p.data.shape) for p in params]
-            self.master = [
-                None if p.data.dtype == np.float64 else p.data.astype(np.float64) for p in params
-            ]
+            self.m, self.v, self.master = ([None] * len(params) for _ in range(3))
         for p, m in zip(params, self.m):
-            if p.data.shape != m.shape:
+            if m is not None and p.data.shape != m.shape:
                 raise ValueError("AdamState moments do not match parameter shapes")
 
 
-def adam_step(params, state: AdamState) -> None:
+def _adam_update(p: Tensor, state: AdamState, i: int, bc1: float, bc2: float, scratch) -> None:
+    """Apply the Adam update to ``p``, parameter ``i`` of ``state``, block by block."""
+    if state.m[i] is None:
+        state.m[i], state.v[i] = np.zeros(p.data.shape), np.zeros(p.data.shape)
+        state.master[i] = None if p.data.dtype == np.float64 else p.data.astype(np.float64)
+    m, v, master = state.m[i], state.v[i], state.master[i]
+    if not (p.data.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+        raise ValueError("adam_step needs C-contiguous parameters and moments")
+    beta1, beta2 = state.beta1, state.beta2
+    s1, s2, s3 = scratch
+    p_flat, m_flat, v_flat = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
+    w_flat = p_flat if master is None else master.reshape(-1)
+    g_flat = np.zeros(p_flat.size) if p.grad is None else np.ravel(p.grad)
+    for lo in range(0, p_flat.size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, p_flat.size)
+        a, b = s1[: hi - lo], s2[: hi - lo]
+        g, mb, vb = g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
+        if master is not None:  # square and scale in float64, not float32
+            g = s3[: hi - lo]
+            np.copyto(g, g_flat[lo:hi])
+        mb *= beta1
+        np.multiply(1.0 - beta1, g, out=a)
+        mb += a
+        vb *= beta2
+        np.multiply(g, g, out=a)
+        a *= 1.0 - beta2
+        vb += a
+        np.divide(mb, bc1, out=a)
+        a *= state.step_size
+        np.divide(vb, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += state.epsilon
+        a /= b
+        w_flat[lo:hi] -= a
+        if master is not None:
+            np.copyto(p_flat[lo:hi], w_flat[lo:hi])
+
+
+def adam_step(params, state: AdamState, loss: Tensor | None = None) -> None:
     """One in-place Adam update with bias correction. Missing grads count as zero.
 
     Each parameter is updated in blocks of ``ADAM_BLOCK`` elements through
@@ -645,41 +707,47 @@ def adam_step(params, state: AdamState) -> None:
     arithmetic, and the updated block is rounded back into the parameter.
     Parameters and moments must be C-contiguous, because the update writes
     through flat views of them.
+
+    The updates run on one worker thread, started and joined within the
+    call. Given ``loss``, the step first backpropagates it with ``backward``
+    and hands each parameter to the worker as soon as its gradient is final,
+    so the update overlaps the rest of the walk; it then releases
+    (``grad = None``) each gradient it computed, once applied. A gradient the
+    caller had set before the call is kept. Without ``loss`` every gradient
+    is final already; the worker applies them all and keeps them. The result
+    does not depend on the order: each update reads and writes only its own
+    parameter's arrays. If backward raises, the updates not yet begun are
+    dropped and the error propagates once the worker has stopped.
     """
     state.ensure(params)
     state.timestep += 1
-    t = state.timestep
-    beta1, beta2 = state.beta1, state.beta2
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - state.beta1**state.timestep
+    bc2 = 1.0 - state.beta2**state.timestep
     size = min(ADAM_BLOCK, max((p.data.size for p in params), default=0))
-    s1, s2, s3 = np.empty(size), np.empty(size), np.empty(size)
-    for p, m, v, master in zip(params, state.m, state.v, state.master):
-        if not (p.data.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
-            raise ValueError("adam_step needs C-contiguous parameters and moments")
-        p_flat, m_flat, v_flat = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
-        w_flat = p_flat if master is None else master.reshape(-1)
-        g_flat = np.zeros(p_flat.size) if p.grad is None else np.ravel(p.grad)
-        for lo in range(0, p_flat.size, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, p_flat.size)
-            a, b = s1[: hi - lo], s2[: hi - lo]
-            g, mb, vb = g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
-            if master is not None:  # square and scale in float64, not float32
-                g = s3[: hi - lo]
-                np.copyto(g, g_flat[lo:hi])
-            mb *= beta1
-            np.multiply(1.0 - beta1, g, out=a)
-            mb += a
-            vb *= beta2
-            np.multiply(g, g, out=a)
-            a *= 1.0 - beta2
-            vb += a
-            np.divide(mb, bc1, out=a)
-            a *= state.step_size
-            np.divide(vb, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += state.epsilon
-            a /= b
-            w_flat[lo:hi] -= a
-            if master is not None:
-                np.copyto(p_flat[lo:hi], w_flat[lo:hi])
+    scratch = (np.empty(size), np.empty(size), np.empty(size))
+    release = [loss is not None and p.grad is None for p in params]
+    waiting = {id(p): i for i, p in enumerate(params)}
+
+    def update(i):
+        _adam_update(params[i], state, i, bc1, bc2, scratch)
+        if release[i]:
+            params[i].grad = None
+
+    futures = []
+    with ThreadPoolExecutor(max_workers=1) as worker:
+
+        def submit(p):
+            i = waiting.pop(id(p), None)
+            if i is not None:
+                futures.append(worker.submit(update, i))
+
+        if loss is not None:
+            try:
+                backward(loss, final=submit)
+            except BaseException:
+                worker.shutdown(cancel_futures=True)
+                raise
+        for p in params:  # those the graph did not reach, or all without loss
+            submit(p)
+    for future in futures:
+        future.result()

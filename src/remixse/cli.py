@@ -9,7 +9,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -25,7 +24,7 @@ from . import inference as inference_mod
 from . import metrics as metrics_mod
 from .audio import DEFAULT_SAMPLE_RATE
 from .errors import RemixSEError, UsageError
-from .fileio import atomic_open, open_input
+from .fileio import atomic_open
 from .model import (
     PAPER_CONFIG,
     TINY_CONFIG,
@@ -172,8 +171,12 @@ OPTIONS = (
 
 # Every key of any command, as _echo_resolved writes it: an option's config
 # key, or <command>.<dest> for one without. So a run's resolved.cfg (which
-# also holds hash.* lines) can be passed back as --config.
+# also holds hash.* and env.* lines, ignored on input) can be passed back as
+# --config.
 _KNOWN_KEYS = frozenset(o.key or f"{c}.{o.dest}" for o in OPTIONS for c in o.commands)
+_RECORD_ONLY = ("hash.", "env.")
+# The thread-count variables that BLAS and OpenMP builds read at start-up.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 
 def _options(command: str) -> list[Option]:
@@ -209,19 +212,11 @@ def _resolve(command: str, namespace: argparse.Namespace) -> SimpleNamespace:
         for key, text in _parse_config_file(config_path).items():
             if key in by_key:
                 resolved[by_key[key].dest] = by_key[key].parse(text)
-            elif key not in _KNOWN_KEYS and not key.startswith("hash."):
+            elif key not in _KNOWN_KEYS and not key.startswith(_RECORD_ONLY):
                 raise UsageError(f"{config_path}: unknown config key {key!r}")
     resolved.update(vars(namespace))
     del resolved["command"], resolved["config"]
     return SimpleNamespace(**resolved)
-
-
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open_input(path, "checkpoint") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _check_outputs(force: bool, *paths) -> None:
@@ -246,6 +241,17 @@ def _build_config(factory, *args, **kwargs):
         raise UsageError(f"invalid configuration: {exc}") from exc
 
 
+def _numeric_environment() -> dict[str, str | None]:
+    """The BLAS build and the thread variables that floating-point results
+    depend on (see the README): ``blas`` is numpy's BLAS name and version."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError, ValueError):  # numpy < 1.26 has no mode="dicts"
+        name = "unknown"
+    return {"blas": name, **{var: os.environ.get(var) for var in _THREAD_VARS}}
+
+
 def _echo_resolved(out_dir, command: str, resolved: SimpleNamespace, hashes: dict[str, str]) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,6 +262,8 @@ def _echo_resolved(out_dir, command: str, resolved: SimpleNamespace, hashes: dic
         lines.append(f"{key}={value}")
     for name, digest in sorted(hashes.items()):
         lines.append(f"hash.{name}={digest}")
+    for name, value in _numeric_environment().items():
+        lines.append(f"env.{name}={value}")
     with atomic_open(out_dir / "resolved.cfg", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -347,12 +355,12 @@ def cmd_bootstrap(args: SimpleNamespace) -> int:
         noisy, ext, model, config, sample_rate_hz=rate, remix=args.remix
     )
 
-    save_checkpoint(out_path, Checkpoint(model, config.epochs, args.seed, rate))
+    digest = save_checkpoint(out_path, Checkpoint(model, config.epochs, args.seed, rate))
     distill_mod.write_stats(stats_path, stats)
     hashes = {
         "noisy_corpus": corpus_mod.corpus_hash(noisy_manifest),
         "noise_corpus": corpus_mod.corpus_hash(noise_manifest),
-        "checkpoint": _sha256(out_path),
+        "checkpoint": digest,
     }
     _echo_resolved(out_path.parent, "bootstrap", args, hashes)
     print(f"bootstrap done: {config.epochs} epochs, final loss {stats.epochs[-1].mean_loss:.6f}")
@@ -388,7 +396,7 @@ def cmd_distill(args: SimpleNamespace) -> int:
     noisy = corpus_mod.load_corpus(noisy_manifest, expect_role="noisy")
     hashes = {
         "noisy_corpus": corpus_mod.corpus_hash(noisy_manifest),
-        "teacher_checkpoint": _sha256(args.teacher),
+        "teacher_checkpoint": teacher_ckpt[0].sha256,
     }
     ext = None
     if strategy.needs_ext_noise:
@@ -399,12 +407,13 @@ def cmd_distill(args: SimpleNamespace) -> int:
     _make_parents(*outputs)
     result = distill_mod.distill(teacher_ckpt.pop().model, noisy, ext, config, sample_rate_hz=rate)
 
-    save_checkpoint(out_path, Checkpoint(result.student, epochs, args.seed, rate))
+    hashes["checkpoint"] = save_checkpoint(
+        out_path, Checkpoint(result.student, epochs, args.seed, rate)
+    )
     if ema:
         save_checkpoint(teacher_out, Checkpoint(result.teacher, epochs, args.seed, rate))
         print(f"combined teacher checkpoint {teacher_out}")
     distill_mod.write_stats(stats_path, result.stats)
-    hashes["checkpoint"] = _sha256(out_path)
     _echo_resolved(out_path.parent, "distill", args, hashes)
     print(
         f"distill done: {strategy.value}+{args.tup}, {epochs} epochs, "
@@ -436,7 +445,7 @@ def cmd_enhance(args: SimpleNamespace) -> int:
         out_dir,
         "enhance",
         args,
-        {"input_corpus": corpus_mod.corpus_hash(manifest), "stages": _sha256_list(plan.sources)},
+        {"input_corpus": corpus_mod.corpus_hash(manifest), "stages": ",".join(plan.sources)},
     )
     ok = len(report.results) - len(report.failures)
     print(f"enhanced {ok}/{len(report.results)} files into {out_dir}")
@@ -449,10 +458,6 @@ def cmd_enhance(args: SimpleNamespace) -> int:
             f"(first error: {first.id}: {first.error})"
         )
     return 0
-
-
-def _sha256_list(paths) -> str:
-    return ",".join(_sha256(p) for p in paths)
 
 
 def cmd_evaluate(args: SimpleNamespace) -> int:

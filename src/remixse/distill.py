@@ -15,6 +15,12 @@ Training computes in the dtype of the model it is handed: a float32 model
 runs its forward and backward in float32 on a float64 Adam master (see
 ``autodiff.adam_step``), and a float64 model trains in float64 throughout.
 Adam's moments and the EMA teacher are float64 either way.
+
+Each training step makes one ``autodiff.adam_step`` call with the step's
+loss: it runs backward and applies each parameter's Adam update on a
+worker thread as soon as that parameter's gradient is final, then frees
+the gradient. The worker is joined before the call returns, so the
+trainers leave no thread behind, and a trained model holds no gradients.
 """
 from __future__ import annotations
 
@@ -198,17 +204,16 @@ def _train(
     adam = ad.AdamState(step_size=config.learning_rate)
     loss_fn = ad.mae_loss if config.loss == "mae" else ad.mse_loss
     params = model.parameters()
+    model.zero_grads()  # so each step's gradients are its own, and it releases them
     stats = TrainStats()
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         epoch_losses: list[float] = []
         for step, indices in enumerate(epoch_batches(num_utterances, config.batch_size, rng)):
             y, target = make_batch(indices)
-            model.zero_grads()
             loss = loss_fn(model.apply(y), target)
             value = _check_finite(float(loss.data), epoch, step)
-            ad.backward(loss)
-            ad.adam_step(params, adam)
+            ad.adam_step(params, adam, loss)
             epoch_losses.append(value)
             stats.step_losses.append(value)
         if end_epoch is not None:
@@ -216,7 +221,6 @@ def _train(
         stats.epochs.append(
             EpochStats(epoch, float(np.mean(epoch_losses)), time.perf_counter() - t0, len(epoch_losses))
         )
-    model.zero_grads()
     return stats
 
 

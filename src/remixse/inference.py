@@ -26,7 +26,8 @@ from .model import DenoiserModel, load_checkpoint
 
 @dataclass
 class InferencePlan:
-    """Ordered enhancement stages plus where each model came from.
+    """Ordered enhancement stages plus where each model came from: the
+    SHA-256 of its checkpoint file (``from_checkpoints``) or a label.
 
     The models are cast to float32 once, here.
     """
@@ -44,12 +45,11 @@ class InferencePlan:
 
     @classmethod
     def from_checkpoints(cls, paths) -> "InferencePlan":
-        paths = [Path(p) for p in paths]
         ckpts = [load_checkpoint(p) for p in paths]
         rates = {c.sample_rate_hz for c in ckpts}
         if len(rates) != 1:
             raise SampleRateMismatch(f"stages disagree on sample rate: {sorted(rates)}")
-        return cls([c.model for c in ckpts], [str(p) for p in paths], rates.pop())
+        return cls([c.model for c in ckpts], [c.sha256 for c in ckpts], rates.pop())
 
     @property
     def num_stages(self) -> int:

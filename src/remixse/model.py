@@ -11,6 +11,7 @@ A ``Checkpoint`` carries a model, stored as float32 and loaded back exactly.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -268,12 +269,17 @@ def ema_combine(teacher: DenoiserModel, student: DenoiserModel, gamma: float) ->
 
 @dataclass
 class Checkpoint:
-    """A model and its provenance: training epochs, seed and sample rate."""
+    """A model and its provenance: training epochs, seed and sample rate.
+
+    ``sha256`` is the hex SHA-256 of the file ``load_checkpoint`` read it
+    from, taken in the same pass (None for a checkpoint built in memory).
+    """
 
     model: DenoiserModel
     epoch: int = 0
     seed: int | None = None
     sample_rate_hz: int = DEFAULT_SAMPLE_RATE
+    sha256: str | None = None
 
 
 def _header_dict(ckpt: Checkpoint, manifest: list[dict]) -> dict:
@@ -289,8 +295,9 @@ def _header_dict(ckpt: Checkpoint, manifest: list[dict]) -> dict:
     }
 
 
-def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write the model's parameters and the provenance.
+def save_checkpoint(path, ckpt: Checkpoint) -> str:
+    """Write the model's parameters and the provenance; returns the hex
+    SHA-256 of the bytes written.
 
     File layout: magic, newline, JSON text header, NUL, float32 payload
     (little-endian, declaration order), trailing CRC32 of the payload."""
@@ -305,12 +312,13 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         offset += len(raw)
     payload = b"".join(chunks)
     header = json.dumps(_header_dict(ckpt, manifest), sort_keys=True, separators=(",", ":"))
+    crc = (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little")
+    digest = hashlib.sha256()
     with atomic_open(path) as fh:
-        fh.write(CHECKPOINT_MAGIC + b"\n")
-        fh.write(header.encode("utf-8"))
-        fh.write(b"\x00")
-        fh.write(payload)
-        fh.write((zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little"))
+        for part in (CHECKPOINT_MAGIC + b"\n", header.encode("utf-8"), b"\x00", payload, crc):
+            fh.write(part)
+            digest.update(part)
+    return digest.hexdigest()
 
 
 def _require(ok: bool, what: str) -> None:
@@ -371,7 +379,8 @@ def load_checkpoint(path) -> Checkpoint:
     other malformed input ``CorruptHeader``, and a missing or mis-shaped
     array ``ConfigMismatch``. The header is read first; each array is then
     read from the file straight into its own buffer, so the payload is
-    never held in memory twice.
+    never held in memory twice. The CRC32 and the file's SHA-256
+    (``Checkpoint.sha256``) are taken in that one pass.
     """
     with open_input(path, "checkpoint") as fh:
         return _read_checkpoint(fh)
@@ -407,14 +416,17 @@ def _read_checkpoint(fh) -> Checkpoint:
         raise CorruptHeader(f"malformed header: {exc!r}") from exc
 
     fh.seek(nul + 1)
-    arrays, crc = {}, 0
+    arrays, crc, digest = {}, 0, hashlib.sha256(head[: nul + 1])
     for entry in entries:  # in payload order
         flat = np.empty(entry["nbytes"] // 4, dtype="<f4")
         if fh.readinto(flat) != flat.nbytes:
             raise CorruptHeader("payload is shorter than the manifest says")
         crc = zlib.crc32(flat, crc)
+        digest.update(flat)
         arrays[entry["name"]] = flat
-    if (crc & 0xFFFFFFFF) != int.from_bytes(fh.read(4), "little"):
+    stored = fh.read(4)
+    digest.update(stored)
+    if (crc & 0xFFFFFFFF) != int.from_bytes(stored, "little"):
         raise CorruptHeader("payload checksum mismatch")
 
     shapes = {entry["name"]: tuple(entry["shape"]) for entry in entries}
@@ -431,4 +443,5 @@ def _read_checkpoint(fh) -> Checkpoint:
         epoch=header["epoch"],
         seed=header["seed"],
         sample_rate_hz=header.get("sample_rate_hz", DEFAULT_SAMPLE_RATE),
+        sha256=digest.hexdigest(),
     )

@@ -1,12 +1,15 @@
 """Gradient checks and contracts for the autodiff op set and Adam."""
 import contextvars
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from remixse import autodiff as ad
-from remixse.model import ModelConfig, init_model, valid_length
+from remixse.model import TINY_CONFIG, ModelConfig, init_model, valid_length
 from conftest import assert_grad_close, fd_gradients
 
 
@@ -637,6 +640,112 @@ def test_a_float32_training_step_computes_in_float32(preset, batch):
     assert np.isfinite(loss.data)
     for name, p in model.params.items():
         assert p.grad.dtype == np.float32 and p.data.dtype == np.float32, name
+
+
+# ---------------------------------------------------------------------------
+# Adam overlapped with backward
+# ---------------------------------------------------------------------------
+
+def _fan_out_step(model, extra, unused, x):
+    """A tiny model's loss with ``extra`` added twice (fan-out), and the
+    parameters, among them ``unused``, which gets no gradient."""
+    out = model.apply(x)
+    loss = ad.mae_loss(ad.add(ad.add(out, extra), extra), 0.5 * x)
+    return loss, [*model.parameters(), extra, unused]
+
+
+def test_backward_reports_each_leaf_once_its_gradient_is_complete():
+    x = 0.1 * np.random.default_rng(16).normal(size=(2, 3000))
+    model = init_model(TINY_CONFIG, seed=16)
+    extra, unused = ad.Tensor(np.full(x.shape, 0.01)), ad.Tensor(np.ones(3))
+    loss, params = _fan_out_step(model, extra, unused, x)
+    finals = []
+    ad.backward(loss, final=lambda leaf: finals.append((leaf, leaf.grad.copy())))
+    leaves = [leaf for leaf, _ in finals]
+    assert len(leaves) == len(params) - 1 and unused not in leaves
+    for leaf, grad in finals:
+        assert np.array_equal(grad, leaf.grad)  # nothing was added after the call
+    # The first op's parameters are the last to be final.
+    assert set(leaves[-2:]) == {model.params["enc1.conv.w"], model.params["enc1.conv.b"]}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_overlapped_adam_step_is_bit_identical_to_backward_then_update(dtype):
+    x = 0.1 * np.random.default_rng(17).normal(size=(2, 17_000))  # extra spans two blocks
+
+    def build():
+        model = init_model(TINY_CONFIG, seed=17).astype(dtype)
+        return model, ad.Tensor(np.full(x.shape, 0.01, dtype)), ad.Tensor(np.ones(3, dtype))
+
+    overlapped, reference = build(), build()
+    state, ref_state = ad.AdamState(step_size=1e-3), ad.AdamState(step_size=1e-3)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two threads as finely as the GIL allows
+    try:
+        for _ in range(3):
+            loss, params = _fan_out_step(*overlapped, x)
+            ad.adam_step(params, state, loss)
+            assert all(p.grad is None for p in params)
+            ref_loss, ref_params = _fan_out_step(*reference, x)
+            ad.backward(ref_loss)
+            ad.adam_step(ref_params, ref_state)
+            assert ref_params[-1].grad is None and ref_params[-2].grad is not None
+            for p in ref_params:
+                p.grad = None
+            for p, r in zip(params, ref_params):
+                assert p.data.dtype == dtype and np.array_equal(p.data, r.data)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert state.timestep == ref_state.timestep == 3
+    for arrays, ref_arrays in ((state.m, ref_state.m), (state.v, ref_state.v),
+                               (state.master, ref_state.master)):
+        for a, r in zip(arrays, ref_arrays):
+            assert (a is None and r is None) or np.array_equal(a, r)
+    assert all((w is None) == (dtype == np.float64) for w in state.master)
+
+
+def test_a_raising_closure_propagates_and_no_update_outlives_the_step(monkeypatch):
+    first = ad.Tensor(np.ones(4 * ad.ADAM_BLOCK))  # final, and handed over, before the raise
+    second = ad.Tensor(np.ones(8))
+
+    def fail(g):
+        raise RuntimeError("closure failed")
+
+    failing = ad._record(ad.Tensor(second.data * 1.0), (second,), fail)  # runs last
+    loss = ad.add(ad.mae_loss(ad.scale(first, 2.0), np.zeros(first.shape)),
+                  ad.mae_loss(failing, np.zeros(8)))
+    updated = []
+    update = ad._adam_update
+
+    def recorded(p, *args):
+        updated.append(p)
+        update(p, *args)
+
+    monkeypatch.setattr(ad, "_adam_update", recorded)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="closure failed"):
+        ad.adam_step([first, second], ad.AdamState(), loss)
+    assert threading.active_count() == threads
+    assert all(p is first for p in updated)
+    count, snapshot = len(updated), first.data.copy()
+    time.sleep(0.05)
+    assert len(updated) == count and np.array_equal(first.data, snapshot)
+    assert np.array_equal(second.data, np.ones(8))
+
+
+def test_the_step_releases_the_gradients_it_computed_and_keeps_those_set_before():
+    a, b, c = (ad.Tensor(np.ones(3)) for _ in range(3))
+    b.grad = np.full(3, 0.5)  # in the graph: backward adds to it
+    c_grad = c.grad = np.full(3, 0.25)  # not in the graph
+    loss = ad.mae_loss(ad.add(ad.scale(a, 2.0), b), np.zeros(3))
+    ad.adam_step([a, b, c], ad.AdamState(), loss)
+    assert a.grad is None
+    assert np.allclose(b.grad, 0.5 + 1.0 / 3.0)
+    assert c.grad is c_grad
+    assert np.array_equal(c_grad, np.full(3, 0.25))
+    assert not np.array_equal(c.data, np.ones(3))  # applied, though kept
 
 
 def test_adam_rejects_a_non_contiguous_parameter():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import remixse.audio
 import remixse.autodiff
 import remixse.distill
-from remixse.cli import OPTIONS, _resolve, _sha256, build_parser, main
+from remixse.cli import OPTIONS, _resolve, build_parser, main
 from remixse.corpus import ManifestEntry, write_manifest
 from remixse.errors import RemixSEError, UsageError
 from remixse.model import DenoiserModel, load_checkpoint
@@ -95,13 +95,6 @@ def test_bootstrap_outputs_exist(workspace):
     assert "train.epochs=1" in resolved
     digest = hashlib.sha256(workspace["ckpt"].read_bytes()).hexdigest()
     assert f"hash.checkpoint={digest}" in resolved
-
-
-def test_checkpoint_hash_reads_in_chunks(tmp_path):
-    # spans several of the helper's 1 MiB reads, the last one short
-    data = np.random.default_rng(0).bytes(3 * (1 << 20) + 5)
-    (tmp_path / "big.ckpt").write_bytes(data)
-    assert _sha256(tmp_path / "big.ckpt") == hashlib.sha256(data).hexdigest()
 
 
 def test_bootstrap_rejects_clean_manifest_as_noisy(workspace, tmp_path):
@@ -727,6 +720,26 @@ def test_config_key_without_a_default_is_parsed_by_its_type(workspace, tmp_path,
     assert run(*argv) == 0
     assert line in (out.parent / "resolved.cfg").read_text().splitlines()
     assert stored(load_checkpoint(out))
+
+
+def test_resolved_cfg_records_the_numeric_environment_and_loads_as_config(
+    workspace, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    (tmp_path / "run.cfg").write_text(_QUICK)
+    first = tmp_path / "first" / "model.ckpt"
+    assert run("distill", *_training_inputs(workspace, "distill"), "--epochs", "1",
+               "--config", str(tmp_path / "run.cfg"), "--out", str(first)) == 0
+    lines = (first.parent / "resolved.cfg").read_text().splitlines()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert f"env.blas={blas['name']} {blas['version']}" in lines
+    assert "env.OPENBLAS_NUM_THREADS=1" in lines
+    assert "env.OMP_NUM_THREADS=None" in lines
+    again = tmp_path / "again" / "model.ckpt"
+    assert run("distill", *_training_inputs(workspace, "distill"), "--config",
+               str(first.parent / "resolved.cfg"), "--out", str(again)) == 0
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_config_keys_of_other_commands_are_allowed(workspace, tmp_path):

@@ -1,4 +1,6 @@
 """Strategy batch construction, teacher update protocols, and training loops."""
+import threading
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,17 @@ def test_distill_ema_single_epoch_arithmetic(corpora):
     for name, p in result.teacher.params.items():
         expected = gamma * result.student.params[name].data + (1 - gamma) * initial[name]
         assert np.allclose(p.data, expected, atol=1e-12)
+
+
+def test_trainers_leave_no_thread_running(corpora):
+    noisy, ext = corpora
+    threads = threading.active_count()
+    model, _ = bootstrap_nytt(noisy, ext, init_model(TINY_CONFIG, seed=3), _quick_config())
+    assert threading.active_count() == threads
+    assert all(p.grad is None for p in model.parameters())  # each step released its own
+    result = distill(model, noisy, None, _distill_config(ema_gamma=0.5))
+    assert threading.active_count() == threads
+    assert all(p.grad is None for p in result.student.parameters())
 
 
 def test_distill_student_learns(corpora):

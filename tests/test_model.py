@@ -1,4 +1,5 @@
 """Architecture, forward contracts, EMA combination, and checkpoint format."""
+import hashlib
 import json
 import math
 import zlib
@@ -487,6 +488,18 @@ def test_load_checkpoint_config_mismatch(tmp_path):
         save_checkpoint(path, Checkpoint(DenoiserModel(TINY_CONFIG, arrays)))
         with pytest.raises(ConfigMismatch, match=match):
             load_checkpoint(path)
+
+
+@pytest.mark.parametrize("config", [TINY_CONFIG, ModelConfig(depth=3, hidden=16)],
+                         ids=["payload-in-first-read", "payload-over-many-reads"])
+def test_checkpoint_sha256_is_taken_in_the_pass_that_writes_or_reads(tmp_path, config):
+    # The reader's first 64 KiB read may run past the header into the payload.
+    path = tmp_path / "m.ckpt"
+    written = save_checkpoint(path, Checkpoint(init_model(config, seed=4), epoch=2, seed=4))
+    expected = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert written == expected
+    assert load_checkpoint(path).sha256 == expected
+    assert Checkpoint(init_model(config, seed=4)).sha256 is None
 
 
 def test_model_round_trip_through_checkpoint(tmp_path):
