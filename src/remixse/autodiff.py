@@ -218,40 +218,50 @@ def scale(x: Tensor, c) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
-    mask = x.data > 0.0
+    """max(x, 0). Backward reads its mask off the output, which is positive
+    exactly where ``x`` is and which the next op holds anyway."""
+    y = np.maximum(x.data, 0.0)
+    out = Tensor(y)
 
     def bwd(g):
-        _accum(x, g * mask, fresh=True)
+        _accum(x, g * (y > 0.0), fresh=True)
 
     return _record(out, (x,), bwd)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """0.5 * (1 + tanh(z / 2)): cannot overflow for any z, no sign split."""
-    s = np.tanh(z * 0.5)
+    """0.5 * (1 + tanh(z / 2)): cannot overflow for any z, no sign split.
+    Allocates only the result."""
+    s = np.multiply(z, 0.5)
+    np.tanh(s, out=s)
     s += 1.0
     s *= 0.5
     return s
 
 
 def glu(x: Tensor) -> Tensor:
-    """Gated linear unit: split channels (axis 1) in half, out = first * sigmoid(second)."""
+    """Gated linear unit: split channels (axis 1) in half, out = first * sigmoid(second).
+
+    The graph keeps ``x``, so backward recomputes the gate from it rather
+    than keeping a copy."""
     n = x.data.shape[1]
     if n % 2 != 0:
         raise ValueError(f"glu needs an even channel count, got {n}")
     half = n // 2
-    a = x.data[:, :half]
-    sb = _sigmoid(x.data[:, half:])
-    out = Tensor(a * sb)
+    gated = _sigmoid(x.data[:, half:])
+    gated *= x.data[:, :half]
+    out = Tensor(gated)
 
     def bwd(g):
+        a = x.data[:, :half]
+        sb = _sigmoid(x.data[:, half:])
         gx = np.empty_like(x.data)
         np.multiply(g, sb, out=gx[:, :half])
         gb = gx[:, half:]
         np.multiply(g, a, out=gb)
         gb *= sb
-        gb *= 1.0 - sb
+        np.subtract(1.0, sb, out=sb)
+        gb *= sb
         _accum(x, gx, fresh=True)
 
     return _record(out, (x,), bwd)

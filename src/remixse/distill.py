@@ -353,10 +353,12 @@ def distill(
 
     The teacher's forward runs in the dtype of the teacher passed in. An EMA
     update accumulates in float64 (``ema_combine``), so after the first one
-    the teacher is a float64 master; a float32 teacher then runs its forward
-    on a float32 copy of the master, cast once per epoch. A float64 teacher
-    runs its forward on the master itself. Nothing here keeps the initial
-    teacher once an EMA update has replaced it.
+    the teacher is a float64 master; a float32 teacher then runs each
+    forward on a float32 copy of the master, cast for that teacher pass and
+    dropped with it, so the copy is not alive during the student's step or
+    the EMA update. A float64 teacher runs its forward on the master
+    itself. Nothing here keeps the initial teacher once an EMA update has
+    replaced it.
     """
     if not noisy_corpus:
         raise EmptyCorpus("noisy corpus is empty")
@@ -368,13 +370,12 @@ def distill(
     rng = np.random.default_rng(config.seed)
     student = teacher.copy(teacher.dtype)  # a fresh copy: a static teacher must not change
     forward_dtype = teacher.dtype
-    fwd_teacher = teacher  # the teacher, in forward_dtype
     segment = config.segment_samples
 
     def make_batch(indices):
         x = _gather_rows(noisy_corpus, indices, segment, rng)
         perm = Permutation.random(config.batch_size, rng)
-        s_hat, n_hat = fwd_teacher.forward(x)
+        s_hat, n_hat = teacher.astype(forward_dtype).forward(x)
         ext = None
         if config.strategy.needs_ext_noise:
             noise_idx = rng.integers(0, len(ext_noise_corpus), size=config.batch_size)
@@ -387,11 +388,8 @@ def distill(
         return y, target
 
     def end_epoch():
-        nonlocal teacher, fwd_teacher
+        nonlocal teacher
         teacher = update_teacher(config.ema_gamma, teacher, student)
-        if teacher is not fwd_teacher:
-            fwd_teacher = None  # free the old copy before casting the new one
-            fwd_teacher = teacher.astype(forward_dtype)
 
     stats = _train(student, len(noisy_corpus), make_batch, config, rng, end_epoch)
     return DistillResult(student, teacher, stats)

@@ -300,24 +300,32 @@ def save_checkpoint(path, ckpt: Checkpoint) -> str:
     SHA-256 of the bytes written.
 
     File layout: magic, newline, JSON text header, NUL, float32 payload
-    (little-endian, declaration order), trailing CRC32 of the payload."""
-    manifest = []
-    chunks = []
-    offset = 0
-    for name, p in ckpt.model.params.items():
-        raw = np.ascontiguousarray(p.data, dtype="<f4").tobytes()
+    (little-endian, declaration order), trailing CRC32 of the payload.
+    The manifest comes from the shapes alone; each array is then written
+    straight from its buffer (cast first, one array at a time, unless it
+    is already little-endian float32), with the CRC32 and the SHA-256
+    taken as it goes, so the payload is never copied whole."""
+    params = ckpt.model.params
+    manifest, offset = [], 0
+    for name, p in params.items():
+        nbytes = 4 * p.data.size
         manifest.append({"name": name, "shape": list(p.data.shape), "dtype": "<f4",
-                         "offset": offset, "nbytes": len(raw)})
-        chunks.append(raw)
-        offset += len(raw)
-    payload = b"".join(chunks)
+                         "offset": offset, "nbytes": nbytes})
+        offset += nbytes
     header = json.dumps(_header_dict(ckpt, manifest), sort_keys=True, separators=(",", ":"))
-    crc = (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little")
-    digest = hashlib.sha256()
+    head = CHECKPOINT_MAGIC + b"\n" + header.encode("utf-8") + b"\x00"
+    crc, digest = 0, hashlib.sha256(head)
     with atomic_open(path) as fh:
-        for part in (CHECKPOINT_MAGIC + b"\n", header.encode("utf-8"), b"\x00", payload, crc):
-            fh.write(part)
-            digest.update(part)
+        fh.write(head)
+        for p in params.values():
+            raw = np.ascontiguousarray(p.data, dtype="<f4")
+            crc = zlib.crc32(raw, crc)
+            digest.update(raw)
+            fh.write(raw)
+            del raw  # a cast copy goes before the next one is made
+        tail = (crc & 0xFFFFFFFF).to_bytes(4, "little")
+        fh.write(tail)
+    digest.update(tail)
     return digest.hexdigest()
 
 

@@ -3,6 +3,7 @@ import contextvars
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,66 @@ def test_glu_saturated_gate_passes_first_half():
 def test_glu_rejects_odd_channels():
     with pytest.raises(ValueError):
         ad.glu(ad.Tensor(np.zeros((1, 3, 4))))
+
+
+def _edge_input(rng, shape, dtype, large=1e30):
+    """Normal values with exact zeros, negative zeros and some scaled by ``large``."""
+    x = rng.normal(size=shape)
+    pick = rng.random(shape)
+    x[pick < 0.1] = 0.0
+    x[(pick >= 0.1) & (pick < 0.2)] = -0.0
+    x[(pick >= 0.2) & (pick < 0.3)] *= large
+    return x.astype(dtype)
+
+
+def _old_sigmoid(z):
+    s = np.tanh(z * 0.5)
+    s += 1.0
+    s *= 0.5
+    return s
+
+
+def _old_relu(x, g):
+    """The former relu: a stored bool mask of x > 0."""
+    mask = x > 0.0
+    return np.maximum(x, 0.0), g * mask
+
+
+def _old_glu(x, g):
+    """The former glu: a stored gate sigmoid(second half)."""
+    half = x.shape[1] // 2
+    a, sb = x[:, :half], _old_sigmoid(x[:, half:])
+    gx = np.empty_like(x)
+    np.multiply(g, sb, out=gx[:, :half])
+    gb = gx[:, half:]
+    np.multiply(g, a, out=gb)
+    gb *= sb
+    gb *= 1.0 - sb
+    return a * sb, gx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op, old", [(ad.relu, _old_relu), (ad.glu, _old_glu)],
+                         ids=["relu", "glu"])
+def test_relu_and_glu_keep_only_their_output_and_match_the_stored_formulas(op, old, dtype):
+    rng = np.random.default_rng(17)
+    x = ad.Tensor(_edge_input(rng, (2, 16, 4096), dtype))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = op(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None and out.data.dtype == dtype
+    slack = 4096  # the Tensor, its closure and their cells
+    assert peak - before <= out.data.nbytes + slack
+
+    g = _edge_input(rng, out.shape, dtype, large=1e4)  # g * x stays finite in float32
+    want_out, want_grad = old(x.data, g)
+    out._backward(g)
+    assert out.data.tobytes() == want_out.tobytes()
+    assert x.grad.dtype == dtype and x.grad.tobytes() == want_grad.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(5))

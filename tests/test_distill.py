@@ -1,5 +1,7 @@
 """Strategy batch construction, teacher update protocols, and training loops."""
+import hashlib
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -463,6 +465,54 @@ def test_distill_static_float32_teacher_is_returned_unchanged(corpora, monkeypat
     teacher_dtypes = [dtype for grad, dtype, _ in calls if not grad]
     assert len(teacher_dtypes) == 4 and all(dtype == np.float32 for dtype in teacher_dtypes)
     assert result.student.dtype == np.float32
+
+
+def _params_sha256(model: DenoiserModel) -> str:
+    digest = hashlib.sha256()
+    for p in model.parameters():
+        digest.update(p.data.tobytes())
+    return digest.hexdigest()
+
+
+def test_distill_casts_the_ema_teacher_per_pass_and_drops_the_copy_before_the_step(
+    corpora, monkeypatch
+):
+    # Once the EMA teacher is a float64 master, each teacher pass runs on a
+    # float32 copy cast for that pass; no copy may be alive while the
+    # student's Adam step runs.
+    noisy, _ = corpora
+    teacher = init_model(TINY_CONFIG, seed=4).astype(np.float32)
+    copies = []
+    astype = DenoiserModel.astype
+
+    def tracking(self, dtype):
+        result = astype(self, dtype)
+        if result is not self:
+            copies.append(weakref.ref(result))
+        return result
+
+    live_at_step = []
+    adam_step = ad.adam_step
+
+    def checking(params, state, loss=None):
+        live_at_step.append(sum(ref() is not None for ref in copies))
+        return adam_step(params, state, loss)
+
+    monkeypatch.setattr(DenoiserModel, "astype", tracking)
+    monkeypatch.setattr(ad, "adam_step", checking)
+    config = _distill_config(epochs=2, strategy=MixStrategy.NYTT1, ema_gamma=0.25)
+    result = distill(teacher, noisy, None, config)
+
+    assert live_at_step == [0, 0, 0, 0]  # 2 epochs x 2 steps
+    assert len(copies) == 2  # one per teacher pass of epoch 2; epoch 1 runs on the float32 teacher
+    assert result.student.dtype == np.float32 and result.teacher.dtype == np.float64
+    # Pinned from the former once-per-epoch cast: casting per pass changes no bit.
+    assert _params_sha256(result.student) == (
+        "924a0063af8a2f173f821c6ad4b8be8372b862de01b5ad6844e76ee1002cc651"
+    )
+    assert _params_sha256(result.teacher) == (
+        "f1c0db6fa944d9bbd2fd39ae5949a4ce892d15f5fc022d7999b7615a02be82c4"
+    )
 
 
 def test_float32_bootstrap_tracks_float64_from_the_same_init(corpora):

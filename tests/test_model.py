@@ -2,7 +2,9 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -500,6 +502,42 @@ def test_checkpoint_sha256_is_taken_in_the_pass_that_writes_or_reads(tmp_path, c
     assert written == expected
     assert load_checkpoint(path).sha256 == expected
     assert Checkpoint(init_model(config, seed=4)).sha256 is None
+
+
+def _joined_checkpoint_bytes(ckpt: Checkpoint) -> bytes:
+    """The file as the former writer built it: each array's bytes, then one join."""
+    manifest, chunks, offset = [], [], 0
+    for name, p in ckpt.model.params.items():
+        raw = np.ascontiguousarray(p.data, dtype="<f4").tobytes()
+        manifest.append({"name": name, "shape": list(p.data.shape), "dtype": "<f4",
+                         "offset": offset, "nbytes": len(raw)})
+        chunks.append(raw)
+        offset += len(raw)
+    payload = b"".join(chunks)
+    header = {"config": asdict(ckpt.model.config), "epoch": ckpt.epoch, "seed": ckpt.seed,
+              "sample_rate_hz": ckpt.sample_rate_hz, "arrays": manifest, "optimizer": None}
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    crc = (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little")
+    return b"RMXSE1\n" + text + b"\x00" + payload + crc
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_save_checkpoint_streams_the_bytes_of_the_joined_writer(tmp_path, dtype):
+    ckpt = Checkpoint(init_model(ModelConfig(depth=3, hidden=16), seed=9).astype(dtype),
+                      epoch=3, seed=9, sample_rate_hz=8000)
+    expected = _joined_checkpoint_bytes(ckpt)
+    payload = 4 * ckpt.model.parameter_count()
+    path = tmp_path / "m.ckpt"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        written = save_checkpoint(path, ckpt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == expected
+    assert written == hashlib.sha256(expected).hexdigest()
+    assert peak - before < payload / 4
 
 
 def test_model_round_trip_through_checkpoint(tmp_path):
