@@ -5,7 +5,7 @@ bootstrap stage, six noise-remix distillation strategies under static or
 EMA teacher updates, multi-stage inference, and STOI/SI-SDR evaluation.
 """
 
-from .audio import Permutation, Waveform
+from .audio import Waveform
 from .distill import DistillConfig, MixStrategy, TrainConfig
 from .model import PAPER_CONFIG, TINY_CONFIG, DenoiserModel, ModelConfig, init_model
 
@@ -17,7 +17,6 @@ __all__ = [
     "MixStrategy",
     "ModelConfig",
     "PAPER_CONFIG",
-    "Permutation",
     "TINY_CONFIG",
     "TrainConfig",
     "Waveform",

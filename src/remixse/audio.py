@@ -1,10 +1,12 @@
 """Waveforms, SNR mixing, augmentations, resampling, and WAV I/O.
 
-Every function that draws random numbers takes an explicit
-``numpy.random.Generator`` and is pure given it. A batch is a (B, M) float64
-array of equally long rows; the functions never write into the arrays they
-are given. WAV files are written as mono IEEE float32 and read as mono
-float32 or PCM16.
+Mixing and augmentation work on batches only: a batch is a (B, M) float64
+array of equally long rows, and one row is a (1, M) batch. Rows are
+reordered by indexing with a numpy index array (``batch[order]``). Every
+function that draws random numbers takes an explicit
+``numpy.random.Generator`` and is pure given it; the functions never write
+into the arrays they are given. WAV files are written as mono IEEE float32
+and read as mono float32 or PCM16.
 """
 from __future__ import annotations
 
@@ -14,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import resample_array
-from .errors import (
-    LengthMismatch,
-    SizeMismatch,
-    UnsupportedFormat,
-    ZeroPowerNoise,
-    ZeroPowerSignal,
-)
+from .errors import ShapeMismatch, UnsupportedFormat, ZeroPowerNoise, ZeroPowerSignal
 from .fileio import atomic_open, open_input
 
 DEFAULT_SAMPLE_RATE = 16_000
@@ -55,28 +51,6 @@ class Waveform:
         return len(self) / self.sample_rate_hz
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on row indices {0, ..., B-1}."""
-
-    order: np.ndarray
-
-    def __post_init__(self):
-        order = np.asarray(self.order, dtype=np.int64)
-        object.__setattr__(self, "order", order)
-        if order.ndim != 1:
-            raise ValueError("permutation order must be 1-D")
-        if not np.array_equal(np.sort(order), np.arange(order.shape[0])):
-            raise ValueError("order is not a bijection on {0..B-1}")
-
-    def __len__(self):
-        return self.order.shape[0]
-
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "Permutation":
-        return cls(rng.permutation(n))
-
-
 # ---------------------------------------------------------------------------
 # SNR mixing
 # ---------------------------------------------------------------------------
@@ -90,7 +64,7 @@ def mix_batch_at_snr(signal: np.ndarray, noise: np.ndarray, snr_db: np.ndarray):
     noise = np.asarray(noise, dtype=np.float64)
     snr_db = np.asarray(snr_db, dtype=np.float64)
     if signal.shape != noise.shape:
-        raise LengthMismatch(f"signal {signal.shape} vs noise {noise.shape}")
+        raise ShapeMismatch(f"signal {signal.shape} vs noise {noise.shape}")
     p_signal = np.mean(signal * signal, axis=-1)
     p_noise = np.mean(noise * noise, axis=-1)
     if np.any(p_signal == 0.0):
@@ -102,35 +76,9 @@ def mix_batch_at_snr(signal: np.ndarray, noise: np.ndarray, snr_db: np.ndarray):
     return signal + scaled, scaled
 
 
-def mix_at_snr(signal: np.ndarray, noise: np.ndarray, snr_db: float):
-    """Single-row convenience wrapper around :func:`mix_batch_at_snr`."""
-    signal = np.asarray(signal, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    if signal.ndim != 1 or noise.ndim != 1:
-        raise ValueError("mix_at_snr expects 1-D rows")
-    mixture, scaled = mix_batch_at_snr(signal[None, :], noise[None, :], np.array([snr_db]))
-    return mixture[0], scaled[0]
-
-
 # ---------------------------------------------------------------------------
-# batch shuffling and augmentations
+# augmentations
 # ---------------------------------------------------------------------------
-
-def shuffle_rows(batch: np.ndarray, p: Permutation) -> np.ndarray:
-    """Reorder rows into a new array: output row i is input row p.order[i]."""
-    if len(p) != batch.shape[0]:
-        raise SizeMismatch(f"permutation of size {len(p)} on batch of {batch.shape[0]}")
-    return batch[p.order]
-
-
-def shift_row(row: np.ndarray, offset: int) -> np.ndarray:
-    """Right-shift by ``offset`` samples, zero-filling on the left, same length."""
-    if offset == 0:
-        return row.copy()
-    out = np.zeros_like(row)
-    out[offset:] = row[: len(row) - offset]
-    return out
-
 
 def augment_shift(
     input_batch: np.ndarray,
@@ -141,16 +89,16 @@ def augment_shift(
     """Per row, draw one offset in [0, max_shift_samples] and apply it to both
     the input row and the target row, preserving their alignment."""
     if input_batch.shape != target_batch.shape:
-        raise SizeMismatch("input and target batches must share (B, M)")
+        raise ShapeMismatch("input and target batches must share (B, M)")
     rows, length = input_batch.shape
     if max_shift_samples >= length:
         raise ValueError(f"max shift {max_shift_samples} must be < row length {length}")
     offsets = rng.integers(0, max_shift_samples + 1, size=rows)
-    out_in = np.empty_like(input_batch)
-    out_tg = np.empty_like(target_batch)
-    for i, off in enumerate(offsets):
-        out_in[i] = shift_row(input_batch[i], int(off))
-        out_tg[i] = shift_row(target_batch[i], int(off))
+    out_in = np.zeros_like(input_batch)
+    out_tg = np.zeros_like(target_batch)
+    for i, off in enumerate(offsets):  # right-shift by off, zero-filled on the left
+        out_in[i, off:] = input_batch[i, : length - off]
+        out_tg[i, off:] = target_batch[i, : length - off]
     return out_in, out_tg
 
 

@@ -630,11 +630,15 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 # Elements per block of the Adam update: 256 KiB of float64, so the blocks of
 # p, m, v, the gradient and the scratch buffers fit in a core's cache together.
 ADAM_BLOCK = 1 << 15
+# Adam's fixed hyperparameters (Kingma & Ba's defaults); only the step size is set.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
 class AdamState:
-    """Adam optimizer state: hyperparameters plus per-parameter moments.
+    """Adam optimizer state: the step size plus per-parameter moments.
 
     The moments are float64. So is ``master``, the copy of the weights that
     Adam updates, for each parameter that is not float64 (a float32 model
@@ -646,9 +650,6 @@ class AdamState:
     """
 
     step_size: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     timestep: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -670,7 +671,6 @@ def _adam_update(p: Tensor, state: AdamState, i: int, bc1: float, bc2: float, sc
     m, v, master = state.m[i], state.v[i], state.master[i]
     if not (p.data.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
         raise ValueError("adam_step needs C-contiguous parameters and moments")
-    beta1, beta2 = state.beta1, state.beta2
     s1, s2, s3 = scratch
     p_flat, m_flat, v_flat = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
     w_flat = p_flat if master is None else master.reshape(-1)
@@ -682,18 +682,18 @@ def _adam_update(p: Tensor, state: AdamState, i: int, bc1: float, bc2: float, sc
         if master is not None:  # square and scale in float64, not float32
             g = s3[: hi - lo]
             np.copyto(g, g_flat[lo:hi])
-        mb *= beta1
-        np.multiply(1.0 - beta1, g, out=a)
+        mb *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, g, out=a)
         mb += a
-        vb *= beta2
+        vb *= ADAM_BETA2
         np.multiply(g, g, out=a)
-        a *= 1.0 - beta2
+        a *= 1.0 - ADAM_BETA2
         vb += a
         np.divide(mb, bc1, out=a)
         a *= state.step_size
         np.divide(vb, bc2, out=b)
         np.sqrt(b, out=b)
-        b += state.epsilon
+        b += ADAM_EPSILON
         a /= b
         w_flat[lo:hi] -= a
         if master is not None:
@@ -710,8 +710,9 @@ def adam_step(params, state: AdamState, loss: Tensor | None = None) -> None:
         v = beta2 * v + (1 - beta2) * (g * g)
         w -= step_size * (m / bc1) / (sqrt(v / bc2) + epsilon)
 
-    so the result is bit-identical to evaluating it on whole arrays, with far
-    less memory traffic. For a float64 parameter ``w`` is the parameter. For
+    with beta1, beta2 and epsilon the ``ADAM_*`` constants, so the result is
+    bit-identical to evaluating it on whole arrays, with far less memory
+    traffic. For a float64 parameter ``w`` is the parameter. For
     any other, ``w`` is its float64 master in ``state.master``: each gradient
     block is cast to float64 first, so the arithmetic is the float64
     arithmetic, and the updated block is rounded back into the parameter.
@@ -731,8 +732,8 @@ def adam_step(params, state: AdamState, loss: Tensor | None = None) -> None:
     """
     state.ensure(params)
     state.timestep += 1
-    bc1 = 1.0 - state.beta1**state.timestep
-    bc2 = 1.0 - state.beta2**state.timestep
+    bc1 = 1.0 - ADAM_BETA1**state.timestep
+    bc2 = 1.0 - ADAM_BETA2**state.timestep
     size = min(ADAM_BLOCK, max((p.data.size for p in params), default=0))
     scratch = (np.empty(size), np.empty(size), np.empty(size))
     release = [loss is not None and p.grad is None for p in params]

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .audio import DEFAULT_SAMPLE_RATE, Waveform, mix_at_snr, write_wav
+from .audio import DEFAULT_SAMPLE_RATE, Waveform, mix_batch_at_snr, write_wav
 from .errors import EmptyCorpus, MissingFile, ParseError, RoleMismatch
 from .fileio import atomic_open, open_input
 
@@ -183,12 +184,18 @@ class SynthSpec:
     snr_high_db: float = 10.0
 
     def __post_init__(self):
-        if self.duration_s < 1.0:
-            raise ValueError("duration must be >= 1 s")
+        if not (math.isfinite(self.duration_s) and self.duration_s >= 1.0):
+            raise ValueError(f"duration must be finite and >= 1 s, got {self.duration_s}")
         if self.num_utterances < 1:
             raise ValueError("need at least one utterance")
+        if self.sample_rate < 1:
+            raise ValueError(f"sample rate must be >= 1 Hz, got {self.sample_rate}")
+        if not (math.isfinite(self.snr_low_db) and math.isfinite(self.snr_high_db)):
+            raise ValueError(f"SNRs must be finite, got [{self.snr_low_db}, {self.snr_high_db}]")
         if self.snr_low_db > self.snr_high_db:
             raise ValueError("snr_low_db must be <= snr_high_db")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _utt_rng(seed: int, index: int, stream: int) -> np.random.Generator:
@@ -282,7 +289,8 @@ def synth_corpus(spec: SynthSpec, out_dir):
         clean = _speech_proxy(spec, _utt_rng(spec.seed, i, stream=0))
         indomain = _indomain_noise(spec, _utt_rng(spec.seed, i, stream=1))
         target_snr = float(_utt_rng(spec.seed, i, stream=2).uniform(spec.snr_low_db, spec.snr_high_db))
-        noisy, _ = mix_at_snr(clean, indomain, target_snr)
+        mixture, _ = mix_batch_at_snr(clean[None, :], indomain[None, :], np.array([target_snr]))
+        noisy = mixture[0]
 
         clean32 = clean.astype(np.float32).astype(np.float64)
         noisy32 = noisy.astype(np.float32).astype(np.float64)

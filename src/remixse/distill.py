@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from . import autodiff as ad
-from .audio import Permutation, augment_bandmask, augment_shift, mix_batch_at_snr, shuffle_rows
+from .audio import augment_bandmask, augment_shift, mix_batch_at_snr
 from .corpus import crop_or_pad
 from .errors import (
     EmptyCorpus,
@@ -93,10 +93,18 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.segment_samples < 1:
+            raise ValueError(f"segment_samples must be >= 1, got {self.segment_samples}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.snr_low_db) and math.isfinite(self.snr_high_db)):
+            raise ValueError(f"SNRs must be finite, got [{self.snr_low_db}, {self.snr_high_db}]")
         if self.snr_low_db > self.snr_high_db:
             raise ValueError("snr_low_db must be <= snr_high_db")
+        if not 0.0 < self.bandmask_fraction < 1.0:
+            raise ValueError(f"bandmask_fraction must be in (0, 1), got {self.bandmask_fraction}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.loss not in ("mae", "mse"):
             raise ValueError("loss must be mae or mse")
         if self.shift and self.shift_max_samples >= self.segment_samples:
@@ -265,7 +273,7 @@ def build_student_batch(
     x: np.ndarray,
     s_hat: np.ndarray,
     n_hat: np.ndarray,
-    p: Permutation,
+    order: np.ndarray,
     n_ext: np.ndarray | None,
     rng: np.random.Generator,
     snr_low_db: float = -5.0,
@@ -273,11 +281,13 @@ def build_student_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compose one (input, target) pair of (B, M) arrays for the student.
 
-    Shuffled in-domain noise is added straight; extraneous noise is scaled to
-    a per-row uniform SNR in [snr_low_db, snr_high_db] relative to the signal
-    it is added to. RNG draw order (fixed, so tests can replay it): first the
-    SNR array (size B, only for strategies using extraneous noise), then the
-    NYTT2 source coins (size B).
+    The shuffled in-domain noise is ``n_hat[order]``: row i takes the noise
+    estimate of row ``order[i]``, and an ``order`` that is not a permutation
+    of the rows raises ShapeMismatch. Shuffled noise is added straight;
+    extraneous noise is scaled to a per-row uniform SNR in [snr_low_db,
+    snr_high_db] relative to the signal it is added to. RNG draw order
+    (fixed, so tests can replay it): first the SNR array (size B, only for
+    strategies using extraneous noise), then the NYTT2 source coins (size B).
 
     The target is the ``s_hat`` (CTT) or ``x`` (NYTT) passed in, not a copy,
     and so is CTT1's input ``x``: callers must not write into them.
@@ -287,13 +297,16 @@ def build_student_batch(
         shapes.add(n_ext.shape)
     if len(shapes) != 1:
         raise ShapeMismatch(f"batches disagree on shape: {sorted(shapes)}")
+    rows = x.shape[0]
+    order = np.asarray(order)
+    if order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(rows)):
+        raise ShapeMismatch(f"order {order} is not a permutation of the batch's {rows} rows")
     if strategy.needs_ext_noise and n_ext is None:
         raise MissingExtNoise(f"{strategy.value} requires an extraneous noise batch")
     if not strategy.needs_ext_noise and n_ext is not None:
         raise UnexpectedExtNoise(f"{strategy.value} does not take extraneous noise")
-    rows = x.shape[0]
 
-    shuffled = shuffle_rows(n_hat, p) if strategy.uses_shuffled_noise else None
+    shuffled = n_hat[order] if strategy.uses_shuffled_noise else None
     if strategy.needs_ext_noise:
         snrs = rng.uniform(snr_low_db, snr_high_db, size=rows)
 
@@ -368,20 +381,20 @@ def distill(
         raise UnexpectedExtNoise(f"{config.strategy.value} does not take extraneous noise")
 
     rng = np.random.default_rng(config.seed)
-    student = teacher.copy(teacher.dtype)  # a fresh copy: a static teacher must not change
+    student = teacher.copy()  # a fresh copy: a static teacher must not change
     forward_dtype = teacher.dtype
     segment = config.segment_samples
 
     def make_batch(indices):
         x = _gather_rows(noisy_corpus, indices, segment, rng)
-        perm = Permutation.random(config.batch_size, rng)
+        order = rng.permutation(config.batch_size)
         s_hat, n_hat = teacher.astype(forward_dtype).forward(x)
         ext = None
         if config.strategy.needs_ext_noise:
             noise_idx = rng.integers(0, len(ext_noise_corpus), size=config.batch_size)
             ext = _gather_rows(ext_noise_corpus, noise_idx, segment, rng)
         y, target = build_student_batch(
-            config.strategy, x, s_hat, n_hat, perm, ext, rng, config.snr_low_db, config.snr_high_db
+            config.strategy, x, s_hat, n_hat, order, ext, rng, config.snr_low_db, config.snr_high_db
         )
         if config.shift or config.bandmask:
             return _augment(target, y - target, config, sample_rate_hz, rng)

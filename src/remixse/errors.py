@@ -13,21 +13,17 @@ class UsageError(RemixSEError):
     """Caller passed inconsistent or disallowed inputs (CLI exit code 2)."""
 
 
+class ShapeMismatch(RemixSEError):
+    """Arrays that must share a shape (batches, rows, signal pairs) do not."""
+
+
 # -- audio -------------------------------------------------------------
-
-class LengthMismatch(RemixSEError):
-    pass
-
 
 class ZeroPowerSignal(RemixSEError):
     pass
 
 
 class ZeroPowerNoise(RemixSEError):
-    pass
-
-
-class SizeMismatch(RemixSEError):
     pass
 
 
@@ -60,10 +56,6 @@ class EmptyCorpus(RemixSEError):
 
 
 class NonFiniteLoss(RemixSEError):
-    pass
-
-
-class ShapeMismatch(RemixSEError):
     pass
 
 

@@ -22,13 +22,7 @@ import numpy as np
 from .audio import Waveform, read_wav
 from .autodiff import resample_array
 from .corpus import Manifest
-from .errors import (
-    LengthMismatch,
-    ParseError,
-    SampleRateMismatch,
-    TooShort,
-    ZeroReference,
-)
+from .errors import ParseError, SampleRateMismatch, ShapeMismatch, TooShort, ZeroReference
 from .fileio import atomic_open, open_input
 
 STOI_RATE = 10_000
@@ -69,7 +63,7 @@ def _check_rates(reference: Waveform, other: Waveform) -> None:
 def stoi(clean: Waveform, degraded: Waveform) -> float:
     """Intelligibility score in [-1, 1]; 1.0 for identical inputs."""
     if len(clean) != len(degraded):
-        raise LengthMismatch(f"clean {len(clean)} vs degraded {len(degraded)} samples")
+        raise ShapeMismatch(f"clean {len(clean)} vs degraded {len(degraded)} samples")
     _check_rates(clean, degraded)
 
     rate = clean.sample_rate_hz
@@ -125,7 +119,7 @@ def stoi(clean: Waveform, degraded: Waveform) -> float:
 def si_sdr(reference: Waveform, estimate: Waveform) -> float:
     """Scale-invariant signal-to-distortion ratio in dB, clamped to +-100."""
     if len(reference) != len(estimate):
-        raise LengthMismatch(f"reference {len(reference)} vs estimate {len(estimate)} samples")
+        raise ShapeMismatch(f"reference {len(reference)} vs estimate {len(estimate)} samples")
     _check_rates(reference, estimate)
     r = reference.samples
     e = estimate.samples

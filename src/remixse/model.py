@@ -151,10 +151,10 @@ class DenoiserModel:
             self.config, {name: ad.Tensor(p.data.astype(dtype)) for name, p in self.params.items()}
         )
 
-    def copy(self, dtype) -> "DenoiserModel":
-        """A copy with fresh parameter arrays, cast to ``dtype``."""
+    def copy(self) -> "DenoiserModel":
+        """A copy with fresh parameter arrays of the same dtype."""
         return DenoiserModel(
-            self.config, {name: ad.Tensor(p.data.astype(dtype)) for name, p in self.params.items()}
+            self.config, {name: ad.Tensor(p.data.copy()) for name, p in self.params.items()}
         )
 
     def zero_grads(self) -> None:

@@ -1,4 +1,4 @@
-"""Mixing, shuffling, augmentations, resampling, and WAV round trips."""
+"""Mixing, augmentations, resampling, and WAV round trips."""
 import math
 
 import numpy as np
@@ -6,25 +6,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from remixse.audio import (
-    Permutation,
     Waveform,
     augment_bandmask,
     augment_shift,
     hz_to_mel,
     mel_to_hz,
-    mix_at_snr,
     mix_batch_at_snr,
     read_wav,
     resample,
-    shift_row,
-    shuffle_rows,
     write_wav,
 )
 from remixse.autodiff import resample_array
 from remixse.errors import (
-    LengthMismatch,
     RemixSEError,
-    SizeMismatch,
+    ShapeMismatch,
     UnsupportedFormat,
     ZeroPowerNoise,
     ZeroPowerSignal,
@@ -35,6 +30,12 @@ def _rms(x):
     return float(np.sqrt(np.mean(np.square(x))))
 
 
+def _mix_row(signal, noise, snr_db):
+    """(mixture, scaled noise) of one row, mixed as a one-row batch."""
+    mixture, scaled = mix_batch_at_snr(signal[None, :], noise[None, :], np.array([snr_db]))
+    return mixture[0], scaled[0]
+
+
 # ---------------------------------------------------------------------------
 # mixing
 # ---------------------------------------------------------------------------
@@ -43,31 +44,31 @@ def test_mix_equal_power_at_zero_db_is_plain_sum():
     rng = np.random.default_rng(0)
     signal = rng.normal(size=512)
     noise = rng.permutation(signal)  # identical power
-    mixture, scaled = mix_at_snr(signal, noise, 0.0)
+    mixture, scaled = _mix_row(signal, noise, 0.0)
     assert np.allclose(scaled, noise, atol=1e-12)
     assert np.allclose(mixture, signal + noise, atol=1e-12)
 
 
 def test_mix_zero_noise_rejected():
     with pytest.raises(ZeroPowerNoise):
-        mix_at_snr(np.ones(16), np.zeros(16), 0.0)
+        _mix_row(np.ones(16), np.zeros(16), 0.0)
 
 
 def test_mix_zero_signal_rejected():
     with pytest.raises(ZeroPowerSignal):
-        mix_at_snr(np.zeros(16), np.ones(16), 0.0)
+        _mix_row(np.zeros(16), np.ones(16), 0.0)
 
 
 def test_mix_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        mix_at_snr(np.ones(16), np.ones(8), 0.0)
+    with pytest.raises(ShapeMismatch):
+        _mix_row(np.ones(16), np.ones(8), 0.0)
 
 
 def test_mix_achieves_requested_snr():
     rng = np.random.default_rng(42)
     signal = rng.normal(size=1000)
     noise = rng.normal(size=1000) * 0.3
-    _, scaled = mix_at_snr(signal, noise, 3.7)
+    _, scaled = _mix_row(signal, noise, 3.7)
     assert 20.0 * math.log10(_rms(signal) / _rms(scaled)) == pytest.approx(3.7, abs=1e-6)
 
 
@@ -76,7 +77,7 @@ def test_mix_snr_exact_over_range(seed, target):
     rng = np.random.default_rng(seed)
     signal = rng.normal(size=256) + 0.01
     noise = rng.normal(size=256) + 0.01
-    _, scaled = mix_at_snr(signal, noise, target)
+    _, scaled = _mix_row(signal, noise, target)
     assert 20.0 * math.log10(_rms(signal) / _rms(scaled)) == pytest.approx(target, abs=1e-6)
 
 
@@ -87,54 +88,9 @@ def test_batch_mix_matches_row_mix_bit_exactly():
     snrs = rng.uniform(-10, 10, size=4)
     mix_b, scaled_b = mix_batch_at_snr(x, n, snrs)
     for i in range(4):
-        mix_r, scaled_r = mix_at_snr(x[i], n[i], float(snrs[i]))
+        mix_r, scaled_r = _mix_row(x[i], n[i], float(snrs[i]))
         assert np.array_equal(mix_b[i], mix_r)
         assert np.array_equal(scaled_b[i], scaled_r)
-
-
-# ---------------------------------------------------------------------------
-# permutation / shuffling
-# ---------------------------------------------------------------------------
-
-def test_shuffle_identity():
-    batch = np.random.default_rng(0).normal(size=(3, 10))
-    out = shuffle_rows(batch, Permutation(np.arange(3)))
-    assert np.array_equal(out, batch)
-
-
-def test_shuffle_forced_order():
-    batch = np.array([[1.0, 1], [2, 2], [3, 3]])
-    out = shuffle_rows(batch, Permutation(np.array([2, 0, 1])))
-    assert np.array_equal(out, [[3, 3], [1, 1], [2, 2]])
-
-
-def test_shuffle_size_mismatch():
-    with pytest.raises(SizeMismatch):
-        shuffle_rows(np.zeros((3, 4)), Permutation(np.array([1, 0])))
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(2, 8))
-def test_shuffle_preserves_row_multiset(seed, b):
-    rng = np.random.default_rng(seed)
-    batch = rng.normal(size=(b, 16))
-    out = shuffle_rows(batch, Permutation.random(b, rng))
-    checks_in = sorted(batch.sum(axis=1).tolist())
-    checks_out = sorted(out.sum(axis=1).tolist())
-    assert checks_in == checks_out
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
-def test_shuffle_then_inverse_is_identity(seed, b):
-    rng = np.random.default_rng(seed)
-    batch = rng.normal(size=(b, 8))
-    p = Permutation.random(b, rng)
-    out = shuffle_rows(shuffle_rows(batch, p), Permutation(np.argsort(p.order)))
-    assert np.array_equal(out, batch)
-
-
-def test_permutation_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        Permutation(np.array([0, 0, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +107,15 @@ def test_shift_zero_max_is_identity():
 
 
 def test_shift_row_semantics():
-    assert np.array_equal(shift_row(np.array([1.0, 2, 3, 4]), 2), [0, 0, 1, 2])
+    # each row moves right by its drawn offset, zero-filled on the left
+    row = np.array([[1.0, 2, 3, 4]])
+    offsets = set()
+    for seed in range(8):
+        offset = int(np.random.default_rng(seed).integers(0, 4, size=1)[0])
+        out, _ = augment_shift(row, row, 3, np.random.default_rng(seed))
+        assert np.array_equal(out[0], [0.0] * offset + [1.0, 2, 3, 4][: 4 - offset])
+        offsets.add(offset)
+    assert len(offsets) > 1
 
 
 def test_shift_applies_same_offset_to_both():
@@ -176,6 +140,11 @@ def test_shift_rejects_excessive_max():
     batch = np.zeros((1, 8))
     with pytest.raises(ValueError):
         augment_shift(batch, batch, 8, np.random.default_rng(0))
+
+
+def test_shift_rejects_batches_of_different_shapes():
+    with pytest.raises(ShapeMismatch, match="share"):
+        augment_shift(np.zeros((2, 8)), np.zeros((1, 8)), 2, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

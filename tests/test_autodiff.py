@@ -643,7 +643,7 @@ def test_blocked_adam_is_bit_identical_to_the_whole_array_formula():
     ref_m = [np.zeros(s) for s in shapes]
     ref_v = [np.zeros(s) for s in shapes]
     state = ad.AdamState(step_size=1e-3)
-    b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, state.step_size
+    b1, b2, eps, lr = ad.ADAM_BETA1, ad.ADAM_BETA2, ad.ADAM_EPSILON, state.step_size
     for t in range(1, 4):
         grads = [rng.normal(size=s) for s in shapes[:-1]] + [None]  # the last has no grad
         for p, g in zip(params, grads):

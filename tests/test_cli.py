@@ -200,6 +200,23 @@ def test_force_rerun_replaces_stats_instead_of_appending(workspace, tmp_path):
         ["bootstrap", "--batch-size", "0", "--epochs", "1"],
         ["distill", "--batch-size", "1", "--strategy", "nytt1", "--epochs", "1"],
         ["distill", "--augment", "--segment", "1000", "--epochs", "1"],  # shifts 4000 of 1000
+        ["bootstrap", "--segment", "0", "--no-shift", "--epochs", "1"],
+        ["distill", "--segment", "0", "--epochs", "1"],
+        ["bootstrap", "--snr-lo", "nan", "--epochs", "1"],
+        ["distill", "--snr-lo", "nan", "--epochs", "1"],
+        ["bootstrap", "--snr-hi", "inf", "--epochs", "1"],
+        ["distill", "--snr-hi", "inf", "--epochs", "1"],
+        ["bootstrap", "--bandmask-frac", "1.5", "--epochs", "1"],
+        ["bootstrap", "--bandmask-frac", "0", "--epochs", "1"],
+        ["distill", "--augment", "--bandmask-frac", "1.5", "--epochs", "1"],
+        ["distill", "--augment", "--bandmask-frac", "0", "--epochs", "1"],
+        ["bootstrap", "--seed", "-1", "--epochs", "1"],
+        ["distill", "--seed", "-1", "--epochs", "1"],
+        ["synth", "--dur", "nan"],
+        ["synth", "--dur", "inf"],
+        ["synth", "--snr-lo", "nan"],
+        ["synth", "--sr", "0"],
+        ["synth", "--seed", "-1"],
     ],
     ids=lambda argv: "-".join(a.lstrip("-") for a in argv),
 )

@@ -8,7 +8,6 @@ import pytest
 
 import remixse.distill
 from remixse import autodiff as ad
-from remixse.audio import Permutation, mix_at_snr
 from remixse.cli import OPTIONS
 from remixse.corpus import load_corpus, load_manifest
 from remixse.distill import (
@@ -30,6 +29,7 @@ from remixse.errors import (
     UsageError,
 )
 from remixse.model import TINY_CONFIG, DenoiserModel, init_model
+from test_audio import _mix_row
 
 
 def _inputs(b=4, m=64, seed=0):
@@ -37,16 +37,16 @@ def _inputs(b=4, m=64, seed=0):
     x = rng.normal(size=(b, m))
     s_hat = rng.normal(size=(b, m)) * 0.5
     n_hat = x - s_hat
-    p = Permutation.random(b, rng)
+    order = rng.permutation(b)
     n_ext = rng.normal(size=(b, m))
-    return x, s_hat, n_hat, p, n_ext
+    return x, s_hat, n_hat, order, n_ext
 
 
-def _oracle_pair(strategy, x, s_hat, n_hat, p, n_ext, seed, lo=-5.0, hi=5.0):
+def _oracle_pair(strategy, x, s_hat, n_hat, order, n_ext, seed, lo=-5.0, hi=5.0):
     """Literal re-derivation of each recipe, drawing rng values in the
     documented order (SNR array first, then NYTT2 coins)."""
     rng = np.random.default_rng(seed)
-    shuffled = n_hat[p.order]
+    shuffled = n_hat[order]
     b = x.shape[0]
     if strategy in (MixStrategy.CTT3, MixStrategy.NYTT2, MixStrategy.NYTT3):
         snrs = rng.uniform(lo, hi, size=b)
@@ -57,7 +57,7 @@ def _oracle_pair(strategy, x, s_hat, n_hat, p, n_ext, seed, lo=-5.0, hi=5.0):
     if strategy is MixStrategy.CTT3:
         base = s_hat + shuffled
         rows = np.stack(
-            [mix_at_snr(base[i], n_ext[i], snrs[i])[0] for i in range(b)]
+            [_mix_row(base[i], n_ext[i], snrs[i])[0] for i in range(b)]
         )
         return rows, s_hat
     if strategy is MixStrategy.NYTT1:
@@ -69,12 +69,12 @@ def _oracle_pair(strategy, x, s_hat, n_hat, p, n_ext, seed, lo=-5.0, hi=5.0):
             if coins[i]:
                 rows.append(x[i] + shuffled[i])
             else:
-                rows.append(mix_at_snr(x[i], n_ext[i], snrs[i])[0])
+                rows.append(_mix_row(x[i], n_ext[i], snrs[i])[0])
         return np.stack(rows), x
     if strategy is MixStrategy.NYTT3:
         base = x + shuffled
         rows = np.stack(
-            [mix_at_snr(base[i], n_ext[i], snrs[i])[0] for i in range(b)]
+            [_mix_row(base[i], n_ext[i], snrs[i])[0] for i in range(b)]
         )
         return rows, x
     raise AssertionError
@@ -82,17 +82,17 @@ def _oracle_pair(strategy, x, s_hat, n_hat, p, n_ext, seed, lo=-5.0, hi=5.0):
 
 @pytest.mark.parametrize("strategy", list(MixStrategy))
 def test_strategy_batches_match_literal_recipe(strategy):
-    x, s_hat, n_hat, p, n_ext = _inputs(seed=10)
+    x, s_hat, n_hat, order, n_ext = _inputs(seed=10)
     ext = n_ext if strategy.needs_ext_noise else None
-    y, t = build_student_batch(strategy, x, s_hat, n_hat, p, ext, np.random.default_rng(99))
-    y_ref, t_ref = _oracle_pair(strategy, x, s_hat, n_hat, p, n_ext, seed=99)
+    y, t = build_student_batch(strategy, x, s_hat, n_hat, order, ext, np.random.default_rng(99))
+    y_ref, t_ref = _oracle_pair(strategy, x, s_hat, n_hat, order, n_ext, seed=99)
     assert np.array_equal(y, y_ref)
     assert np.array_equal(t, t_ref)
 
 
 def test_ctt1_is_passthrough():
-    x, s_hat, n_hat, p, _ = _inputs(seed=1)
-    y, t = build_student_batch(MixStrategy.CTT1, x, s_hat, n_hat, p, None, np.random.default_rng(0))
+    x, s_hat, n_hat, order, _ = _inputs(seed=1)
+    y, t = build_student_batch(MixStrategy.CTT1, x, s_hat, n_hat, order, None, np.random.default_rng(0))
     assert np.array_equal(y, x)
     assert np.array_equal(t, s_hat)
 
@@ -104,7 +104,7 @@ def test_nytt1_algebra_with_identity_permutation():
     s_hat = rng.normal(size=(3, 32))
     n_hat = x - s_hat
     y, t = build_student_batch(
-        MixStrategy.NYTT1, x, s_hat, n_hat, Permutation(np.arange(3)), None, np.random.default_rng(0)
+        MixStrategy.NYTT1, x, s_hat, n_hat, np.arange(3), None, np.random.default_rng(0)
     )
     assert np.allclose(y, 2.0 * x - s_hat, atol=1e-15)
     assert np.array_equal(t, x)
@@ -118,9 +118,8 @@ def test_nytt2_coin_is_fair():
     s_hat = rng.normal(size=(b, m)) * 0.5
     n_hat = x - s_hat
     n_ext = rng.normal(size=(b, m))
-    p = Permutation(np.arange(b))
     y, _ = build_student_batch(
-        MixStrategy.NYTT2, x, s_hat, n_hat, p, n_ext, np.random.default_rng(123)
+        MixStrategy.NYTT2, x, s_hat, n_hat, np.arange(b), n_ext, np.random.default_rng(123)
     )
     used_indomain = np.isclose(y, x + n_hat, atol=1e-12).all(axis=1)
     fraction = used_indomain.mean()
@@ -129,30 +128,38 @@ def test_nytt2_coin_is_fair():
 
 @pytest.mark.parametrize("strategy", [MixStrategy.CTT3, MixStrategy.NYTT2, MixStrategy.NYTT3])
 def test_ext_noise_required(strategy):
-    x, s_hat, n_hat, p, _ = _inputs()
+    x, s_hat, n_hat, order, _ = _inputs()
     with pytest.raises(MissingExtNoise):
-        build_student_batch(strategy, x, s_hat, n_hat, p, None, np.random.default_rng(0))
+        build_student_batch(strategy, x, s_hat, n_hat, order, None, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("strategy", [MixStrategy.CTT1, MixStrategy.CTT2, MixStrategy.NYTT1])
 def test_ext_noise_forbidden(strategy):
-    x, s_hat, n_hat, p, n_ext = _inputs()
+    x, s_hat, n_hat, order, n_ext = _inputs()
     with pytest.raises(UnexpectedExtNoise):
-        build_student_batch(strategy, x, s_hat, n_hat, p, n_ext, np.random.default_rng(0))
+        build_student_batch(strategy, x, s_hat, n_hat, order, n_ext, np.random.default_rng(0))
 
 
 def test_shape_mismatch_rejected():
-    x, s_hat, n_hat, p, _ = _inputs()
+    x, s_hat, n_hat, order, n_ext = _inputs()
     bad = np.zeros((4, 32))
     with pytest.raises(ShapeMismatch):
-        build_student_batch(MixStrategy.CTT2, x, bad, n_hat, p, None, np.random.default_rng(0))
+        build_student_batch(MixStrategy.CTT2, x, bad, n_hat, order, None, np.random.default_rng(0))
+    # an order that is not a permutation of the 4 rows, under every strategy
+    for bad_order in ([0, 0, 2, 3], [0, 1, 2], [0, 1, 2, 3, 4], [1, 2, 3, 4], [[0, 1], [2, 3]],
+                      [1.0, 0.0, 2.0, 3.0]):
+        for strategy in MixStrategy:
+            ext = n_ext if strategy.needs_ext_noise else None
+            with pytest.raises(ShapeMismatch, match="not a permutation"):
+                build_student_batch(strategy, x, s_hat, n_hat, np.array(bad_order), ext,
+                                    np.random.default_rng(0))
 
 
 def test_targets_are_bit_exact_copies():
-    x, s_hat, n_hat, p, n_ext = _inputs(seed=8)
+    x, s_hat, n_hat, order, n_ext = _inputs(seed=8)
     for strategy in MixStrategy:
         ext = n_ext if strategy.needs_ext_noise else None
-        y, t = build_student_batch(strategy, x, s_hat, n_hat, p, ext, np.random.default_rng(1))
+        y, t = build_student_batch(strategy, x, s_hat, n_hat, order, ext, np.random.default_rng(1))
         expected = s_hat if strategy.value.startswith("ctt") else x
         assert np.array_equal(t, expected)
         assert y.shape == (4, 64)
@@ -389,8 +396,8 @@ def test_distill_replay_is_bit_identical(corpora):
             shift=augment,
             bandmask=augment,
         )
-        r1 = distill(teacher.copy(np.float64), noisy, ext, config)
-        r2 = distill(teacher.copy(np.float64), noisy, ext, config)
+        r1 = distill(teacher.copy(), noisy, ext, config)
+        r2 = distill(teacher.copy(), noisy, ext, config)
         assert r1.stats.step_losses == r2.stats.step_losses
         for a, b in zip(r1.student.parameters(), r2.student.parameters()):
             assert np.array_equal(a.data, b.data)
@@ -515,13 +522,38 @@ def test_distill_casts_the_ema_teacher_per_pass_and_drops_the_copy_before_the_st
     )
 
 
+def test_float32_bootstrap_with_shift_and_bandmask_is_pinned(corpora):
+    # Pinned bits of float32 training through augment_shift and BandMask.
+    noisy, ext = corpora
+    model, _ = bootstrap_nytt(
+        noisy, ext, init_model(TINY_CONFIG, seed=6).astype(np.float32), _quick_config(epochs=2)
+    )
+    assert _params_sha256(model) == (
+        "88d4947f1a148e7b79851950ad65837503c2c8fc2e44d41c8a7fe1321a2e3d61"
+    )
+
+
+def test_float32_nytt2_static_distill_with_augmentation_is_pinned(corpora):
+    # Pinned bits through the noise order, the NYTT2 coins, the
+    # extraneous-noise SNRs and the augmentation.
+    noisy, ext = corpora
+    config = _distill_config(epochs=2, strategy=MixStrategy.NYTT2, shift=True, bandmask=True)
+    result = distill(init_model(TINY_CONFIG, seed=2).astype(np.float32), noisy, ext, config)
+    assert _params_sha256(result.student) == (
+        "da981dc685629b801604cf0fb64c9dfdf513b38d211b29521c55f594a70483ab"
+    )
+    assert _params_sha256(result.teacher) == (
+        "53752b0cb48c1385b7c573f84e49aa70f9af235757f175a79e9acb5615c2b111"
+    )
+
+
 def test_float32_bootstrap_tracks_float64_from_the_same_init(corpora):
     # The precision claim of float32 training on a float64 Adam master.
     noisy, ext = corpora
     init = init_model(TINY_CONFIG, seed=6).astype(np.float32)
     config = _quick_config(epochs=20)  # 2 steps per epoch
-    f32, s32 = bootstrap_nytt(noisy, ext, init.copy(np.float32), config)
-    f64, s64 = bootstrap_nytt(noisy, ext, init.copy(np.float64), config)
+    f32, s32 = bootstrap_nytt(noisy, ext, init.copy(), config)
+    f64, s64 = bootstrap_nytt(noisy, ext, init.astype(np.float64), config)
     assert f32.dtype == np.float32 and f64.dtype == np.float64
     assert len(s32.step_losses) == 40
     np.testing.assert_allclose(s32.step_losses, s64.step_losses, rtol=1e-7, atol=0)

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from remixse.audio import Waveform, mix_at_snr, write_wav
+from remixse.audio import Waveform, mix_batch_at_snr, write_wav
 from remixse.corpus import ManifestEntry, load_manifest, write_manifest
 from remixse.errors import (
-    LengthMismatch,
     MissingFile,
     ParseError,
     SampleRateMismatch,
+    ShapeMismatch,
     TooShort,
     UnreadableFile,
     ZeroReference,
@@ -53,8 +53,9 @@ def test_stoi_monotonic_in_snr():
     for seed in range(10):
         x = _speechlike(seed)
         noise = np.random.default_rng(1000 + seed).normal(size=len(x))
-        noisy_bad, _ = mix_at_snr(x.samples, noise, -10.0)
-        noisy_good, _ = mix_at_snr(x.samples, noise, 10.0)
+        (noisy_bad, noisy_good), _ = mix_batch_at_snr(
+            np.stack([x.samples] * 2), np.stack([noise] * 2), np.array([-10.0, 10.0])
+        )
         low = stoi(x, Waveform(noisy_bad, RATE))
         high = stoi(x, Waveform(noisy_good, RATE))
         assert low < high
@@ -69,7 +70,7 @@ def test_stoi_too_short():
 
 def test_stoi_length_mismatch():
     x = _speechlike(0)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         stoi(x, Waveform(x.samples[:-1], RATE))
 
 
@@ -117,7 +118,7 @@ def test_si_sdr_zero_reference():
 
 
 def test_si_sdr_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ShapeMismatch):
         si_sdr(Waveform(np.ones(16), RATE), Waveform(np.ones(8), RATE))
 
 
