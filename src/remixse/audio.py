@@ -46,10 +46,6 @@ class Waveform:
     def __len__(self):
         return self.samples.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.sample_rate_hz
-
 
 # ---------------------------------------------------------------------------
 # SNR mixing

@@ -104,9 +104,8 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
     """Attach the backward closure, or make ``out`` a constant when graph
     recording is off or no parent requires a gradient.
 
-    ``_accum`` drops a gradient for a constant parent; ``conv1d`` and the
-    losses also skip computing the gradients a constant input or target
-    would receive.
+    ``_accum`` drops a gradient for a constant parent; ``conv1d`` also skips
+    computing the gradient a constant input would receive.
     """
     if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out._parents = parents
@@ -417,7 +416,6 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
     # Input contribution for all steps at once; the loop only adds recurrence.
     pre = x.data @ w_ih.data.T + bias.data
     dtype = pre.dtype
-    w_hh_t = w_hh.data.T
     # Gate activations as one affine-tanh-affine pass over all four gates:
     # sigmoid(z) = 0.5 + 0.5 * tanh(0.5 * z) for i, f, o; plain tanh for g.
     act_scale = np.full(four_h, 0.5, dtype=dtype)
@@ -430,18 +428,13 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
     hs = np.zeros((steps + 1, batch, hidden), dtype=dtype)  # hs[t] = h_{t-1}
     cs = np.zeros((steps + 1, batch, hidden), dtype=dtype)
     tc = np.empty((steps, batch, hidden), dtype=dtype)  # tanh(c_t)
-    # float32 BLAS runs the recurrence GEMM about twice as fast at B >= 2 as
-    # w_hh @ h^T into a contiguous (4H, B) buffer; float64 is faster as
-    # h @ w_hh^T. Both forms give the same bits.
-    rec = np.empty((four_h, batch), dtype=dtype) if dtype == np.float32 else None
+    # The recurrence GEMM is w_hh @ h^T into a contiguous (4H, B) buffer:
+    # float32 BLAS runs that form about twice as fast at B >= 2 as h @ w_hh^T.
+    rec = np.empty((four_h, batch), dtype=dtype)
     for t in range(steps):
         a = gates[t]
-        if rec is None:
-            np.matmul(hs[t], w_hh_t, out=a)
-            a += pre[:, t]
-        else:
-            np.matmul(w_hh.data, hs[t].T, out=rec)
-            np.add(rec.T, pre[:, t], out=a)
+        np.matmul(w_hh.data, hs[t].T, out=rec)
+        np.add(rec.T, pre[:, t], out=a)
         a *= act_scale
         np.tanh(a, out=a)
         a *= act_scale
@@ -587,40 +580,34 @@ def resample_time(x: Tensor, up: int, down: int) -> Tensor:
 # losses
 # ---------------------------------------------------------------------------
 
-def _as_tensor(x) -> Tensor:
-    """A Tensor as it is; an array as a constant."""
-    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
-
-
 def mae_loss(pred: Tensor, target) -> Tensor:
-    """Mean absolute error over all samples; subgradient 0 at exact ties."""
-    target = _as_tensor(target)
-    diff = pred.data - target.data
+    """Mean absolute error over all samples; subgradient 0 at exact ties.
+
+    The target is a constant array: only ``pred`` gets a gradient.
+    """
+    diff = pred.data - _float(target)
     out = Tensor(np.mean(np.abs(diff)))
     sgn = np.sign(diff) / diff.size
 
     def bwd(g):
         _accum(pred, g * sgn, fresh=True)
-        if target.requires_grad:
-            _accum(target, -g * sgn, fresh=True)
 
-    return _record(out, (pred, target), bwd)
+    return _record(out, (pred,), bwd)
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:
-    """Mean over the batch of squared L2 norms over time: (1/B) sum_i ||d_i||^2."""
-    target = _as_tensor(target)
-    diff = pred.data - target.data
+    """Mean over the batch of squared L2 norms over time: (1/B) sum_i ||d_i||^2.
+
+    The target is a constant array: only ``pred`` gets a gradient.
+    """
+    diff = pred.data - _float(target)
     batch = diff.shape[0]
     out = Tensor(np.sum(diff * diff) / batch)
 
     def bwd(g):
-        gd = g * 2.0 * diff / batch
-        _accum(pred, gd, fresh=True)
-        if target.requires_grad:
-            _accum(target, -gd, fresh=True)
+        _accum(pred, g * 2.0 * diff / batch, fresh=True)
 
-    return _record(out, (pred, target), bwd)
+    return _record(out, (pred,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -431,7 +431,7 @@ def cmd_enhance(args: SimpleNamespace) -> int:
     if in_path.suffix.lower() == ".wav":
         _check_outputs(args.force, args.out)
         inference_mod.enhance_file(plan, in_path, args.out, args.resample)
-        print(f"enhanced {in_path} -> {args.out} ({plan.num_stages} stages)")
+        print(f"enhanced {in_path} -> {args.out} ({len(plan.models)} stages)")
         return 0
     manifest = corpus_mod.load_manifest(in_path)
     out_dir = Path(args.out)

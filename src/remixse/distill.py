@@ -107,6 +107,8 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.loss not in ("mae", "mse"):
             raise ValueError("loss must be mae or mse")
+        if self.shift_max_samples < 0:
+            raise ValueError(f"shift_max_samples must be >= 0, got {self.shift_max_samples}")
         if self.shift and self.shift_max_samples >= self.segment_samples:
             raise ValueError(
                 f"shift_max_samples ({self.shift_max_samples}) must be < "

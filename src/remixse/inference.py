@@ -10,7 +10,6 @@ and a no-grad float32 forward is about twice as fast as float64.
 """
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -51,10 +50,6 @@ class InferencePlan:
             raise SampleRateMismatch(f"stages disagree on sample rate: {sorted(rates)}")
         return cls([c.model for c in ckpts], [c.sha256 for c in ckpts], rates.pop())
 
-    @property
-    def num_stages(self) -> int:
-        return len(self.models)
-
 
 def enhance(plan: InferencePlan, noisy: Waveform) -> Waveform:
     """Run every stage in order on the speech estimate; length is preserved."""
@@ -92,8 +87,6 @@ def enhance_file(plan: InferencePlan, in_path, out_path, allow_resample: bool) -
 class FileResult:
     id: str
     output_path: str | None
-    stages: int
-    seconds: float
     error: str | None = None
 
 
@@ -132,13 +125,12 @@ def enhance_batch(
     report = BatchReport()
 
     def process(entry: ManifestEntry, name: str) -> FileResult:
-        t0 = time.perf_counter()
         out_path = out_dir / name
         try:
             enhance_file(plan, manifest.resolve(entry), out_path, allow_resample)
         except Exception as exc:  # per-file isolation is the contract
-            return FileResult(entry.id, None, plan.num_stages, time.perf_counter() - t0, str(exc))
-        return FileResult(entry.id, str(out_path), plan.num_stages, time.perf_counter() - t0)
+            return FileResult(entry.id, None, str(exc))
+        return FileResult(entry.id, str(out_path))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(process, entries, names))

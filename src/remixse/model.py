@@ -163,23 +163,22 @@ class DenoiserModel:
 
     # -- forward ---------------------------------------------------------
 
-    def apply(self, x: np.ndarray, normalize: bool = True) -> ad.Tensor:
+    def apply(self, x: np.ndarray) -> ad.Tensor:
         """Differentiable speech estimate for a (B, M) array.
 
-        normalize=False skips the per-row std scaling (the scaling uses the
-        whole utterance and is therefore outside the causal path); callers
-        then must feed pre-scaled input. The scaling is computed in float64;
-        the network runs in the parameters' dtype, on the input as a
-        constant, so backward computes no gradient for it.
+        Each row is divided by its std and the estimate multiplied back. The
+        std uses the whole utterance, so the scaling sits outside the causal
+        path. It is computed in float64; the network runs in the parameters'
+        dtype, on the input as a constant, so backward computes no gradient
+        for it.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.size == 0:
             raise ValueError("apply expects a non-empty (B, M) array")
         cfg = self.config
         batch, length = x.shape
-        if normalize:
-            sigma = x.std(axis=1, keepdims=True) + SIGMA_FLOOR
-            x = x / sigma
+        sigma = x.std(axis=1, keepdims=True) + SIGMA_FLOOR
+        x = x / sigma
         padded = np.zeros((batch, valid_length(cfg, length)), dtype=self.dtype)
         padded[:, :length] = x
         h = ad.Tensor(padded[:, None, :], requires_grad=False)
@@ -220,10 +219,7 @@ class DenoiserModel:
         if cfg.resample > 1:
             h = ad.resample_time(h, 1, cfg.resample)
         h = ad.slice_time(h, 0, length)
-        out = ad.reshape(h, (batch, length))
-        if normalize:
-            out = ad.scale(out, sigma)
-        return out
+        return ad.scale(ad.reshape(h, (batch, length)), sigma)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The teacher pass: float64 (speech, noise) estimates for a (B, M)

@@ -212,6 +212,8 @@ def test_force_rerun_replaces_stats_instead_of_appending(workspace, tmp_path):
         ["distill", "--augment", "--bandmask-frac", "0", "--epochs", "1"],
         ["bootstrap", "--seed", "-1", "--epochs", "1"],
         ["distill", "--seed", "-1", "--epochs", "1"],
+        ["bootstrap", "--shift-max", "-1", "--epochs", "1"],
+        ["distill", "--shift-max", "-1", "--epochs", "1"],  # checked without --augment too
         ["synth", "--dur", "nan"],
         ["synth", "--dur", "inf"],
         ["synth", "--snr-lo", "nan"],
@@ -489,8 +491,16 @@ def test_enhance_two_stage_manifest(workspace, tmp_path):
     assert code == 0
     report = json.loads((out_dir / "enhance_report.json").read_text())
     assert len(report["results"]) == 8
-    assert all(r["stages"] == 2 for r in report["results"])
     assert (out_dir / "enhanced.manifest.jsonl").exists()
+
+
+def test_enhance_report_is_the_same_bytes_on_a_rerun(workspace, tmp_path):
+    argv = ["enhance", "--stages", str(workspace["ckpt"]),
+            "--in", str(workspace["data"] / "noisy.manifest.jsonl"), "--out", str(tmp_path)]
+    assert run(*argv) == 0
+    first = (tmp_path / "enhance_report.json").read_bytes()
+    assert run(*argv, "--force") == 0
+    assert (tmp_path / "enhance_report.json").read_bytes() == first
 
 
 @pytest.fixture(scope="module")
