@@ -25,16 +25,16 @@ from remixse.distill import (
     bootstrap_nytt,
     distill,
 )
-from remixse.inference import InferencePlan, enhance
+from remixse.inference import enhance
 from remixse.metrics import si_sdr
-from remixse.model import TINY_CONFIG, init_model
+from remixse.model import TINY_CONFIG, Checkpoint, init_model
 
 
 def mean_si_sdr(models, clean, noisy):
-    plan = InferencePlan(models=list(models), sources=["<memory>"] * len(models))
+    stages = [Checkpoint(m) for m in models]
     scores = []
     for ref, deg in zip(clean, noisy):
-        scores.append(si_sdr(ref, enhance(plan, deg)))
+        scores.append(si_sdr(ref, enhance(stages, deg)))
     return float(np.mean(scores))
 
 

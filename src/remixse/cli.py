@@ -347,13 +347,11 @@ def cmd_bootstrap(args: SimpleNamespace) -> int:
     noise_manifest = corpus_mod.load_manifest(args.ext_noise)
     noisy = corpus_mod.load_corpus(noisy_manifest, expect_role="noisy")
     ext = corpus_mod.load_corpus(noise_manifest, expect_role="noise")
-    rate = noisy[0].sample_rate_hz
+    rate = corpus_mod.shared_sample_rate([*noisy, *ext], "corpus waveforms")
 
     _make_parents(out_path, stats_path)
     model = init_model(model_config, seed=args.seed).astype(np.float32)
-    model, stats = distill_mod.bootstrap_nytt(
-        noisy, ext, model, config, sample_rate_hz=rate, remix=args.remix
-    )
+    model, stats = distill_mod.bootstrap_nytt(noisy, ext, model, config, remix=args.remix)
 
     digest = save_checkpoint(out_path, Checkpoint(model, config.epochs, args.seed, rate))
     distill_mod.write_stats(stats_path, stats)
@@ -403,9 +401,10 @@ def cmd_distill(args: SimpleNamespace) -> int:
         noise_manifest = corpus_mod.load_manifest(args.ext_noise)
         ext = corpus_mod.load_corpus(noise_manifest, expect_role="noise")
         hashes["noise_corpus"] = corpus_mod.corpus_hash(noise_manifest)
+    corpus_mod.shared_sample_rate([teacher_ckpt[0], *noisy, *(ext or [])], "teacher and corpus")
 
     _make_parents(*outputs)
-    result = distill_mod.distill(teacher_ckpt.pop().model, noisy, ext, config, sample_rate_hz=rate)
+    result = distill_mod.distill(teacher_ckpt.pop().model, noisy, ext, config)
 
     hashes["checkpoint"] = save_checkpoint(
         out_path, Checkpoint(result.student, epochs, args.seed, rate)
@@ -424,29 +423,24 @@ def cmd_distill(args: SimpleNamespace) -> int:
 
 
 def cmd_enhance(args: SimpleNamespace) -> int:
-    plan = inference_mod.InferencePlan.from_checkpoints(
-        [p for p in str(args.stages).split(",") if p]
-    )
+    stages = inference_mod.load_stages([p for p in str(args.stages).split(",") if p])
     in_path = Path(args.inp)
-    if in_path.suffix.lower() == ".wav":
+    if in_path.suffix.lower() == ".wav":  # one WAV out: no report and no resolved.cfg
         _check_outputs(args.force, args.out)
-        inference_mod.enhance_file(plan, in_path, args.out, args.resample)
-        print(f"enhanced {in_path} -> {args.out} ({len(plan.models)} stages)")
+        inference_mod.enhance_file(stages, in_path, args.out, args.resample)
+        print(f"enhanced {in_path} -> {args.out} ({len(stages)} stages)")
         return 0
     manifest = corpus_mod.load_manifest(in_path)
     out_dir = Path(args.out)
     _check_outputs(args.force, out_dir / "enhance_report.json")
     report = inference_mod.enhance_batch(
-        plan, manifest, out_dir, threads=_threads(args), allow_resample=args.resample
+        stages, manifest, out_dir, threads=_threads(args), allow_resample=args.resample
     )
     with atomic_open(out_dir / "enhance_report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-    _echo_resolved(
-        out_dir,
-        "enhance",
-        args,
-        {"input_corpus": corpus_mod.corpus_hash(manifest), "stages": ",".join(plan.sources)},
-    )
+    hashes = {"input_corpus": corpus_mod.corpus_hash(manifest),
+              "stages": ",".join(stage.sha256 for stage in stages)}
+    _echo_resolved(out_dir, "enhance", args, hashes)
     ok = len(report.results) - len(report.failures)
     print(f"enhanced {ok}/{len(report.results)} files into {out_dir}")
     if report.failures:
@@ -481,8 +475,6 @@ def cmd_evaluate(args: SimpleNamespace) -> int:
         "deg_manifest": Path(args.deg).name,
         "corpus_hash": corpus_mod.corpus_hash(ref),
         "metrics": list(selected),
-        "models": None,
-        "stage_plan": None,
     }
     report = metrics_mod.evaluate_manifest(
         ref, deg, metrics=selected, pesq_values=pesq_values, metadata=metadata,

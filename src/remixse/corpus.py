@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import DEFAULT_SAMPLE_RATE, Waveform, mix_batch_at_snr, write_wav
-from .errors import EmptyCorpus, MissingFile, ParseError, RoleMismatch
+from .errors import EmptyCorpus, MissingFile, ParseError, RoleMismatch, SampleRateMismatch
 from .fileio import atomic_open, open_input
 
 ROLES = ("noisy", "noise", "clean", "enhanced")
@@ -132,6 +132,14 @@ def load_corpus(manifest: Manifest, expect_role: str) -> list[Waveform]:
     if not waves:
         raise EmptyCorpus("manifest has no entries")
     return waves
+
+
+def shared_sample_rate(items, what: str) -> int:
+    """The one sample rate of ``items`` (waveforms or checkpoints); else SampleRateMismatch."""
+    rates = {item.sample_rate_hz for item in items}
+    if len(rates) != 1:
+        raise SampleRateMismatch(f"{what} disagree on sample rate: {sorted(rates)}")
+    return rates.pop()
 
 
 def corpus_hash(manifest: Manifest) -> str:

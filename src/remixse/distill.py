@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .audio import augment_bandmask, augment_shift, mix_batch_at_snr
-from .corpus import crop_or_pad
+from .corpus import crop_or_pad, shared_sample_rate
 from .errors import (
     EmptyCorpus,
     MissingExtNoise,
@@ -239,11 +239,11 @@ def bootstrap_nytt(
     ext_noise_corpus,
     model: DenoiserModel,
     config: TrainConfig,
-    sample_rate_hz: int = 16_000,
     remix: bool = True,
 ) -> tuple[DenoiserModel, TrainStats]:
     """Train the initial model: input = noisy + extraneous noise at a random
     SNR in [snr_low_db, snr_high_db], target = the noisy speech itself.
+    Both corpora must share one sample rate (else SampleRateMismatch).
 
     Augmentation order per batch: SNR-scale ext noise -> Remix (permute noise
     rows, if ``remix`` and the batch has two or more) -> BandMask (noise
@@ -253,6 +253,7 @@ def bootstrap_nytt(
         raise EmptyCorpus("noisy corpus is empty")
     if not ext_noise_corpus:
         raise EmptyCorpus("extraneous noise corpus is empty")
+    rate = shared_sample_rate([*noisy_corpus, *ext_noise_corpus], "corpus waveforms")
     rng = np.random.default_rng(config.seed)
     segment = config.segment_samples
 
@@ -264,7 +265,7 @@ def bootstrap_nytt(
         _, scaled = mix_batch_at_snr(x, noise, snrs)
         if remix and config.batch_size >= 2:
             scaled = scaled[rng.permutation(config.batch_size)]
-        return _augment(x, scaled, config, sample_rate_hz, rng)
+        return _augment(x, scaled, config, rate, rng)
 
     stats = _train(model, len(noisy_corpus), make_batch, config, rng)
     return model, stats
@@ -352,9 +353,9 @@ def distill(
     noisy_corpus,
     ext_noise_corpus,
     config: DistillConfig,
-    sample_rate_hz: int = 16_000,
 ) -> DistillResult:
-    """Teacher-student training.
+    """Teacher-student training on corpora that share one sample rate (else
+    SampleRateMismatch).
 
     Per batch: sample noisy speech X, draw a fresh permutation, run the
     teacher pass (``DenoiserModel.forward``) to get the speech estimate and
@@ -381,6 +382,7 @@ def distill(
         raise MissingExtNoise(f"{config.strategy.value} requires an extraneous noise corpus")
     if not config.strategy.needs_ext_noise and ext_noise_corpus:
         raise UnexpectedExtNoise(f"{config.strategy.value} does not take extraneous noise")
+    rate = shared_sample_rate([*noisy_corpus, *(ext_noise_corpus or [])], "corpus waveforms")
 
     rng = np.random.default_rng(config.seed)
     student = teacher.copy()  # a fresh copy: a static teacher must not change
@@ -399,7 +401,7 @@ def distill(
             config.strategy, x, s_hat, n_hat, order, ext, rng, config.snr_low_db, config.snr_high_db
         )
         if config.shift or config.bandmask:
-            return _augment(target, y - target, config, sample_rate_hz, rng)
+            return _augment(target, y - target, config, rate, rng)
         return y, target
 
     def end_epoch():

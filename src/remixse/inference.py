@@ -1,9 +1,10 @@
 """Single-stage and multi-stage enhancement pipelines.
 
-A plan is an ordered list of models; each stage feeds its speech estimate to
-the next, so an n-stage plan equals n chained single-stage calls bit-exactly.
-Every stage runs in float32: checkpoints store float32, so loading is exact,
-and a no-grad float32 forward is about twice as fast as float64.
+A plan is a list of ``Checkpoint``s in stage order, run at the one sample
+rate they share; each stage feeds its speech estimate to the next, so an
+n-stage plan equals n chained single-stage calls bit-exactly. Every stage
+runs in float32: checkpoints store float32, so a loaded model runs as it
+is, and a no-grad float32 forward is about twice as fast as float64.
 
 ``enhance_file`` is the one path from a WAV file to an enhanced WAV file;
 ``enhance_batch`` runs it for every entry of a manifest.
@@ -18,69 +19,57 @@ import numpy as np
 
 from .audio import Waveform, read_wav, resample, write_wav
 from .autodiff import no_grad
-from .corpus import Manifest, ManifestEntry, write_manifest
-from .errors import SampleRateMismatch, UsageError
-from .model import DenoiserModel, load_checkpoint
+from .corpus import Manifest, ManifestEntry, shared_sample_rate, write_manifest
+from .errors import SampleRateMismatch, TooShort, UsageError
+from .model import Checkpoint, load_checkpoint
 
 
-@dataclass
-class InferencePlan:
-    """Ordered enhancement stages plus where each model came from: the
-    SHA-256 of its checkpoint file (``from_checkpoints``) or a label.
+def load_stages(paths) -> list[Checkpoint]:
+    """The checkpoints at ``paths``, in stage order.
 
-    The models are cast to float32 once, here.
+    No path raises UsageError, and checkpoints at different sample rates
+    raise SampleRateMismatch.
     """
-
-    models: list[DenoiserModel]
-    sources: list[str]
-    sample_rate_hz: int = 16_000
-
-    def __post_init__(self):
-        if not self.models:
-            raise ValueError("a plan needs at least one stage")
-        if len(self.models) != len(self.sources):
-            raise ValueError("models and sources must align")
-        self.models = [model.astype(np.float32) for model in self.models]
-
-    @classmethod
-    def from_checkpoints(cls, paths) -> "InferencePlan":
-        ckpts = [load_checkpoint(p) for p in paths]
-        rates = {c.sample_rate_hz for c in ckpts}
-        if len(rates) != 1:
-            raise SampleRateMismatch(f"stages disagree on sample rate: {sorted(rates)}")
-        return cls([c.model for c in ckpts], [c.sha256 for c in ckpts], rates.pop())
+    if not paths:
+        raise UsageError("--stages names no checkpoint")
+    stages = [load_checkpoint(p) for p in paths]
+    shared_sample_rate(stages, "stages")
+    return stages
 
 
-def enhance(plan: InferencePlan, noisy: Waveform) -> Waveform:
+def enhance(stages: list[Checkpoint], noisy: Waveform) -> Waveform:
     """Run every stage in order on the speech estimate; length is preserved."""
-    if noisy.sample_rate_hz != plan.sample_rate_hz:
-        raise SampleRateMismatch(
-            f"waveform at {noisy.sample_rate_hz} Hz, plan expects {plan.sample_rate_hz} Hz"
-        )
+    rate = shared_sample_rate(stages, "stages")
+    if noisy.sample_rate_hz != rate:
+        raise SampleRateMismatch(f"waveform at {noisy.sample_rate_hz} Hz, plan expects {rate} Hz")
+    if not len(noisy):
+        raise TooShort("waveform has no samples to enhance")
     samples = noisy.samples
     with no_grad():
-        for model in plan.models:
-            samples = model.apply(samples[None, :]).data[0]
-    return Waveform(samples, noisy.sample_rate_hz)
+        for stage in stages:
+            samples = stage.model.astype(np.float32).apply(samples[None, :]).data[0]
+    return Waveform(samples, rate)
 
 
-def enhance_file(plan: InferencePlan, in_path, out_path, allow_resample: bool) -> None:
+def enhance_file(stages: list[Checkpoint], in_path, out_path, allow_resample: bool) -> None:
     """Enhance the WAV at in_path into out_path, creating its directory.
 
-    Input at another rate than the plan's raises SampleRateMismatch, before
-    anything is created, unless allow_resample: then it is resampled to the
-    plan's rate first.
+    Input at another rate than the stages' raises SampleRateMismatch unless
+    allow_resample: then it is resampled to their rate first. Nothing is
+    created unless the enhancement succeeds.
     """
     wave = read_wav(in_path)
-    if wave.sample_rate_hz != plan.sample_rate_hz:
+    rate = shared_sample_rate(stages, "stages")
+    if wave.sample_rate_hz != rate:
         if not allow_resample:
             raise SampleRateMismatch(
-                f"{in_path}: {wave.sample_rate_hz} Hz input vs {plan.sample_rate_hz} Hz model; "
+                f"{in_path}: {wave.sample_rate_hz} Hz input vs {rate} Hz model; "
                 f"pass --resample to convert"
             )
-        wave = resample(wave, plan.sample_rate_hz, wave.sample_rate_hz)
+        wave = resample(wave, rate, wave.sample_rate_hz)
+    enhanced = enhance(stages, wave)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    write_wav(out_path, enhance(plan, wave))
+    write_wav(out_path, enhanced)
 
 
 @dataclass
@@ -100,7 +89,7 @@ class BatchReport:
 
 
 def enhance_batch(
-    plan: InferencePlan, manifest: Manifest, out_dir, threads: int = 1, allow_resample: bool = False
+    stages: list[Checkpoint], manifest: Manifest, out_dir, threads=1, allow_resample=False
 ) -> BatchReport:
     """Enhance every manifest entry into <stem>.enhanced.wav under out_dir,
     each through ``enhance_file``.
@@ -127,7 +116,7 @@ def enhance_batch(
     def process(entry: ManifestEntry, name: str) -> FileResult:
         out_path = out_dir / name
         try:
-            enhance_file(plan, manifest.resolve(entry), out_path, allow_resample)
+            enhance_file(stages, manifest.resolve(entry), out_path, allow_resample)
         except Exception as exc:  # per-file isolation is the contract
             return FileResult(entry.id, None, str(exc))
         return FileResult(entry.id, str(out_path))

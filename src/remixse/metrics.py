@@ -77,9 +77,9 @@ def stoi(clean: Waveform, degraded: Waveform) -> float:
     xf = _frame(x) * window
     yf = _frame(y) * window
 
-    # Silence removal keyed on the clean signal, applied to both.
+    # Silence removal keyed on the clean signal, applied to both (no frame: TooShort below).
     energy_db = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + np.finfo(float).eps)
-    keep = energy_db > energy_db.max() - STOI_DYN_RANGE_DB
+    keep = energy_db > energy_db.max(initial=-np.inf) - STOI_DYN_RANGE_DB
     xf = xf[keep]
     yf = yf[keep]
     if xf.shape[0] < STOI_SEGMENT_FRAMES:

@@ -21,7 +21,7 @@ from remixse.distill import (
     bootstrap_nytt,
     distill,
 )
-from remixse.inference import InferencePlan, enhance
+from remixse.inference import enhance, load_stages
 from remixse.metrics import si_sdr, stoi
 from remixse.model import PAPER_CONFIG, TINY_CONFIG, init_model
 from conftest import assert_grad_close, fd_gradients
@@ -147,7 +147,7 @@ def test_criterion_1_gradient_suite():
         def projected(build_out, rng):
             probe = build_out()
             v = rng.normal(size=probe.shape)
-            size = probe.size
+            size = probe.data.size
 
             def build_loss():
                 out = build_out()
@@ -360,9 +360,9 @@ def test_criterion_8_stage_composition(pipeline):
     with criterion(8, "stage plans 1-5: finite, length-preserving, equal to chaining"):
         boot = str(pipeline["boot"])
         wave = Waveform(np.random.default_rng(11).normal(size=3200) * 0.1, RATE)
-        single = InferencePlan.from_checkpoints([boot])
+        single = load_stages([boot])
         for count in range(1, 6):
-            plan = InferencePlan.from_checkpoints([boot] * count)
+            plan = load_stages([boot] * count)
             out = enhance(plan, wave)
             assert len(out) == len(wave)
             assert np.all(np.isfinite(out.samples))
@@ -403,8 +403,8 @@ def test_criterion_10_directional_report(pipeline):
         noisy = load_manifest(test_dir / "noisy.manifest.jsonl")
         clean_by_id = {e.id: e for e in clean}
 
-        student_plan = InferencePlan.from_checkpoints([str(pipeline["student"])])
-        two_stage = InferencePlan.from_checkpoints(
+        student_plan = load_stages([str(pipeline["student"])])
+        two_stage = load_stages(
             [str(pipeline["boot"]), str(pipeline["student"])]
         )
 

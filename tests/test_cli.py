@@ -340,6 +340,18 @@ def test_distill_ctt3_without_ext_noise_is_usage_error(workspace, tmp_path):
     assert code == 2
 
 
+def test_distill_teacher_at_another_rate_than_the_corpus_exits_3_and_writes_nothing(
+    workspace, corpus_8k, tmp_path, capsys
+):
+    out = tmp_path / "out" / "student.ckpt"
+    code = run("distill", "--teacher", str(workspace["ckpt"]),
+               "--noisy", str(corpus_8k / "noisy.manifest.jsonl"), "--epochs", "1",
+               "--batch-size", "2", "--segment", "2500", "--shift-max", "400", "--out", str(out))
+    assert code == 3
+    assert "disagree on sample rate: [8000, 16000]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_distill_bad_teacher_checkpoint_is_runtime_error(workspace, tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage")
@@ -552,6 +564,36 @@ def test_enhance_manifest_where_every_file_fails_exits_3(workspace, corpus_8k, t
     assert "--resample" in err
 
 
+def test_enhance_stages_naming_no_checkpoint_is_usage_error(workspace, tmp_path, capsys):
+    wav_in = next((workspace["data"] / "noisy").glob("*.wav"))
+    code = run("enhance", "--stages", ",", "--in", str(wav_in), "--out", str(tmp_path / "o.wav"))
+    assert code == 2
+    assert "--stages names no checkpoint" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_enhance_zero_sample_wav_exits_3_or_fails_its_manifest_entry(workspace, tmp_path, capsys):
+    wav = next((workspace["data"] / "noisy").glob("*.wav"))
+    (tmp_path / "u.wav").write_bytes(wav.read_bytes())
+    remixse.audio.write_wav(tmp_path / "empty.wav", remixse.audio.Waveform(np.zeros(0), 16_000))
+    out = tmp_path / "single" / "o.wav"
+    code = run("enhance", "--stages", str(workspace["ckpt"]), "--in", str(tmp_path / "empty.wav"),
+               "--out", str(out))
+    assert code == 3
+    assert "no samples" in capsys.readouterr().err
+    assert not (tmp_path / "single").exists()
+
+    write_manifest(tmp_path / "in.jsonl", [
+        ManifestEntry("u", "u.wav", "noisy", 1.0),
+        ManifestEntry("empty", "empty.wav", "noisy", 0.0),
+    ])
+    code = run("enhance", "--stages", str(workspace["ckpt"]), "--in", str(tmp_path / "in.jsonl"),
+               "--out", str(tmp_path / "enh"))
+    assert code == 0
+    report = json.loads((tmp_path / "enh" / "enhance_report.json").read_text())
+    assert report["failures"] == ["empty"]
+
+
 def test_enhance_bad_checkpoint_exits_3(workspace, tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"nope")
@@ -622,6 +664,19 @@ def test_evaluate_identical_manifests(workspace, tmp_path):
     assert report["mean"]["si_sdr_db"] == 100.0
     assert set(report) == {"metadata", "utterances", "mean", "unpaired"}
     assert report_path.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize("samples", [0, 100])
+def test_evaluate_reference_shorter_than_a_stoi_frame_exits_3(tmp_path, capsys, samples):
+    wave = remixse.audio.Waveform(np.full(samples, 0.1), 16_000)
+    remixse.audio.write_wav(tmp_path / "short.wav", wave)
+    write_manifest(tmp_path / "m.jsonl", [ManifestEntry("a", "short.wav", "clean", 0.0)])
+    report_path = tmp_path / "out" / "report.json"
+    code = run("evaluate", "--ref", str(tmp_path / "m.jsonl"), "--deg", str(tmp_path / "m.jsonl"),
+               "--report", str(report_path))
+    assert code == 3
+    assert "error: only 0 frames retained" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_merges_pesq_csv(workspace, tmp_path):

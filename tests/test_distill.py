@@ -8,6 +8,7 @@ import pytest
 
 import remixse.distill
 from remixse import autodiff as ad
+from remixse.audio import Waveform
 from remixse.cli import OPTIONS
 from remixse.corpus import load_corpus, load_manifest
 from remixse.distill import (
@@ -24,6 +25,7 @@ from remixse.errors import (
     EmptyCorpus,
     MissingExtNoise,
     NonFiniteLoss,
+    SampleRateMismatch,
     ShapeMismatch,
     UnexpectedExtNoise,
     UsageError,
@@ -265,6 +267,16 @@ def test_bootstrap_rejects_empty_corpus(corpora):
         bootstrap_nytt([], ext, model, _quick_config())
     with pytest.raises(EmptyCorpus):
         bootstrap_nytt(noisy, [], model, _quick_config())
+
+
+def test_trainers_read_one_sample_rate_off_their_corpora(corpora):
+    noisy, ext = corpora
+    model = init_model(TINY_CONFIG, seed=0)
+    at_8k = [Waveform(noisy[0].samples, 8000)]
+    with pytest.raises(SampleRateMismatch, match=r"\[8000, 16000\]"):
+        bootstrap_nytt(noisy, ext + at_8k, model, _quick_config())
+    with pytest.raises(SampleRateMismatch, match=r"\[8000, 16000\]"):
+        distill(model, noisy + at_8k, None, _distill_config())
 
 
 def test_bootstrap_deterministic_per_seed(corpora):

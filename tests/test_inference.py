@@ -8,7 +8,7 @@ from remixse import autodiff as ad
 from remixse.audio import Waveform, write_wav
 from remixse.corpus import ManifestEntry, load_manifest, write_manifest
 from remixse.errors import SampleRateMismatch, UsageError
-from remixse.inference import InferencePlan, enhance, enhance_batch
+from remixse.inference import enhance, enhance_batch, load_stages
 from remixse.model import (
     Checkpoint,
     DenoiserModel,
@@ -56,7 +56,7 @@ def _save(model, path, rate=RATE):
 
 def test_identity_model_single_stage_is_near_identity(tmp_path):
     path = _save(_identity_model(), tmp_path / "id.ckpt")
-    plan = InferencePlan.from_checkpoints([path])
+    plan = load_stages([path])
     wave = Waveform(np.random.default_rng(0).normal(size=2000) * 0.1, RATE)
     out = enhance(plan, wave)
     assert len(out) == len(wave)
@@ -67,9 +67,9 @@ def test_multistage_equals_chained_single_stages(trained_tiny_model, tmp_path):
     path = _save(trained_tiny_model, tmp_path / "m.ckpt")
     wave = Waveform(np.random.default_rng(1).normal(size=2000) * 0.1, RATE)
     for stages in range(1, 6):
-        plan_n = InferencePlan.from_checkpoints([path] * stages)
+        plan_n = load_stages([path] * stages)
         chained = wave
-        single = InferencePlan.from_checkpoints([path])
+        single = load_stages([path])
         for _ in range(stages):
             chained = enhance(single, chained)
         multi = enhance(plan_n, wave)
@@ -82,21 +82,21 @@ def test_two_stage_with_distinct_models(trained_tiny_model, tmp_path):
     a = _save(trained_tiny_model, tmp_path / "a.ckpt")
     b = _save(init_model(TINY_CONFIG, seed=99), tmp_path / "b.ckpt")
     wave = Waveform(np.random.default_rng(2).normal(size=1500) * 0.1, RATE)
-    plan = InferencePlan.from_checkpoints([a, b])
+    plan = load_stages([a, b])
     out = enhance(plan, wave)
-    stage1 = enhance(InferencePlan.from_checkpoints([a]), wave)
-    stage2 = enhance(InferencePlan.from_checkpoints([b]), stage1)
+    stage1 = enhance(load_stages([a]), wave)
+    stage2 = enhance(load_stages([b]), stage1)
     assert np.array_equal(out.samples, stage2.samples)
 
 
 def test_plan_requires_a_stage():
-    with pytest.raises(ValueError):
-        InferencePlan(models=[], sources=[])
+    with pytest.raises(UsageError):
+        load_stages([])
 
 
 def test_sample_rate_mismatch_rejected(tmp_path):
     path = _save(_identity_model(), tmp_path / "id.ckpt")
-    plan = InferencePlan.from_checkpoints([path])
+    plan = load_stages([path])
     with pytest.raises(SampleRateMismatch):
         enhance(plan, Waveform(np.zeros(1000), 8000))
 
@@ -105,7 +105,7 @@ def test_plan_rejects_mixed_rates(tmp_path):
     a = _save(_identity_model(), tmp_path / "a.ckpt", rate=16000)
     b = _save(_identity_model(), tmp_path / "b.ckpt", rate=8000)
     with pytest.raises(SampleRateMismatch):
-        InferencePlan.from_checkpoints([a, b])
+        load_stages([a, b])
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ def _make_manifest(tmp_path, n):
 
 def test_enhance_batch_writes_all_outputs(trained_tiny_model, tmp_path):
     manifest = _make_manifest(tmp_path, 3)
-    plan = InferencePlan.from_checkpoints([_save(trained_tiny_model, tmp_path / "m.ckpt")])
+    plan = load_stages([_save(trained_tiny_model, tmp_path / "m.ckpt")])
     out_dir = tmp_path / "out"
     report = enhance_batch(plan, manifest, out_dir)
     assert len(report.results) == 3
@@ -139,7 +139,7 @@ def test_enhance_batch_writes_all_outputs(trained_tiny_model, tmp_path):
 def test_enhance_batch_empty_manifest(trained_tiny_model, tmp_path):
     write_manifest(tmp_path / "in.jsonl", [])
     manifest = load_manifest(tmp_path / "in.jsonl")
-    plan = InferencePlan.from_checkpoints([_save(trained_tiny_model, tmp_path / "m.ckpt")])
+    plan = load_stages([_save(trained_tiny_model, tmp_path / "m.ckpt")])
     report = enhance_batch(plan, manifest, tmp_path / "out")
     assert report.results == []
     assert report.failures == []
@@ -148,7 +148,7 @@ def test_enhance_batch_empty_manifest(trained_tiny_model, tmp_path):
 def test_enhance_batch_isolates_failures(trained_tiny_model, tmp_path):
     manifest = _make_manifest(tmp_path, 3)
     (tmp_path / "u1.wav").write_bytes(b"not a wav at all")
-    plan = InferencePlan.from_checkpoints([_save(trained_tiny_model, tmp_path / "m.ckpt")])
+    plan = load_stages([_save(trained_tiny_model, tmp_path / "m.ckpt")])
     report = enhance_batch(plan, manifest, tmp_path / "out")
     assert report.failures == ["u1"]
     ok = [r for r in report.results if r.error is None]
@@ -166,7 +166,7 @@ def test_enhance_batch_rejects_shared_output_stem(trained_tiny_model, tmp_path):
         ManifestEntry("first", "noisy/utt0000.wav", "noisy", 0.1),
         ManifestEntry("second", "alt/utt0000.wav", "noisy", 0.1),
     ])
-    plan = InferencePlan.from_checkpoints([_save(trained_tiny_model, tmp_path / "m.ckpt")])
+    plan = load_stages([_save(trained_tiny_model, tmp_path / "m.ckpt")])
     with pytest.raises(UsageError, match="'first' and 'second'"):
         enhance_batch(plan, load_manifest(tmp_path / "in.jsonl"), tmp_path / "out")
     assert not (tmp_path / "out").exists()
@@ -174,7 +174,7 @@ def test_enhance_batch_rejects_shared_output_stem(trained_tiny_model, tmp_path):
 
 def test_enhance_batch_threaded_matches_serial(trained_tiny_model, tmp_path):
     manifest = _make_manifest(tmp_path, 4)
-    plan = InferencePlan.from_checkpoints([_save(trained_tiny_model, tmp_path / "m.ckpt")])
+    plan = load_stages([_save(trained_tiny_model, tmp_path / "m.ckpt")])
     enhance_batch(plan, manifest, tmp_path / "serial")
     enhance_batch(plan, manifest, tmp_path / "threaded", threads=4)
     assert ad.grad_enabled()
@@ -186,7 +186,7 @@ def test_enhance_batch_threaded_matches_serial(trained_tiny_model, tmp_path):
 
 def test_report_serializes(trained_tiny_model, tmp_path):
     manifest = _make_manifest(tmp_path, 2)
-    plan = InferencePlan.from_checkpoints([_save(trained_tiny_model, tmp_path / "m.ckpt")])
+    plan = load_stages([_save(trained_tiny_model, tmp_path / "m.ckpt")])
     report = enhance_batch(plan, manifest, tmp_path / "out")
     blob = json.dumps(report.to_dict())
     data = json.loads(blob)
@@ -199,18 +199,17 @@ def test_report_serializes(trained_tiny_model, tmp_path):
 
 def test_plan_stages_are_float32_and_loaded_without_a_copy(trained_tiny_model, tmp_path):
     path = _save(trained_tiny_model, tmp_path / "m.ckpt")
-    plan = InferencePlan.from_checkpoints([path])
-    assert all(p.data.dtype == np.float32 for p in plan.models[0].parameters())
-    in_memory = InferencePlan(models=[trained_tiny_model], sources=["<memory>"])
-    assert in_memory.models[0].dtype == np.float32
+    stages = load_stages([path])
+    assert all(p.data.dtype == np.float32 for p in stages[0].model.parameters())
+    wave = Waveform(np.random.default_rng(4).normal(size=2000) * 0.1, RATE)
+    in_memory = enhance([Checkpoint(trained_tiny_model)], wave)
     assert trained_tiny_model.dtype == np.float64  # the caller's model is not changed
-    for name, p in plan.models[0].params.items():
-        assert np.array_equal(p.data, in_memory.models[0].params[name].data), name
+    assert np.array_equal(in_memory.samples, enhance(stages, wave).samples)
 
 
 def test_load_checkpoint_gives_float32_parameters(trained_tiny_model, tmp_path):
     model = load_checkpoint(_save(trained_tiny_model, tmp_path / "m.ckpt")).model
-    assert model.astype(np.float32) is model  # a plan takes it without a copy
+    assert model.astype(np.float32) is model  # a stage runs it without a copy
     for name, p in model.params.items():
         assert p.data.dtype == np.float32
         assert np.array_equal(p.data, trained_tiny_model.params[name].data.astype(np.float32)), name
@@ -218,7 +217,7 @@ def test_load_checkpoint_gives_float32_parameters(trained_tiny_model, tmp_path):
 
 def test_float32_enhance_matches_the_float64_forward(trained_tiny_model, tmp_path):
     path = _save(trained_tiny_model, tmp_path / "m.ckpt")
-    plan = InferencePlan.from_checkpoints([path] * 2)
+    plan = load_stages([path] * 2)
     reference = load_checkpoint(path).model.astype(np.float64)
     wave = Waveform(np.random.default_rng(3).normal(size=3000) * 0.1, RATE)
     ref = wave.samples[None, :]
