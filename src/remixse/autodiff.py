@@ -394,6 +394,31 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Te
 # LSTM (one layer; stack calls for multi-layer networks)
 # ---------------------------------------------------------------------------
 
+# Bound on M*N*K of each per-step recurrence GEMM at batch >= 2. OpenBLAS
+# 0.3.31 runs a GEMM of M*N*K up to about 9.1e5 (AVX-512 kernels, float32 and
+# float64) with its small-matrix kernel, which reads the weight rows in place;
+# one larger call packs the whole (4H, H) w_hh at every step and costs about
+# twice as much at the paper preset's H=768. A shape that would need blocks
+# of fewer than 64 rows stays one call: at H=768 that is the forward from
+# B=17, where 32-row blocks measured no faster than one call.
+LSTM_BLOCK_MNK = 3 << 18
+
+
+def _row_blocks(w: np.ndarray, out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row blocks ``(w[r:s], out[r:s])`` so that ``np.matmul(w[r:s], v,
+    out=out[r:s])`` over all blocks computes ``out = w @ v`` for ``v`` of
+    shape (K, N). Every block but the last has the same rows: the most that
+    keep M*N*K within LSTM_BLOCK_MNK, rounded down to a multiple of 64. At
+    N=1, when that is 0, or when it covers all rows, the one block is the
+    whole of ``w``."""
+    m, k = w.shape
+    n = out.shape[1]
+    rows = LSTM_BLOCK_MNK // (n * k) // 64 * 64
+    if n < 2 or rows == 0:
+        rows = m
+    return [(w[r : r + rows], out[r : r + rows]) for r in range(0, m, rows)]
+
+
 def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
     """Unidirectional LSTM layer, zero initial state.
 
@@ -424,12 +449,19 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
     hs = np.zeros((steps + 1, batch, hidden), dtype=dtype)  # hs[t] = h_{t-1}
     cs = np.zeros((steps + 1, batch, hidden), dtype=dtype)
     tc = np.empty((steps, batch, hidden), dtype=dtype)  # tanh(c_t)
-    # The recurrence GEMM is w_hh @ h^T into a contiguous (4H, B) buffer:
-    # float32 BLAS runs that form about twice as fast at B >= 2 as h @ w_hh^T.
+    # The recurrence is w_hh @ h^T into a contiguous (4H, B) buffer, one GEMM
+    # per row block (_row_blocks). At B=1, and whenever one block holds all 4H
+    # rows (every tiny-preset shape), that is the single call w_hh @ h^T. More
+    # blocks sum the same dot products in another order than one packed call:
+    # at the paper shapes the output moved by at most 1.7e-7 of its largest
+    # value in float32 and 4e-16 in float64 (the README states the tolerance).
     rec = np.empty((four_h, batch), dtype=dtype)
+    rec_blocks = _row_blocks(w_hh.data, rec)
     for t in range(steps):
         a = gates[t]
-        np.matmul(w_hh.data, hs[t].T, out=rec)
+        h_t = hs[t].T
+        for w_block, rec_block in rec_blocks:
+            np.matmul(w_block, h_t, out=rec_block)
         np.add(rec.T, pre[:, t], out=a)
         a *= act_scale
         np.tanh(a, out=a)
@@ -458,6 +490,16 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
         da_rows = da_all.reshape(steps, batch, four_h)
         dh_next = np.zeros((batch, hidden), dtype=dtype)
         dc_next = np.zeros((batch, hidden), dtype=dtype)
+        # dh_{t-1} = da_t @ w_hh, in row blocks of dh^T = w_hh^T @ da^T when
+        # the shape needs more than one; w_hh^T is copied once, in 64-row
+        # stripes of w_hh, which is about 4x faster than w_hh.T.copy().
+        dh_cols = np.empty((hidden, batch), dtype=dtype)
+        dh_blocks = _row_blocks(w_hh.data.T, dh_cols)
+        if len(dh_blocks) > 1:
+            w_hh_t = np.empty((hidden, four_h), dtype=dtype)
+            for r in range(0, four_h, 64):
+                w_hh_t[:, r : r + 64] = w_hh.data[r : r + 64].T
+            dh_blocks = _row_blocks(w_hh_t, dh_cols)
         for t in range(steps - 1, -1, -1):
             dh = g_steps[t] + dh_next
             dc = dh * c_gain[t]
@@ -465,7 +507,13 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
             np.multiply(dc[:, None, :], dc_gain[t], out=da_all[t, :, :3])
             np.multiply(dh, o_gain[t], out=da_all[t, :, 3])
             dc_next = dc * f[t]
-            dh_next = da_rows[t] @ w_hh.data
+            if len(dh_blocks) == 1:
+                dh_next = da_rows[t] @ w_hh.data
+            else:
+                da_t = da_rows[t].T
+                for w_block, dh_block in dh_blocks:
+                    np.matmul(w_block, da_t, out=dh_block)
+                dh_next = dh_cols.T
         # Weight gradients as single GEMMs over all (step, row) pairs.
         da_flat = da_all.reshape(steps * batch, four_h)
         x_steps = x.data.transpose(1, 0, 2).reshape(steps * batch, c_in)

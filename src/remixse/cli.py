@@ -2,8 +2,9 @@
 
 Options resolve as: explicit flags > config file (flat key=value lines with
 section prefixes, e.g. ``train.epochs=35``) > built-in defaults. Every
-command echoes its fully resolved configuration plus input hashes into the
-output directory. Exit codes: 0 success, 2 usage/config error, 3 runtime
+command but a single-file enhance (one WAV in, one WAV out) echoes its fully
+resolved configuration plus input hashes into the output directory as
+resolved.cfg. Exit codes: 0 success, 2 usage/config error, 3 runtime
 failure.
 """
 from __future__ import annotations

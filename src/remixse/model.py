@@ -244,9 +244,11 @@ def init_model(config: ModelConfig, seed: int) -> DenoiserModel:
 
 
 def ema_combine(teacher: DenoiserModel, student: DenoiserModel, gamma: float) -> DenoiserModel:
-    """Per-parameter gamma * student + (1 - gamma) * teacher, computed in
+    """Per-parameter gamma * student + (1 - gamma) * teacher, returned in
     float64 even for a float32 teacher: the average accumulates updates far
-    below float32's resolution."""
+    below float32's resolution. The teacher term is formed in float64;
+    gamma * student keeps the student's dtype (a Python float times a
+    float32 array stays float32) and is widened only for the sum."""
     if teacher.config != student.config:
         raise ConfigMismatch("teacher and student configs differ")
     params = {

@@ -173,17 +173,37 @@ def test_forward_with_internal_resampling():
 
 
 @pytest.mark.parametrize(
-    "config, batch, prefix", [(TINY_CONFIG, 8, "03ed6cc6ab"), (PAPER_CONFIG, 2, "e861ba18c0")],
+    "config, batch, prefix", [(TINY_CONFIG, 8, "03ed6cc6ab"), (PAPER_CONFIG, 2, "ef64a84f0f")],
     ids=["tiny", "paper"],
 )
 def test_float64_forward_matches_the_op_table_anchor(config, batch, prefix):
     # perfbench/op_table.py prints the SHA-256 of this forward at each
     # preset. Like the other pinned hashes, it holds for one BLAS build (see
-    # the README); it was the same at 1 and at 2 OpenBLAS threads.
+    # the README); it was the same at 1 and at 2 OpenBLAS threads. The paper
+    # LSTM runs its recurrence in row blocks at B=2; tiny fits one block.
     x = 0.1 * np.random.default_rng(0).standard_normal((batch, 16000))
     with ad.no_grad():
         out = init_model(config, 0).apply(x).data
     assert hashlib.sha256(out.tobytes()).hexdigest()[:10] == prefix
+
+
+def test_float32_paper_model_at_batch_1_keeps_its_bits():
+    # Every enhance stage runs at B=1, where the LSTM recurrence is one GEMV
+    # per step, unblocked: these are the bits of the single-call form. The
+    # gradients pinned are the LSTM's; the conv weight gradients come from
+    # GEMMs whose bits depend on the BLAS thread count.
+    model = init_model(PAPER_CONFIG, 0).astype(np.float32)
+    with ad.no_grad():
+        out = model.apply(0.1 * np.random.default_rng(0).standard_normal((1, 32000))).data
+    assert hashlib.sha256(out.tobytes()).hexdigest()[:10] == "24e99f3e51"
+
+    x = 0.1 * np.random.default_rng(0).standard_normal((1, 16000))
+    ad.backward(ad.mae_loss(model.apply(x), x))
+    digest = hashlib.sha256()
+    for name, p in model.params.items():
+        if name.startswith("lstm"):
+            digest.update(p.grad.tobytes())
+    assert digest.hexdigest()[:10] == "1f24fc28c9"
 
 
 def test_forward_rejects_empty():
