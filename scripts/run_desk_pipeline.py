@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end desk-scale demo: synth -> bootstrap -> distill -> enhance -> evaluate.
 
-Writes everything under --workdir and prints the evaluation summary. All
-steps go through the CLI entry points, so this doubles as a living example
-of the command surface.
+Writes everything under --workdir and prints a table of the held-out mean
+SI-SDR and STOI of each plan: the noisy input, the bootstrap teacher alone,
+the student alone, two-stage enhancement (bootstrap, then student) and,
+under ``--tup ema``, the combined EMA teacher. All steps go through the CLI
+entry points, so this doubles as a living example of the command surface.
 """
 import argparse
 import json
@@ -19,8 +21,6 @@ def run(args) -> int:
     test = work / "test"
     boot = work / "bootstrap.ckpt"
     student = work / "student.ckpt"
-    enhanced = work / "enhanced"
-    report = work / "report.json"
     force = ["--force"] if args.force else []
 
     steps = [
@@ -36,12 +36,21 @@ def run(args) -> int:
          "--strategy", args.strategy, "--tup", args.tup, "--out", str(student),
          "--epochs", str(args.distill_epochs), "--batch-size", "4",
          "--segment", "4000", "--shift-max", "400", "--seed", str(args.seed)],
-        ["enhance", "--stages", f"{boot},{student}",
-         "--in", str(test / "noisy.manifest.jsonl"), "--out", str(enhanced)],
-        ["evaluate", "--ref", str(test / "clean.manifest.jsonl"),
-         "--deg", str(enhanced / "enhanced.manifest.jsonl"),
-         "--metrics", "stoi,sisdr", "--report", str(report)],
     ]
+    stages = {"bootstrap": [boot], "student": [student], "two-stage": [boot, student]}
+    if args.tup == "ema":
+        stages["EMA teacher"] = [work / "student.teacher.ckpt"]
+    scored = {"noisy": test / "noisy.manifest.jsonl"}  # plan -> the manifest it is scored on
+    for plan, ckpts in stages.items():
+        out = work / "enhanced" / plan.replace(" ", "-")
+        steps.append(["enhance", "--stages", ",".join(map(str, ckpts)),
+                      "--in", str(scored["noisy"]), "--out", str(out)])
+        scored[plan] = out / "enhanced.manifest.jsonl"
+    reports = {}
+    for plan, deg in scored.items():
+        reports[plan] = work / "reports" / f"{plan.replace(' ', '-')}.json"
+        steps.append(["evaluate", "--ref", str(test / "clean.manifest.jsonl"), "--deg", str(deg),
+                      "--metrics", "stoi,sisdr", "--report", str(reports[plan])])
     for argv in steps:
         print(f"$ remixse {' '.join(argv)}")
         code = cli(argv + force)
@@ -49,11 +58,12 @@ def run(args) -> int:
             print(f"step failed with exit code {code}", file=sys.stderr)
             return code
 
-    summary = json.loads(report.read_text())
-    print("\ntwo-stage enhancement on the held-out split:")
-    for key, value in summary["mean"].items():
-        if value is not None:
-            print(f"  mean {key}: {value:.4f}")
+    print("\nheld-out means:")
+    print("| plan | SI-SDR (dB) | STOI |")
+    print("|---|---|---|")
+    for plan, report in reports.items():
+        mean = json.loads(report.read_text())["mean"]
+        print(f"| {plan} | {mean['si_sdr_db']:+.2f} | {mean['stoi']:.3f} |")
     return 0
 
 

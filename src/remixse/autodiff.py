@@ -8,8 +8,8 @@ training losses, and Adam.
 Dtype follows the data: float32 arrays stay float32 through every op, and
 anything else is computed in float64. Intermediate buffers take the dtype of
 the op's inputs. A float32 model therefore trains and enhances in float32,
-and a float64 one (the gradient checks) in float64; Adam keeps float64
-moments and, for float32 parameters, a float64 master copy.
+and a float64 one (the gradient checks) in float64; Adam keeps its
+moments in the dtype of their parameter.
 
 The graph is define-by-run: every op closes over what its backward pass
 needs, and ``backward`` replays the closures in exact reverse creation
@@ -398,22 +398,27 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Te
 # 0.3.31 runs a GEMM of M*N*K up to about 9.1e5 (AVX-512 kernels, float32 and
 # float64) with its small-matrix kernel, which reads the weight rows in place;
 # one larger call packs the whole (4H, H) w_hh at every step and costs about
-# twice as much at the paper preset's H=768. A shape that would need blocks
-# of fewer than 64 rows stays one call: at H=768 that is the forward from
-# B=17, where 32-row blocks measured no faster than one call.
+# twice as much at the paper preset's H=768. Blocks are whole multiples of
+# a row granule, and a shape that would need blocks of fewer rows stays one
+# call. The forward's granule is 64: at H=768 it stays one call from B=17,
+# where 32-row blocks measured no faster than one call (and slower from
+# B=24). The backward's is 32: at H=768 that splits B=5-8 into 32-row
+# blocks of w_hh^T, about twice as fast per step as one call.
 LSTM_BLOCK_MNK = 3 << 18
 
 
-def _row_blocks(w: np.ndarray, out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _row_blocks(
+    w: np.ndarray, out: np.ndarray, granule: int = 64
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Row blocks ``(w[r:s], out[r:s])`` so that ``np.matmul(w[r:s], v,
     out=out[r:s])`` over all blocks computes ``out = w @ v`` for ``v`` of
     shape (K, N). Every block but the last has the same rows: the most that
-    keep M*N*K within LSTM_BLOCK_MNK, rounded down to a multiple of 64. At
-    N=1, when that is 0, or when it covers all rows, the one block is the
-    whole of ``w``."""
+    keep M*N*K within LSTM_BLOCK_MNK, rounded down to a multiple of
+    ``granule``. At N=1, when that is 0, or when it covers all rows, the
+    one block is the whole of ``w``."""
     m, k = w.shape
     n = out.shape[1]
-    rows = LSTM_BLOCK_MNK // (n * k) // 64 * 64
+    rows = LSTM_BLOCK_MNK // (n * k) // granule * granule
     if n < 2 or rows == 0:
         rows = m
     return [(w[r : r + rows], out[r : r + rows]) for r in range(0, m, rows)]
@@ -494,12 +499,12 @@ def lstm_layer(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
         # the shape needs more than one; w_hh^T is copied once, in 64-row
         # stripes of w_hh, which is about 4x faster than w_hh.T.copy().
         dh_cols = np.empty((hidden, batch), dtype=dtype)
-        dh_blocks = _row_blocks(w_hh.data.T, dh_cols)
+        dh_blocks = _row_blocks(w_hh.data.T, dh_cols, 32)
         if len(dh_blocks) > 1:
             w_hh_t = np.empty((hidden, four_h), dtype=dtype)
             for r in range(0, four_h, 64):
                 w_hh_t[:, r : r + 64] = w_hh.data[r : r + 64].T
-            dh_blocks = _row_blocks(w_hh_t, dh_cols)
+            dh_blocks = _row_blocks(w_hh_t, dh_cols, 32)
         for t in range(steps - 1, -1, -1):
             dh = g_steps[t] + dh_next
             dc = dh * c_gain[t]
@@ -658,8 +663,9 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 # Adam
 # ---------------------------------------------------------------------------
 
-# Elements per block of the Adam update: 256 KiB of float64, so the blocks of
-# p, m, v, the gradient and the scratch buffers fit in a core's cache together.
+# Elements per block of the Adam update: 256 KiB of float64 (128 KiB of
+# float32), so the blocks of p, m, v, the gradient and the two scratch
+# buffers fit in a core's cache together.
 ADAM_BLOCK = 1 << 15
 # Adam's fixed hyperparameters (Kingma & Ba's defaults); only the step size is set.
 ADAM_BETA1 = 0.9
@@ -671,24 +677,21 @@ ADAM_EPSILON = 1e-8
 class AdamState:
     """Adam optimizer state: the step size plus per-parameter moments.
 
-    The moments are float64. So is ``master``, the copy of the weights that
-    Adam updates, for each parameter that is not float64 (a float32 model
-    trains on a float64 master; the parameter holds float32(master)). For a
-    float64 parameter ``master`` holds ``None`` and Adam updates the
-    parameter itself. A parameter's moments and master are made at its
-    first update, by the thread that applies it; until then its ``m`` entry
-    is ``None``.
+    Each parameter's moments ``m`` and ``v`` have its dtype and shape, and
+    Adam updates the parameter itself: a float32 model keeps float32
+    moments and no wider copy of its weights. A parameter's moments are
+    made at its first update, by the thread that applies it; until then its
+    ``m`` entry is ``None``.
     """
 
     step_size: float = 3e-4
     timestep: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
-    master: list = field(default_factory=list)
 
     def ensure(self, params) -> None:
         if not self.m:
-            self.m, self.v, self.master = ([None] * len(params) for _ in range(3))
+            self.m, self.v = [None] * len(params), [None] * len(params)
         for p, m in zip(params, self.m):
             if m is not None and p.data.shape != m.shape:
                 raise ValueError("AdamState moments do not match parameter shapes")
@@ -697,22 +700,17 @@ class AdamState:
 def _adam_update(p: Tensor, state: AdamState, i: int, bc1: float, bc2: float, scratch) -> None:
     """Apply the Adam update to ``p``, parameter ``i`` of ``state``, block by block."""
     if state.m[i] is None:
-        state.m[i], state.v[i] = np.zeros(p.data.shape), np.zeros(p.data.shape)
-        state.master[i] = None if p.data.dtype == np.float64 else p.data.astype(np.float64)
-    m, v, master = state.m[i], state.v[i], state.master[i]
+        state.m[i], state.v[i] = np.zeros_like(p.data), np.zeros_like(p.data)
+    m, v = state.m[i], state.v[i]
     if not (p.data.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
         raise ValueError("adam_step needs C-contiguous parameters and moments")
-    s1, s2, s3 = scratch
+    s1, s2 = scratch[p.data.dtype]
     p_flat, m_flat, v_flat = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
-    w_flat = p_flat if master is None else master.reshape(-1)
-    g_flat = np.zeros(p_flat.size) if p.grad is None else np.ravel(p.grad)
+    g_flat = np.zeros_like(p_flat) if p.grad is None else np.ravel(p.grad)
     for lo in range(0, p_flat.size, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, p_flat.size)
         a, b = s1[: hi - lo], s2[: hi - lo]
         g, mb, vb = g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
-        if master is not None:  # square and scale in float64, not float32
-            g = s3[: hi - lo]
-            np.copyto(g, g_flat[lo:hi])
         mb *= ADAM_BETA1
         np.multiply(1.0 - ADAM_BETA1, g, out=a)
         mb += a
@@ -726,9 +724,7 @@ def _adam_update(p: Tensor, state: AdamState, i: int, bc1: float, bc2: float, sc
         np.sqrt(b, out=b)
         b += ADAM_EPSILON
         a /= b
-        w_flat[lo:hi] -= a
-        if master is not None:
-            np.copyto(p_flat[lo:hi], w_flat[lo:hi])
+        p_flat[lo:hi] -= a
 
 
 def adam_step(params, state: AdamState, loss: Tensor | None = None) -> None:
@@ -742,13 +738,12 @@ def adam_step(params, state: AdamState, loss: Tensor | None = None) -> None:
         w -= step_size * (m / bc1) / (sqrt(v / bc2) + epsilon)
 
     with beta1, beta2 and epsilon the ``ADAM_*`` constants, so the result is
-    bit-identical to evaluating it on whole arrays, with far less memory
-    traffic. For a float64 parameter ``w`` is the parameter. For
-    any other, ``w`` is its float64 master in ``state.master``: each gradient
-    block is cast to float64 first, so the arithmetic is the float64
-    arithmetic, and the updated block is rounded back into the parameter.
-    Parameters and moments must be C-contiguous, because the update writes
-    through flat views of them.
+    bit-identical to evaluating it on whole arrays in the parameter's
+    dtype, with far less memory traffic. ``w`` is the parameter itself, and
+    the moments, the scratch buffers and the gradient share its dtype, so a
+    float32 parameter is updated in float32 arithmetic. Parameters and
+    moments must be C-contiguous, because the update writes through flat
+    views of them.
 
     The updates run on one worker thread, started and joined within the
     call. Given ``loss``, the step first backpropagates it with ``backward``
@@ -766,7 +761,8 @@ def adam_step(params, state: AdamState, loss: Tensor | None = None) -> None:
     bc1 = 1.0 - ADAM_BETA1**state.timestep
     bc2 = 1.0 - ADAM_BETA2**state.timestep
     size = min(ADAM_BLOCK, max((p.data.size for p in params), default=0))
-    scratch = (np.empty(size), np.empty(size), np.empty(size))
+    dtypes = {p.data.dtype for p in params}
+    scratch = {dt: (np.empty(size, dt), np.empty(size, dt)) for dt in dtypes}
     release = [loss is not None and p.grad is None for p in params]
     waiting = {id(p): i for i, p in enumerate(params)}
 

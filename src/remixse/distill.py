@@ -12,9 +12,9 @@ takes a ``DistillConfig``, which adds the strategy and the EMA weight and
 defaults augmentation to off.
 
 Training computes in the dtype of the model it is handed: a float32 model
-runs its forward and backward in float32 on a float64 Adam master (see
-``autodiff.adam_step``), and a float64 model trains in float64 throughout.
-Adam's moments and the EMA teacher are float64 either way.
+runs its forward, backward and Adam update in float32, with Adam's moments
+in float32 (see ``autodiff.adam_step``), and a float64 model trains in
+float64 throughout. The EMA teacher is float64 either way.
 
 Each training step makes one ``autodiff.adam_step`` call with the step's
 loss: it runs backward and applies each parameter's Adam update on a
@@ -363,7 +363,7 @@ def distill(
     augment it if the config sets shift or BandMask, and take one student
     Adam step. After each epoch ``update_teacher`` runs. The student starts
     as a fresh copy of the initial teacher, in the teacher's dtype, and
-    trains in that dtype (a float32 student on a float64 Adam master); the
+    trains in that dtype, Adam's moments included; the
     result holds the student and the teacher as they stand after the last
     epoch.
 

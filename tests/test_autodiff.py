@@ -403,12 +403,12 @@ def test_recurrence_row_blocks(m, k, n, rows):
 
 def test_float64_blocked_lstm_matches_the_naive_cell_and_its_gradients():
     # H=400, B=3: the forward recurrence runs in 4H row blocks of 640 rows
-    # (the last holds 320), the backward in H row blocks of 128 (the last 16).
+    # (the last holds 320), the backward in H row blocks of 160 (the last 80).
     batch, steps, c_in, hidden = 3, 6, 5, 400
     rec_blocks = ad._row_blocks(np.empty((4 * hidden, hidden)), np.empty((4 * hidden, batch)))
-    dh_blocks = ad._row_blocks(np.empty((hidden, 4 * hidden)), np.empty((hidden, batch)))
+    dh_blocks = ad._row_blocks(np.empty((hidden, 4 * hidden)), np.empty((hidden, batch)), 32)
     assert [len(w) for w, _ in rec_blocks] == [640, 640, 320]
-    assert [len(w) for w, _ in dh_blocks] == [128] * 3 + [16]
+    assert [len(w) for w, _ in dh_blocks] == [160, 160, 80]
 
     rng = np.random.default_rng(11)
     x = rng.normal(size=(batch, steps, c_in))
@@ -491,6 +491,36 @@ def test_float32_blocked_lstm_stays_within_bound_of_the_h_wt_form(batch, sha256)
     out, reference = _paper_bottleneck_lstm(batch)
     assert np.abs(out - reference).max() <= 1e-5 * np.abs(reference).max()
     assert hashlib.sha256(out.tobytes()).hexdigest() == sha256
+
+
+def test_float32_backward_in_32_row_blocks_stays_within_bound_of_one_call(monkeypatch):
+    # At H=768 and B=5-8 a 64-row block of w_hh^T exceeds LSTM_BLOCK_MNK, so
+    # the backward's da_t @ w_hh runs in 32-row blocks; the single-call form
+    # is the reference. The README states 1e-5 of the largest gradient for
+    # float32.
+    batch, steps, hidden = 6, 5, 768
+    dh_blocks = ad._row_blocks(np.empty((hidden, 4 * hidden)), np.empty((hidden, batch)), 32)
+    assert [len(w) for w, _ in dh_blocks] == [32] * 24
+    rng = np.random.default_rng(batch)
+    x = rng.normal(size=(batch, steps, hidden)).astype(np.float32)
+    w_ih, w_hh = (rng.uniform(-0.036, 0.036, size=(4 * hidden, hidden)).astype(np.float32)
+                  for _ in range(2))
+    bias = rng.normal(scale=0.1, size=4 * hidden).astype(np.float32)
+    g_out = rng.normal(size=(batch, steps, hidden)).astype(np.float32)
+
+    def grads():
+        tensors = [ad.Tensor(a) for a in (x, w_ih, w_hh, bias)]
+        ad.lstm_layer(*tensors)._backward(g_out)
+        return [t.grad for t in tensors]
+
+    blocked = grads()
+    row_blocks = ad._row_blocks
+    monkeypatch.setattr(ad, "_row_blocks", lambda w, out, granule=64: (
+        [(w, out)] if granule == 32 else row_blocks(w, out, granule)))
+    for got, want in zip(blocked, grads()):
+        assert got.dtype == np.float32
+        assert not np.array_equal(got, want)
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
 def test_lstm_zero_weights_zero_output():
@@ -741,17 +771,21 @@ def test_backward_releases_every_interior_node_and_keeps_leaf_gradients():
 # Adam, block by block
 # ---------------------------------------------------------------------------
 
-def test_blocked_adam_is_bit_identical_to_the_whole_array_formula():
+def _check_blocked_adam_against_the_whole_array_formula(dtype):
+    """Three blocked Adam steps against the formula on whole arrays, all in
+    ``dtype``: the parameter is its own master, and its moments, scratch
+    and arithmetic have its dtype."""
     rng = np.random.default_rng(9)
     shapes = [(2 * ad.ADAM_BLOCK + 123,), (3, ad.ADAM_BLOCK // 2 + 7), (5, 3), (4,)]
-    params = [ad.Tensor(rng.normal(size=s)) for s in shapes]
+    params = [ad.Tensor(rng.normal(size=s).astype(dtype)) for s in shapes]
     ref_p = [p.data.copy() for p in params]
-    ref_m = [np.zeros(s) for s in shapes]
-    ref_v = [np.zeros(s) for s in shapes]
+    ref_m = [np.zeros(s, dtype) for s in shapes]
+    ref_v = [np.zeros(s, dtype) for s in shapes]
     state = ad.AdamState(step_size=1e-3)
     b1, b2, eps, lr = ad.ADAM_BETA1, ad.ADAM_BETA2, ad.ADAM_EPSILON, state.step_size
     for t in range(1, 4):
-        grads = [rng.normal(size=s) for s in shapes[:-1]] + [None]  # the last has no grad
+        # the last has no grad
+        grads = [rng.normal(size=s).astype(dtype) for s in shapes[:-1]] + [None]
         for p, g in zip(params, grads):
             p.grad = g
         ad.adam_step(params, state)
@@ -764,30 +798,33 @@ def test_blocked_adam_is_bit_identical_to_the_whole_array_formula():
             v += (1.0 - b2) * (g * g)
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     for p, m, v, rp, rm, rv in zip(params, state.m, state.v, ref_p, ref_m, ref_v):
+        assert p.data.dtype == m.dtype == v.dtype == dtype
         assert np.array_equal(p.data, rp)
         assert np.array_equal(m, rm)
         assert np.array_equal(v, rv)
 
 
-def test_float32_adam_updates_a_float64_master_and_rounds_it_into_the_parameter():
-    rng = np.random.default_rng(13)
-    shapes = [(ad.ADAM_BLOCK + 77,), (5, 3), (4,)]
-    params = [ad.Tensor(rng.normal(size=s).astype(np.float32)) for s in shapes]
-    ref = [ad.Tensor(p.data.astype(np.float64)) for p in params]
-    state, ref_state = ad.AdamState(step_size=1e-3), ad.AdamState(step_size=1e-3)
-    for _ in range(3):
-        grads = [rng.normal(size=s).astype(np.float32) for s in shapes[:-1]] + [None]
-        for p, r, g in zip(params, ref, grads):
-            p.grad = g
-            r.grad = None if g is None else g.astype(np.float64)
-        ad.adam_step(params, state)
-        ad.adam_step(ref, ref_state)
-        for p, r, w in zip(params, ref, state.master):
-            assert w.dtype == np.float64 and np.array_equal(w, r.data)
-            assert p.data.dtype == np.float32 and np.array_equal(p.data, w.astype(np.float32))
-    assert ref_state.master == [None, None, None]
-    for m, v, rm, rv in zip(state.m, state.v, ref_state.m, ref_state.v):
-        assert np.array_equal(m, rm) and np.array_equal(v, rv)
+def test_blocked_adam_is_bit_identical_to_the_whole_array_formula():
+    _check_blocked_adam_against_the_whole_array_formula(np.float64)
+
+
+def test_float32_adam_is_bit_identical_to_the_whole_array_float32_formula():
+    _check_blocked_adam_against_the_whole_array_formula(np.float32)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_state_holds_only_moments_in_each_parameters_dtype(dtype):
+    model = init_model(TINY_CONFIG, seed=3).astype(dtype)
+    params = model.parameters()
+    x = 0.1 * np.random.default_rng(3).normal(size=(2, 4000))
+    state = ad.AdamState()
+    ad.adam_step(params, state, ad.mae_loss(model.apply(x), x))
+    assert len(state.m) == len(state.v) == len(params)
+    for p, m, v in zip(params, state.m, state.v):
+        assert m.dtype == v.dtype == p.data.dtype == dtype
+        assert m.shape == v.shape == p.data.shape
+    per_parameter = {name: value for name, value in vars(state).items() if isinstance(value, list)}
+    assert set(per_parameter) == {"m", "v"}
 
 
 @pytest.mark.parametrize("preset, batch", [("tiny", 8), ("paper", 1)])
@@ -866,11 +903,9 @@ def test_overlapped_adam_step_is_bit_identical_to_backward_then_update(dtype):
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
     assert state.timestep == ref_state.timestep == 3
-    for arrays, ref_arrays in ((state.m, ref_state.m), (state.v, ref_state.v),
-                               (state.master, ref_state.master)):
+    for arrays, ref_arrays in ((state.m, ref_state.m), (state.v, ref_state.v)):
         for a, r in zip(arrays, ref_arrays):
-            assert (a is None and r is None) or np.array_equal(a, r)
-    assert all((w is None) == (dtype == np.float64) for w in state.master)
+            assert a.dtype == dtype and np.array_equal(a, r)
 
 
 def test_a_raising_closure_propagates_and_no_update_outlives_the_step(monkeypatch):

@@ -19,3 +19,7 @@ def test_script_runs(tmp_path, script):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    if script == "run_desk_pipeline.py":  # one row per plan, the EMA teacher's under --tup ema
+        rows = [line.split("|")[1].strip() for line in proc.stdout.splitlines()
+                if line.startswith("| ") and not line.startswith("| plan ")]
+        assert rows == ["noisy", "bootstrap", "student", "two-stage", "EMA teacher"]
