@@ -4,7 +4,8 @@
 Trains one bootstrap teacher, distills a student per (strategy, tup) cell,
 and reports mean SI-SDR on a held-out split for single-stage student
 inference and two-stage (teacher then student) inference. Strategies whose
-recipe needs extraneous noise get the training noise corpus.
+recipe needs extraneous noise get the training noise corpus. Every cell
+trains in float32, as the CLI does.
 
 Desk-scale numbers are directional only; expect noisy differences.
 """
@@ -57,7 +58,7 @@ def run(args) -> int:
     base = dict(batch_size=4, segment_samples=4000, shift_max_samples=400, seed=args.seed)
     print("training bootstrap teacher...")
     teacher, _ = bootstrap_nytt(
-        noisy, ext, init_model(TINY_CONFIG, seed=args.seed),
+        noisy, ext, init_model(TINY_CONFIG, seed=args.seed).astype(np.float32),
         TrainConfig(epochs=args.bootstrap_epochs, **base),
     )
     baseline = mean_si_sdr([teacher], test_clean, test_noisy)

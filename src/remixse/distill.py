@@ -14,7 +14,7 @@ defaults augmentation to off.
 Training computes in the dtype of the model it is handed: a float32 model
 runs its forward, backward and Adam update in float32, with Adam's moments
 in float32 (see ``autodiff.adam_step``), and a float64 model trains in
-float64 throughout. The EMA teacher is float64 either way.
+float64 throughout. The EMA teacher stays in that dtype too.
 
 Each training step makes one ``autodiff.adam_step`` call with the step's
 loss: it runs backward and applies each parameter's Adam update on a
@@ -367,14 +367,9 @@ def distill(
     result holds the student and the teacher as they stand after the last
     epoch.
 
-    The teacher's forward runs in the dtype of the teacher passed in. An EMA
-    update accumulates in float64 (``ema_combine``), so after the first one
-    the teacher is a float64 master; a float32 teacher then runs each
-    forward on a float32 copy of the master, cast for that teacher pass and
-    dropped with it, so the copy is not alive during the student's step or
-    the EMA update. A float64 teacher runs its forward on the master
-    itself. Nothing here keeps the initial teacher once an EMA update has
-    replaced it.
+    The teacher's forward, and each EMA update (``ema_combine``), run in
+    the teacher's dtype. Nothing here keeps the initial teacher once an EMA
+    update has replaced it.
     """
     if not noisy_corpus:
         raise EmptyCorpus("noisy corpus is empty")
@@ -386,13 +381,12 @@ def distill(
 
     rng = np.random.default_rng(config.seed)
     student = teacher.copy()  # a fresh copy: a static teacher must not change
-    forward_dtype = teacher.dtype
     segment = config.segment_samples
 
     def make_batch(indices):
         x = _gather_rows(noisy_corpus, indices, segment, rng)
         order = rng.permutation(config.batch_size)
-        s_hat, n_hat = teacher.astype(forward_dtype).forward(x)
+        s_hat, n_hat = teacher.forward(x)
         ext = None
         if config.strategy.needs_ext_noise:
             noise_idx = rng.integers(0, len(ext_noise_corpus), size=config.batch_size)

@@ -244,18 +244,12 @@ def init_model(config: ModelConfig, seed: int) -> DenoiserModel:
 
 
 def ema_combine(teacher: DenoiserModel, student: DenoiserModel, gamma: float) -> DenoiserModel:
-    """Per-parameter gamma * student + (1 - gamma) * teacher, returned in
-    float64 even for a float32 teacher: the average accumulates updates far
-    below float32's resolution. The teacher term is formed in float64;
-    gamma * student keeps the student's dtype (a Python float times a
-    float32 array stays float32) and is widened only for the sum."""
+    """Per-parameter gamma * student + (1 - gamma) * teacher, in the dtype
+    of the two models: float32 models blend in float32."""
     if teacher.config != student.config:
         raise ConfigMismatch("teacher and student configs differ")
     params = {
-        name: ad.Tensor(
-            gamma * student.params[name].data
-            + (1.0 - gamma) * t.data.astype(np.float64, copy=False)
-        )
+        name: ad.Tensor(gamma * student.params[name].data + (1.0 - gamma) * t.data)
         for name, t in teacher.params.items()
     }
     return DenoiserModel(teacher.config, params)

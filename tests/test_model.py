@@ -255,32 +255,42 @@ def test_full_model_is_causal_up_to_analytic_bound():
 # EMA
 # ---------------------------------------------------------------------------
 
+# Each EMA case runs in both dtypes: the result keeps its inputs' dtype.
+EMA_DTYPES = (np.float32, np.float64)
+
+
 def test_ema_gamma_zero_keeps_teacher():
-    teacher = init_model(TINY_CONFIG, seed=1)
-    student = init_model(TINY_CONFIG, seed=2)
-    out = ema_combine(teacher, student, 0.0)
-    for name, p in out.params.items():
-        assert np.array_equal(p.data, teacher.params[name].data)
+    for dtype in EMA_DTYPES:
+        teacher = init_model(TINY_CONFIG, seed=1).astype(dtype)
+        student = init_model(TINY_CONFIG, seed=2).astype(dtype)
+        out = ema_combine(teacher, student, 0.0)
+        assert out.dtype == dtype
+        for name, p in out.params.items():
+            assert np.array_equal(p.data, teacher.params[name].data)
 
 
 def test_ema_gamma_one_copies_student():
-    teacher = init_model(TINY_CONFIG, seed=1)
-    student = init_model(TINY_CONFIG, seed=2)
-    out = ema_combine(teacher, student, 1.0)
-    for name, p in out.params.items():
-        assert np.array_equal(p.data, student.params[name].data)
+    for dtype in EMA_DTYPES:
+        teacher = init_model(TINY_CONFIG, seed=1).astype(dtype)
+        student = init_model(TINY_CONFIG, seed=2).astype(dtype)
+        out = ema_combine(teacher, student, 1.0)
+        assert out.dtype == dtype
+        for name, p in out.params.items():
+            assert np.array_equal(p.data, student.params[name].data)
 
 
 def test_ema_default_gamma_arithmetic():
-    teacher = init_model(TINY_CONFIG, seed=1)
-    student = init_model(TINY_CONFIG, seed=1)
-    for p in teacher.parameters():
-        p.data[...] = 1.0
-    for p in student.parameters():
-        p.data[...] = 0.0
-    out = ema_combine(teacher, student, 0.005)
-    for p in out.parameters():
-        assert np.allclose(p.data, 0.995, atol=1e-15)
+    for dtype in EMA_DTYPES:
+        teacher = init_model(TINY_CONFIG, seed=1).astype(dtype)
+        student = init_model(TINY_CONFIG, seed=1).astype(dtype)
+        for p in teacher.parameters():
+            p.data[...] = 1.0
+        for p in student.parameters():
+            p.data[...] = 0.0
+        out = ema_combine(teacher, student, 0.005)
+        for p in out.parameters():
+            assert p.data.dtype == dtype
+            assert np.allclose(p.data, 0.995, rtol=0, atol=np.finfo(dtype).eps)
 
 
 def test_ema_composes_affinely():
