@@ -25,7 +25,7 @@ from . import inference as inference_mod
 from . import metrics as metrics_mod
 from .audio import DEFAULT_SAMPLE_RATE
 from .errors import RemixSEError, UsageError
-from .fileio import atomic_open
+from .fileio import atomic_open, make_parents
 from .model import (
     PAPER_CONFIG,
     TINY_CONFIG,
@@ -221,17 +221,15 @@ def _resolve(command: str, namespace: argparse.Namespace) -> SimpleNamespace:
 
 
 def _check_outputs(force: bool, *paths) -> None:
-    """Refuse existing outputs unless --force; nothing is deleted up front, so
-    a run that fails leaves the old outputs as they were."""
-    existing = [str(p) for p in paths if p is not None and Path(p).exists()]
+    """Refuse an output that is a directory, and existing outputs unless
+    --force; nothing is deleted up front, so a run that fails leaves the old
+    outputs as they were."""
+    directories = [str(p) for p in paths if Path(p).is_dir()]
+    if directories:
+        raise UsageError(f"output is a directory, not a file: {directories}")
+    existing = [str(p) for p in paths if Path(p).exists()]
     if existing and not force:
         raise UsageError(f"refusing to overwrite {existing}; pass --force")
-
-
-def _make_parents(*paths) -> None:
-    """Create the output directories before the work, not at save time."""
-    for p in paths:
-        Path(p).parent.mkdir(parents=True, exist_ok=True)
 
 
 def _build_config(factory, *args, **kwargs):
@@ -254,8 +252,6 @@ def _numeric_environment() -> dict[str, str | None]:
 
 
 def _echo_resolved(out_dir, command: str, resolved: SimpleNamespace, hashes: dict[str, str]) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     keys = {o.dest: o.key for o in _options(command) if o.key}
     lines = []
     for dest, value in sorted(vars(resolved).items()):
@@ -277,13 +273,7 @@ def _model_config(args: SimpleNamespace) -> ModelConfig:
 
 
 def _threads(args: SimpleNamespace) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    text = os.environ.get("REMIXSE_THREADS", "1")
-    try:
-        return max(1, int(text))
-    except ValueError:
-        raise UsageError(f"REMIXSE_THREADS must be an integer, got {text!r}") from None
+    return max(1, args.threads or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +340,7 @@ def cmd_bootstrap(args: SimpleNamespace) -> int:
     ext = corpus_mod.load_corpus(noise_manifest, expect_role="noise")
     rate = corpus_mod.shared_sample_rate([*noisy, *ext], "corpus waveforms")
 
-    _make_parents(out_path, stats_path)
+    make_parents(out_path, stats_path)
     model = init_model(model_config, seed=args.seed).astype(np.float32)
     model, stats = distill_mod.bootstrap_nytt(noisy, ext, model, config, remix=args.remix)
 
@@ -404,7 +394,7 @@ def cmd_distill(args: SimpleNamespace) -> int:
         hashes["noise_corpus"] = corpus_mod.corpus_hash(noise_manifest)
     corpus_mod.shared_sample_rate([teacher_ckpt[0], *noisy, *(ext or [])], "teacher and corpus")
 
-    _make_parents(*outputs)
+    make_parents(*outputs)
     result = distill_mod.distill(teacher_ckpt.pop().model, noisy, ext, config)
 
     hashes["checkpoint"] = save_checkpoint(
@@ -481,7 +471,6 @@ def cmd_evaluate(args: SimpleNamespace) -> int:
         ref, deg, metrics=selected, pesq_values=pesq_values, metadata=metadata,
         threads=_threads(args),
     )
-    report_path.parent.mkdir(parents=True, exist_ok=True)
     report.write_json(report_path)
     report.write_csv(csv_path)
     _echo_resolved(report_path.parent, "evaluate", args, {"ref_corpus": metadata["corpus_hash"]})

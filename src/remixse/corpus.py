@@ -282,9 +282,6 @@ def synth_corpus(spec: SynthSpec, out_dir):
     the emitted float32 data, so a re-measure from the files reproduces it).
     """
     out_dir = Path(out_dir)
-    for sub in ("noisy", "clean", "noise"):
-        (out_dir / sub).mkdir(parents=True, exist_ok=True)
-
     rate = spec.sample_rate
     duration = spec.duration_s
     noisy_entries: list[ManifestEntry] = []

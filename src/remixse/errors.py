@@ -83,6 +83,10 @@ class UnreadableFile(RemixSEError):
     """A file exists but opening or reading it failed (permissions, I/O)."""
 
 
+class UnwritableFile(RemixSEError):
+    """The directory of an output file cannot be created."""
+
+
 class RoleMismatch(UsageError):
     pass
 

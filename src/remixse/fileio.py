@@ -1,5 +1,6 @@
-"""File access shared by every module: crash-safe writes, and reads whose
-failures map onto the package errors."""
+"""File access shared by every module: crash-safe writes into directories
+made on demand, and reads whose failures map onto the package errors. This
+is the one module that creates directories."""
 from __future__ import annotations
 
 import os
@@ -7,19 +8,34 @@ import threading
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import MissingFile, UnreadableFile
+from .errors import MissingFile, UnreadableFile, UnwritableFile
+
+
+def make_parents(*paths) -> None:
+    """Create the directory of each path, with any missing parents. A
+    directory that cannot be made (a regular file in the way, no permission)
+    raises ``UnwritableFile("cannot create the directory of <path>: ...")``.
+    """
+    for path in paths:
+        try:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise UnwritableFile(f"cannot create the directory of {path}: {reason}") from exc
 
 
 @contextmanager
 def atomic_open(path, mode: str = "wb", **kwargs):
     """Open a temp file next to ``path`` and rename it over ``path`` once the
     block completes. Readers see the old file or the new one, never a torn
-    one, and a write that fails leaves the old file in place.
+    one, and a write that fails leaves the old file in place. The directory
+    of ``path`` is created first (see ``make_parents``).
 
     The temp name carries the process and thread ids, so concurrent writers
     (enhancement worker threads) never share one.
     """
     path = Path(path)
+    make_parents(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:

@@ -21,6 +21,7 @@ from .audio import Waveform, read_wav, resample, write_wav
 from .autodiff import no_grad
 from .corpus import Manifest, ManifestEntry, shared_sample_rate, write_manifest
 from .errors import SampleRateMismatch, TooShort, UsageError
+from .fileio import make_parents
 from .model import Checkpoint, load_checkpoint
 
 
@@ -52,7 +53,8 @@ def enhance(stages: list[Checkpoint], noisy: Waveform) -> Waveform:
 
 
 def enhance_file(stages: list[Checkpoint], in_path, out_path, allow_resample: bool) -> None:
-    """Enhance the WAV at in_path into out_path, creating its directory.
+    """Enhance the WAV at in_path into out_path (``write_wav`` creates its
+    directory).
 
     Input at another rate than the stages' raises SampleRateMismatch unless
     allow_resample: then it is resampled to their rate first. Nothing is
@@ -67,9 +69,7 @@ def enhance_file(stages: list[Checkpoint], in_path, out_path, allow_resample: bo
                 f"pass --resample to convert"
             )
         wave = resample(wave, rate, wave.sample_rate_hz)
-    enhanced = enhance(stages, wave)
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    write_wav(out_path, enhanced)
+    write_wav(out_path, enhance(stages, wave))
 
 
 @dataclass
@@ -110,7 +110,8 @@ def enhance_batch(
         owners[name] = entry.id
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # before any file is enhanced: an out_dir that cannot be made fails once, up front
+    make_parents(out_dir / "enhanced.manifest.jsonl")
     report = BatchReport()
 
     def process(entry: ManifestEntry, name: str) -> FileResult:

@@ -723,6 +723,67 @@ def test_evaluate_unknown_metric_is_usage_error(workspace, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# output paths
+# ---------------------------------------------------------------------------
+
+_TRAIN_QUICK = ["--epochs", "1", "--batch-size", "4", "--segment", "2500", "--shift-max", "400"]
+
+
+@pytest.mark.parametrize(
+    "case", ["synth", "bootstrap", "distill", "enhance-manifest", "enhance-file", "evaluate"]
+)
+def test_an_output_under_a_regular_file_exits_3(workspace, tmp_path, capsys, case):
+    # The commands whose --out is a directory get the file itself; the others
+    # a path inside it.
+    data = workspace["data"]
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"a regular file")
+    argv = {
+        "synth": ["synth", "--num", "2", "--out", str(blocker)],
+        "bootstrap": ["bootstrap", *_training_inputs(workspace, "bootstrap"), *_TRAIN_QUICK,
+                      "--out", str(blocker / "m.ckpt")],
+        "distill": ["distill", *_training_inputs(workspace, "distill"), *_TRAIN_QUICK,
+                    "--out", str(blocker / "m.ckpt")],
+        "enhance-manifest": ["enhance", "--stages", str(workspace["ckpt"]),
+                             "--in", str(data / "noisy.manifest.jsonl"), "--out", str(blocker)],
+        "enhance-file": ["enhance", "--stages", str(workspace["ckpt"]),
+                         "--in", str(next((data / "noisy").glob("*.wav"))),
+                         "--out", str(blocker / "o.wav")],
+        "evaluate": ["evaluate", "--ref", str(data / "clean.manifest.jsonl"),
+                     "--deg", str(data / "clean.manifest.jsonl"),
+                     "--report", str(blocker / "r.json")],
+    }[case]
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create the directory of {blocker}")
+    assert "Traceback" not in err
+    assert blocker.read_bytes() == b"a regular file"
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["no-force", "force"])
+@pytest.mark.parametrize("command", ["bootstrap", "enhance", "evaluate"])
+def test_an_output_that_is_a_directory_is_usage_error(workspace, tmp_path, capsys, command,
+                                                      force):
+    data = workspace["data"]
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    argv = {
+        "bootstrap": [*_training_inputs(workspace, "bootstrap"), *_TRAIN_QUICK,
+                      "--out", str(taken)],
+        "enhance": ["--stages", str(workspace["ckpt"]),
+                    "--in", str(next((data / "noisy").glob("*.wav"))), "--out", str(taken)],
+        "evaluate": ["--ref", str(data / "clean.manifest.jsonl"),
+                     "--deg", str(data / "clean.manifest.jsonl"), "--report", str(taken)],
+    }[command]
+    assert run(command, *argv, *force) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output is a directory, not a file: [{str(taken)!r}]\n"
+    assert list(tmp_path.iterdir()) == [taken]
+    assert list(taken.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
 # config file
 # ---------------------------------------------------------------------------
 
@@ -852,26 +913,25 @@ def test_resolved_cfg_passed_back_as_config_reruns_the_same(workspace, tmp_path,
 
 
 @pytest.mark.parametrize(
-    "command, config, env",
+    "command, config",
     [
-        ("bootstrap", b"train.epochs=abc", None),
-        ("bootstrap", b"train.lr=fast", None),
-        ("bootstrap", b"train.shift=maybe", None),
-        ("distill", b"train.strategy=nytt9", None),
-        ("distill", b"train.tup=emma", None),
-        ("bootstrap", b"model.depth=\xff\xfe", None),
-        ("enhance", b"enhance.resample=sometimes", None),
-        ("evaluate", b"eval.threads=two", None),
-        ("evaluate", None, "two"),
-        ("bootstrap", b"train.epoch=1", None),
-        ("evaluate", b"eval.metric=sisdr", None),
-        ("bootstrap", b"train.lr=nan", None),
+        ("bootstrap", b"train.epochs=abc"),
+        ("bootstrap", b"train.lr=fast"),
+        ("bootstrap", b"train.shift=maybe"),
+        ("distill", b"train.strategy=nytt9"),
+        ("distill", b"train.tup=emma"),
+        ("bootstrap", b"model.depth=\xff\xfe"),
+        ("enhance", b"enhance.resample=sometimes"),
+        ("evaluate", b"eval.threads=two"),
+        ("bootstrap", b"train.epoch=1"),
+        ("evaluate", b"eval.metric=sisdr"),
+        ("bootstrap", b"train.lr=nan"),
     ],
     ids=["int", "float", "bool", "strategy-choice", "tup-choice", "not-utf8", "enhance-bool",
-         "eval-threads", "env-threads", "unknown-train-key", "unknown-eval-key", "lr-nan"],
+         "eval-threads", "unknown-train-key", "unknown-eval-key", "lr-nan"],
 )
-def test_bad_config_input_exits_2_and_writes_nothing(workspace, tmp_path, capsys, monkeypatch,
-                                                     command, config, env):
+def test_bad_config_input_exits_2_and_writes_nothing(workspace, tmp_path, capsys, command,
+                                                     config):
     data = workspace["data"]
     out = tmp_path / "out"
     # A value is checked even where a flag overrides it, as --epochs does here.
@@ -884,13 +944,9 @@ def test_bad_config_input_exits_2_and_writes_nothing(workspace, tmp_path, capsys
         "evaluate": ["--ref", str(data / "clean.manifest.jsonl"),
                      "--deg", str(data / "clean.manifest.jsonl"), "--report", str(out / "r.json")],
     }[command]
-    if config is not None:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_bytes(_QUICK.encode() + config + b"\n")
-        argv += ["--config", str(cfg)]
-    if env is not None:
-        monkeypatch.setenv("REMIXSE_THREADS", env)
-    assert run(command, *argv) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(_QUICK.encode() + config + b"\n")
+    assert run(command, *argv, "--config", str(cfg)) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 

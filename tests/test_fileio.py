@@ -1,5 +1,6 @@
-"""Output files are replaced whole: a write that fails leaves the old file.
-Every reader names what it could not read in the same words."""
+"""Output files are replaced whole: a write that fails leaves the old file,
+and a missing directory is made first. Every reader names what it could not
+read in the same words."""
 import builtins
 import errno
 
@@ -9,7 +10,7 @@ import pytest
 from remixse import fileio
 from remixse.audio import Waveform, read_wav, write_wav
 from remixse.corpus import ManifestEntry, load_manifest, write_manifest
-from remixse.errors import MissingFile, UnreadableFile
+from remixse.errors import MissingFile, UnreadableFile, UnwritableFile
 from remixse.metrics import MetricReport, UtteranceScore, read_pesq_csv
 from remixse.model import load_checkpoint
 from conftest import fail_reading
@@ -64,6 +65,25 @@ def test_write_failing_midway_leaves_old_file(tmp_path, monkeypatch, kind):
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
     _writes(path, 2)[kind]()
     assert path.read_bytes() != before
+
+
+def test_atomic_open_creates_a_missing_directory(tmp_path):
+    path = tmp_path / "a" / "b" / "out.txt"
+    with fileio.atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write("x")
+    assert path.read_text(encoding="utf-8") == "x"
+    assert list(path.parent.iterdir()) == [path]
+
+
+def test_a_directory_that_cannot_be_made_is_unwritable_file(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"x")
+    path = blocker / "sub" / "out.txt"
+    with pytest.raises(UnwritableFile) as err:
+        with fileio.atomic_open(path, "w"):
+            pass
+    assert str(err.value) == f"cannot create the directory of {path}: Not a directory"
+    assert blocker.read_bytes() == b"x"
 
 
 @pytest.mark.parametrize(

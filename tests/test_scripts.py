@@ -23,3 +23,7 @@ def test_script_runs(tmp_path, script):
         rows = [line.split("|")[1].strip() for line in proc.stdout.splitlines()
                 if line.startswith("| ") and not line.startswith("| plan ")]
         assert rows == ["noisy", "bootstrap", "student", "two-stage", "EMA teacher"]
+        # --seed seeds the corpora; training runs at the CLI default, as in the README
+        trains = [line for line in proc.stdout.splitlines()
+                  if line.startswith(("$ remixse bootstrap ", "$ remixse distill "))]
+        assert len(trains) == 2 and not any(" --seed " in line for line in trains)
