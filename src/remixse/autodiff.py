@@ -17,6 +17,12 @@ order, releasing each node as it goes. An op is recorded only if one of its
 inputs requires a gradient, so constants (model inputs, loss targets) cost
 nothing in backward.
 
+A convolution applies the activation after it inside the op (``act=relu``
+or ``act=glu``), with the bits of the two ops in a row but one graph node:
+ReLU runs in place in the convolution's output, so the pair keeps one
+buffer, and GLU's backward writes its input gradient over the
+pre-activation it keeps.
+
 A training step is one call, ``adam_step(params, state, loss)``. It runs
 ``backward`` and hides Adam behind it: a parameter's gradient is final once
 the last op that consumed the parameter has run its closure, which for the
@@ -219,9 +225,14 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(y)
 
     def bwd(g):
-        _accum(x, g * (y > 0.0), fresh=True)
+        _accum(x, _relu_grad(g, y), fresh=True)
 
     return _record(out, (x,), bwd)
+
+
+def _relu_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """ReLU's input gradient from its output gradient ``g`` and its output ``y``."""
+    return g * (y > 0.0)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -239,27 +250,38 @@ def glu(x: Tensor) -> Tensor:
 
     The graph keeps ``x``, so backward recomputes the gate from it rather
     than keeping a copy."""
-    n = x.data.shape[1]
+    out = Tensor(_glu(x.data))
+
+    def bwd(g):
+        _accum(x, _glu_grad(g, x.data, np.empty_like(x.data)), fresh=True)
+
+    return _record(out, (x,), bwd)
+
+
+def _glu(x: np.ndarray) -> np.ndarray:
+    """GLU of an array, as ``glu``; allocates only the result."""
+    n = x.shape[1]
     if n % 2 != 0:
         raise ValueError(f"glu needs an even channel count, got {n}")
     half = n // 2
-    gated = _sigmoid(x.data[:, half:])
-    gated *= x.data[:, :half]
-    out = Tensor(gated)
+    gated = _sigmoid(x[:, half:])
+    gated *= x[:, :half]
+    return gated
 
-    def bwd(g):
-        a = x.data[:, :half]
-        sb = _sigmoid(x.data[:, half:])
-        gx = np.empty_like(x.data)
-        np.multiply(g, sb, out=gx[:, :half])
-        gb = gx[:, half:]
-        np.multiply(g, a, out=gb)
-        gb *= sb
-        np.subtract(1.0, sb, out=sb)
-        gb *= sb
-        _accum(x, gx, fresh=True)
 
-    return _record(out, (x,), bwd)
+def _glu_grad(g: np.ndarray, x: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    """GLU's input gradient, written into and returned as ``gx``, which may be
+    ``x`` itself: each half of ``x`` is read before its half of ``gx`` is
+    written. The gate is the one temporary."""
+    half = x.shape[1] // 2
+    sb = _sigmoid(x[:, half:])
+    gb = gx[:, half:]
+    np.multiply(g, x[:, :half], out=gb)
+    gb *= sb
+    np.multiply(g, sb, out=gx[:, :half])
+    np.subtract(1.0, sb, out=sb)
+    gb *= sb
+    return gx
 
 
 def slice_time(x: Tensor, start: int, stop: int) -> Tensor:
@@ -336,11 +358,29 @@ def _batch_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
-    """Valid (unpadded) strided correlation.
+def _activate(pre: np.ndarray, act):
+    """``act`` (None, ``relu`` or ``glu``) of ``pre``, a convolution's fresh
+    output buffer, and the map from the gradient of the result to that of
+    ``pre``. ReLU runs in place and masks by its output; GLU keeps ``pre``
+    and writes ``pre``'s gradient over it."""
+    if act is None:
+        return pre, lambda g: g
+    if act is relu:
+        np.maximum(pre, 0.0, out=pre)
+        return pre, lambda g: _relu_grad(g, pre)
+    if act is glu:
+        return _glu(pre), lambda g: _glu_grad(g, pre, pre)
+    raise ValueError(f"a convolution's activation is None, relu or glu, not {act!r}")
+
+
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, act=None) -> Tensor:
+    """Valid (unpadded) strided correlation, then ``act`` (None, ``relu`` or
+    ``glu``).
 
     x: (B, C_in, T), weight: (C_out, C_in, K), bias: (C_out,).
-    Output: (B, C_out, F) with F = (T - K) // stride + 1.
+    Output: (B, C_out, F) with F = (T - K) // stride + 1, halved in channels
+    by ``glu``. The bits are those of ``act(conv1d(x, weight, bias, stride))``,
+    in one graph node that keeps no buffer that no backward reads.
     """
     batch, c_in, length = x.data.shape
     c_out, c_in_w, kernel = weight.data.shape
@@ -352,9 +392,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
     w2 = weight.data.reshape(c_out, c_in * kernel)
     out_data = w2 @ _im2col(x.data, kernel, stride, frames)
     out_data += bias.data[:, None]
+    out_data, pre_grad = _activate(out_data, act)
     out = Tensor(out_data)
 
     def bwd(g):
+        g = pre_grad(g)
         # Columns are rebuilt here rather than kept alive from the forward pass.
         cols = _im2col(x.data, kernel, stride, frames)
         _accum(weight, _batch_outer(g, cols).reshape(weight.data.shape), fresh=True)
@@ -365,8 +407,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
     return _record(out, (x, weight, bias), bwd)
 
 
-def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
-    """Adjoint of conv1d (fractionally strided convolution).
+def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, act=None) -> Tensor:
+    """Adjoint of conv1d (fractionally strided convolution), then ``act``, as
+    in ``conv1d``.
 
     x: (B, C_in, F), weight: (C_in, C_out, K), bias: (C_out,).
     Output: (B, C_out, T') with T' = (F - 1) * stride + K.
@@ -379,9 +422,11 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Te
     w2 = weight.data.reshape(c_in, c_out * kernel)
     out_data = _col2im(w2.T @ x.data, kernel, stride, length)
     out_data += bias.data[:, None]
+    out_data, pre_grad = _activate(out_data, act)
     out = Tensor(out_data)
 
     def bwd(g):
+        g = pre_grad(g)
         g_cols = _im2col(g, kernel, stride, frames)
         _accum(x, w2 @ g_cols, fresh=True)
         _accum(weight, _batch_outer(x.data, g_cols).reshape(weight.data.shape), fresh=True)
@@ -707,6 +752,11 @@ def _adam_update(p: Tensor, state: AdamState, i: int, bc1: float, bc2: float, sc
     s1, s2 = scratch[p.data.dtype]
     p_flat, m_flat, v_flat = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
     g_flat = np.zeros_like(p_flat) if p.grad is None else np.ravel(p.grad)
+    real = p.data.dtype.type
+    beta2, one_minus_beta2 = real(ADAM_BETA2), real(1.0 - ADAM_BETA2)
+    # Below v_floor, sqrt(v / bc2) is about a quarter of eps's spacing, so
+    # sqrt(v / bc2) + eps rounds to eps: clamping v there keeps the bits.
+    v_floor = (np.spacing(real(ADAM_EPSILON)) / 4) ** 2 * bc2
     for lo in range(0, p_flat.size, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, p_flat.size)
         a, b = s1[: hi - lo], s2[: hi - lo]
@@ -714,13 +764,16 @@ def _adam_update(p: Tensor, state: AdamState, i: int, bc1: float, bc2: float, sc
         mb *= ADAM_BETA1
         np.multiply(1.0 - ADAM_BETA1, g, out=a)
         mb += a
-        vb *= ADAM_BETA2
-        np.multiply(g, g, out=a)
-        a *= 1.0 - ADAM_BETA2
+        # The products of v's update are exact in float64 and rounded once,
+        # which float32 arithmetic gives too, without its slow subnormals.
+        np.multiply(vb, beta2, out=vb, dtype=np.float64)
+        np.multiply(g, g, out=a, dtype=np.float64)
+        np.multiply(a, one_minus_beta2, out=a, dtype=np.float64)
         vb += a
         np.divide(mb, bc1, out=a)
         a *= state.step_size
-        np.divide(vb, bc2, out=b)
+        np.maximum(vb, v_floor, out=b)
+        b /= bc2
         np.sqrt(b, out=b)
         b += ADAM_EPSILON
         a /= b
@@ -741,7 +794,11 @@ def adam_step(params, state: AdamState, loss: Tensor | None = None) -> None:
     bit-identical to evaluating it on whole arrays in the parameter's
     dtype, with far less memory traffic. ``w`` is the parameter itself, and
     the moments, the scratch buffers and the gradient share its dtype, so a
-    float32 parameter is updated in float32 arithmetic. Parameters and
+    float32 parameter is updated with the bits of float32 arithmetic. (The
+    three products of ``v``'s update run in float64 and are rounded once,
+    and ``v`` is clamped from below before ``sqrt``, where that cannot
+    change the result: this keeps the many subnormal ``g * g`` of a float32
+    model off the CPU's slow subnormal path.) Parameters and
     moments must be C-contiguous, because the update writes through flat
     views of them.
 

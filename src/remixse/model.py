@@ -188,11 +188,12 @@ class DenoiserModel:
         skips = []
         for i in range(1, cfg.depth + 1):
             h = ad.conv1d(
-                h, self.params[f"enc{i}.conv.w"], self.params[f"enc{i}.conv.b"], cfg.stride
+                h, self.params[f"enc{i}.conv.w"], self.params[f"enc{i}.conv.b"], cfg.stride,
+                act=ad.relu,
             )
-            h = ad.relu(h)
-            h = ad.conv1d(h, self.params[f"enc{i}.proj.w"], self.params[f"enc{i}.proj.b"], 1)
-            h = ad.glu(h)
+            h = ad.conv1d(
+                h, self.params[f"enc{i}.proj.w"], self.params[f"enc{i}.proj.b"], 1, act=ad.glu
+            )
             skips.append(h)
 
         h = ad.swap_time_channels(h)
@@ -208,13 +209,13 @@ class DenoiserModel:
         for i in range(1, cfg.depth + 1):
             skip = skips.pop()
             h = ad.add(h, ad.slice_time(skip, 0, h.shape[-1]))
-            h = ad.conv1d(h, self.params[f"dec{i}.proj.w"], self.params[f"dec{i}.proj.b"], 1)
-            h = ad.glu(h)
-            h = ad.conv_transpose1d(
-                h, self.params[f"dec{i}.tconv.w"], self.params[f"dec{i}.tconv.b"], cfg.stride
+            h = ad.conv1d(
+                h, self.params[f"dec{i}.proj.w"], self.params[f"dec{i}.proj.b"], 1, act=ad.glu
             )
-            if i < cfg.depth:
-                h = ad.relu(h)
+            h = ad.conv_transpose1d(
+                h, self.params[f"dec{i}.tconv.w"], self.params[f"dec{i}.tconv.b"], cfg.stride,
+                act=ad.relu if i < cfg.depth else None,
+            )
 
         if cfg.resample > 1:
             h = ad.resample_time(h, 1, cfg.resample)

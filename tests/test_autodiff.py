@@ -768,16 +768,171 @@ def test_backward_releases_every_interior_node_and_keeps_leaf_gradients():
 
 
 # ---------------------------------------------------------------------------
+# convolutions fused with the activation after them
+# ---------------------------------------------------------------------------
+
+FUSED = [("conv1d", "relu"), ("conv1d", "glu"), ("conv_transpose1d", "relu")]
+FUSED_IDS = ["conv1d-relu", "conv1d-glu", "conv_transpose1d-relu"]
+
+
+def _conv_case(rng, conv, dtype, batch=2, c_in=3, c_out=4, frames=6, kernel=4, stride=2):
+    """Input, weight and bias Tensors for ``conv`` with ``frames`` input
+    frames (conv_transpose1d) or output frames (conv1d)."""
+    if conv == "conv1d":
+        x = rng.normal(size=(batch, c_in, (frames - 1) * stride + kernel))
+        w = rng.normal(size=(c_out, c_in, kernel))
+    else:
+        x = rng.normal(size=(batch, c_in, frames))
+        w = rng.normal(size=(c_in, c_out, kernel))
+    return [ad.Tensor(a.astype(dtype)) for a in (x, w, rng.normal(size=c_out))]
+
+
+def _off_target(out, rng):
+    """A loss on ``out`` whose gradient is nonzero where ``out`` is 0, unlike
+    ``_project``'s, so that it reaches a ReLU's mask there."""
+    target = rng.normal(size=(1, out.size))
+    return lambda t: ad.mse_loss(ad.reshape(t, (1, t.data.size)), target)
+
+
+def _zero_first_channel(conv, w, b):
+    """Zero output channel 0's weights and bias: its pre-activation is then
+    exactly 0 whatever the input."""
+    w.data[(0,) if conv == "conv1d" else (slice(None), 0)] = 0.0
+    b.data[0] = 0.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("conv, act", FUSED, ids=FUSED_IDS)
+def test_fused_conv_gradients_match_finite_differences(conv, act, seed):
+    rng = np.random.default_rng(500 + seed)
+    x, w, b = _conv_case(rng, conv, np.float64)
+    op, fn = getattr(ad, conv), getattr(ad, act)
+    check_op(lambda: op(x, w, b, 2, act=fn), (x, w, b), seed)
+
+
+@pytest.mark.parametrize("conv", ["conv1d", "conv_transpose1d"])
+def test_fused_relu_at_exact_zeros_has_subgradient_zero(conv):
+    """ReLU's input is exactly 0 in channel 0, for any input: the gradient
+    into x matches finite differences, channel 0's weights and bias get 0,
+    and the other channels' match finite differences."""
+    rng = np.random.default_rng(7)
+    x, w, b = _conv_case(rng, conv, np.float64)
+    _zero_first_channel(conv, w, b)
+    op = getattr(ad, conv)
+    assert not op(x, w, b, 2).data[:, 0].any()
+    loss_of = _off_target(op(x, w, b, 2, act=ad.relu).data, rng)
+
+    def build_loss():
+        return loss_of(op(x, w, b, 2, act=ad.relu))
+
+    ad.backward(build_loss())
+    assert_grad_close(x.grad, fd_gradients(build_loss, x))
+    rest = (slice(1, None),) if conv == "conv1d" else (slice(None), slice(1, None))
+    first = (0,) if conv == "conv1d" else (slice(None), 0)
+    assert not w.grad[first].any() and b.grad[0] == 0.0
+    assert_grad_close(w.grad[rest], fd_gradients(build_loss, w)[rest])
+    assert_grad_close(b.grad[1:], fd_gradients(build_loss, b)[1:])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("conv, act", FUSED, ids=FUSED_IDS)
+def test_fused_conv_is_bit_identical_to_the_unfused_pair(conv, act, dtype):
+    rng = np.random.default_rng(21)
+    fused = _conv_case(rng, conv, dtype, batch=3, c_in=5, c_out=8, frames=40, kernel=8, stride=4)
+    _zero_first_channel(conv, *fused[1:])  # exact zeros into ReLU
+    pair = [ad.Tensor(t.data.copy()) for t in fused]
+    op, fn = getattr(ad, conv), getattr(ad, act)
+    out_fused = op(*fused, 4, act=fn)
+    out_pair = fn(op(*pair, 4))
+    assert out_fused.data.dtype == dtype
+    assert out_fused.data.tobytes() == out_pair.data.tobytes()
+    loss_of = _off_target(out_fused.data, rng)
+    ad.backward(loss_of(out_fused))
+    ad.backward(loss_of(out_pair))
+    for got, want in zip(fused, pair):
+        assert got.grad.dtype == dtype and got.grad.tobytes() == want.grad.tobytes()
+
+
+def _traced_bytes(fn) -> tuple[int, int]:
+    """(retained, peak) bytes that tracemalloc sees ``fn()`` allocate."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return current - before, peak - before
+
+
+@pytest.mark.parametrize("conv", ["conv1d", "conv_transpose1d"])
+def test_a_recorded_fused_conv_relu_allocates_only_its_output(conv):
+    rng = np.random.default_rng(3)
+    x, w, b = _conv_case(rng, conv, np.float32, c_in=8, c_out=16, frames=4096, kernel=1, stride=1)
+    op = getattr(ad, conv)
+    op(x, w, b, 1, act=ad.relu)  # numpy's one-time state is set up outside the window
+    out = []
+    retained, peak = _traced_bytes(lambda: out.append(op(x, w, b, 1, act=ad.relu)))
+    assert out[0]._backward is not None
+    # the Tensor, its closures and numpy's 8192-element buffer for the bias add
+    slack = 65536
+    assert peak <= out[0].data.nbytes + slack
+    assert retained <= out[0].data.nbytes + slack
+    pair = []
+    retained, _ = _traced_bytes(lambda: pair.append(ad.relu(op(x, w, b, 1))))
+    assert retained >= 2 * out[0].data.nbytes
+
+
+def test_a_fused_glu_backward_adds_only_the_gate_to_the_convs_own_gradients():
+    rng = np.random.default_rng(4)
+    x, w, b = _conv_case(rng, "conv1d", np.float32, c_in=8, c_out=32, frames=4096, kernel=1,
+                         stride=1)
+
+    def backward_peak(act, g):
+        out = ad.conv1d(x, w, b, 1, act=act)
+        for t in (x, w, b):
+            t.grad = None
+        return _traced_bytes(lambda: out._backward(g))[1]
+
+    g = rng.normal(size=(2, 16, 4096)).astype(np.float32)  # the gate's shape too
+    backward_peak(ad.glu, g)
+    conv_own = backward_peak(None, rng.normal(size=(2, 32, 4096)).astype(np.float32))
+    fused = backward_peak(ad.glu, g)
+    assert fused <= conv_own + g.nbytes + 4096
+
+    # the unfused pair also holds GLU's input gradient while the conv runs
+    pre = ad.conv1d(x, w, b, 1)
+    out = ad.glu(pre)
+
+    def pair_backward():
+        out._backward(g)
+        pre._backward(pre.grad)
+
+    assert _traced_bytes(pair_backward)[1] >= fused + 2 * g.nbytes - 4096
+
+
+def test_a_conv_rejects_another_activation():
+    x, w, b = _conv_case(np.random.default_rng(0), "conv1d", np.float64)
+    with pytest.raises(ValueError, match="relu or glu"):
+        ad.conv1d(x, w, b, 2, act=np.tanh)
+
+
+# ---------------------------------------------------------------------------
 # Adam, block by block
 # ---------------------------------------------------------------------------
 
-def _check_blocked_adam_against_the_whole_array_formula(dtype):
+def _check_blocked_adam_against_the_whole_array_formula(dtype, edges=()):
     """Three blocked Adam steps against the formula on whole arrays, all in
     ``dtype``: the parameter is its own master, and its moments, scratch
-    and arithmetic have its dtype."""
+    and arithmetic have its dtype. Each gradient starts with ``edges``, as
+    far as it has room, where the parameter starts at 0, so that every bit
+    of their updates shows."""
     rng = np.random.default_rng(9)
     shapes = [(2 * ad.ADAM_BLOCK + 123,), (3, ad.ADAM_BLOCK // 2 + 7), (5, 3), (4,)]
     params = [ad.Tensor(rng.normal(size=s).astype(dtype)) for s in shapes]
+    for p in params:
+        p.data.reshape(-1)[: len(edges)] = 0.0
     ref_p = [p.data.copy() for p in params]
     ref_m = [np.zeros(s, dtype) for s in shapes]
     ref_v = [np.zeros(s, dtype) for s in shapes]
@@ -786,6 +941,8 @@ def _check_blocked_adam_against_the_whole_array_formula(dtype):
     for t in range(1, 4):
         # the last has no grad
         grads = [rng.normal(size=s).astype(dtype) for s in shapes[:-1]] + [None]
+        for g in grads[:-1]:
+            g.reshape(-1)[: len(edges)] = edges[: g.size]
         for p, g in zip(params, grads):
             p.grad = g
         ad.adam_step(params, state)
@@ -808,8 +965,15 @@ def test_blocked_adam_is_bit_identical_to_the_whole_array_formula():
     _check_blocked_adam_against_the_whole_array_formula(np.float64)
 
 
+# g * g is subnormal in float32 from |g| < 1.1e-19 and overflows at 1e30; at
+# |g| around 1e-13 v sits where Adam's clamp of v starts to act
+ADAM_EDGES = [sign * 10.0**-k for k in range(10, 46) for sign in (1.0, -1.0)] + [
+    0.0, -0.0, 1e30, -1e30]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_float32_adam_is_bit_identical_to_the_whole_array_float32_formula():
-    _check_blocked_adam_against_the_whole_array_formula(np.float32)
+    _check_blocked_adam_against_the_whole_array_formula(np.float32, ADAM_EDGES)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -1008,7 +1172,7 @@ def test_op_on_constants_only_is_not_recorded():
 
 OPS = ("add", "scale", "relu", "glu", "slice_time", "swap_time_channels", "reshape",
        "conv1d", "conv_transpose1d", "lstm_layer", "resample_time", "mae_loss", "mse_loss")
-ARRAY_HELPERS = ("_sigmoid", "_im2col", "_col2im", "_batch_outer", "resample_array",
+ARRAY_HELPERS = ("_sigmoid", "_glu", "_im2col", "_col2im", "_batch_outer", "resample_array",
                  "_fft_convolve_full")
 
 
@@ -1044,7 +1208,8 @@ def test_float32_paper_forward_stays_float32_in_every_op(monkeypatch):
     with ad.no_grad():
         out = model.apply(x)
     assert out.data.dtype == np.float32
-    assert {"conv1d", "conv_transpose1d", "lstm_layer", "glu", "relu", "resample_time",
+    # ReLU and GLU run inside the convolutions (``act``), GLU through ``_glu``
+    assert {"conv1d", "conv_transpose1d", "lstm_layer", "_glu", "resample_time",
             "scale", "_col2im", "_fft_convolve_full", "resample_array"} <= seen
 
 
