@@ -752,11 +752,6 @@ def _adam_update(p: Tensor, state: AdamState, i: int, bc1: float, bc2: float, sc
     s1, s2 = scratch[p.data.dtype]
     p_flat, m_flat, v_flat = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
     g_flat = np.zeros_like(p_flat) if p.grad is None else np.ravel(p.grad)
-    real = p.data.dtype.type
-    beta2, one_minus_beta2 = real(ADAM_BETA2), real(1.0 - ADAM_BETA2)
-    # Below v_floor, sqrt(v / bc2) is about a quarter of eps's spacing, so
-    # sqrt(v / bc2) + eps rounds to eps: clamping v there keeps the bits.
-    v_floor = (np.spacing(real(ADAM_EPSILON)) / 4) ** 2 * bc2
     for lo in range(0, p_flat.size, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, p_flat.size)
         a, b = s1[: hi - lo], s2[: hi - lo]
@@ -764,16 +759,13 @@ def _adam_update(p: Tensor, state: AdamState, i: int, bc1: float, bc2: float, sc
         mb *= ADAM_BETA1
         np.multiply(1.0 - ADAM_BETA1, g, out=a)
         mb += a
-        # The products of v's update are exact in float64 and rounded once,
-        # which float32 arithmetic gives too, without its slow subnormals.
-        np.multiply(vb, beta2, out=vb, dtype=np.float64)
-        np.multiply(g, g, out=a, dtype=np.float64)
-        np.multiply(a, one_minus_beta2, out=a, dtype=np.float64)
+        vb *= ADAM_BETA2
+        np.multiply(g, g, out=a)
+        a *= 1.0 - ADAM_BETA2
         vb += a
         np.divide(mb, bc1, out=a)
         a *= state.step_size
-        np.maximum(vb, v_floor, out=b)
-        b /= bc2
+        np.divide(vb, bc2, out=b)
         np.sqrt(b, out=b)
         b += ADAM_EPSILON
         a /= b
@@ -794,11 +786,7 @@ def adam_step(params, state: AdamState, loss: Tensor | None = None) -> None:
     bit-identical to evaluating it on whole arrays in the parameter's
     dtype, with far less memory traffic. ``w`` is the parameter itself, and
     the moments, the scratch buffers and the gradient share its dtype, so a
-    float32 parameter is updated with the bits of float32 arithmetic. (The
-    three products of ``v``'s update run in float64 and are rounded once,
-    and ``v`` is clamped from below before ``sqrt``, where that cannot
-    change the result: this keeps the many subnormal ``g * g`` of a float32
-    model off the CPU's slow subnormal path.) Parameters and
+    float32 parameter is updated in float32 arithmetic. Parameters and
     moments must be C-contiguous, because the update writes through flat
     views of them.
 

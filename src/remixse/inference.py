@@ -26,18 +26,14 @@ from .model import Checkpoint, load_checkpoint
 
 
 def load_stages(paths) -> list[Checkpoint]:
-    """The checkpoints at ``paths``, in stage order, read at the same time:
-    one thread per stage, all joined before this returns. The file reads,
-    the CRC and the SHA-256 release the GIL.
+    """The checkpoints at ``paths``, in stage order.
 
-    No path raises UsageError. A stage that fails to load raises its error,
-    the first such path's in stage order, and checkpoints at different
-    sample rates raise SampleRateMismatch.
+    No path raises UsageError, and checkpoints at different sample rates
+    raise SampleRateMismatch.
     """
     if not paths:
         raise UsageError("--stages names no checkpoint")
-    with ThreadPoolExecutor(max_workers=len(paths)) as pool:
-        stages = list(pool.map(load_checkpoint, paths))
+    stages = [load_checkpoint(p) for p in paths]
     shared_sample_rate(stages, "stages")
     return stages
 

@@ -1,6 +1,5 @@
 """Stage plans, composition semantics, and batch enhancement."""
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -8,8 +7,7 @@ import pytest
 from remixse import autodiff as ad
 from remixse.audio import Waveform, write_wav
 from remixse.corpus import ManifestEntry, load_manifest, write_manifest
-from remixse import inference
-from remixse.errors import CorruptHeader, MissingFile, SampleRateMismatch, UsageError
+from remixse.errors import SampleRateMismatch, UsageError
 from remixse.inference import enhance, enhance_batch, load_stages
 from remixse.model import (
     Checkpoint,
@@ -94,37 +92,6 @@ def test_two_stage_with_distinct_models(trained_tiny_model, tmp_path):
 def test_plan_requires_a_stage():
     with pytest.raises(UsageError):
         load_stages([])
-
-
-def test_stages_load_on_one_thread_each_in_stage_order(tmp_path, monkeypatch):
-    paths = [_save(init_model(TINY_CONFIG, seed=s), tmp_path / f"{s}.ckpt") for s in (1, 2, 3)]
-    serial = [load_checkpoint(p).sha256 for p in paths]
-    everyone = threading.Barrier(len(paths), timeout=30)  # breaks unless all load at once
-    threads = set()
-
-    def load(path):
-        threads.add(threading.get_ident())
-        everyone.wait()
-        return load_checkpoint(path)
-
-    monkeypatch.setattr(inference, "load_checkpoint", load)
-    before = threading.enumerate()
-    assert [s.sha256 for s in load_stages(paths)] == serial
-    assert len(threads) == len(paths) and threading.get_ident() not in threads
-    assert threading.enumerate() == before
-
-
-@pytest.mark.parametrize("order", ["missing-first", "corrupt-first"])
-def test_a_failing_stage_raises_the_first_failing_paths_error(tmp_path, order):
-    good = _save(init_model(TINY_CONFIG, seed=1), tmp_path / "good.ckpt")
-    missing = str(tmp_path / "absent.ckpt")
-    corrupt = tmp_path / "corrupt.ckpt"
-    corrupt.write_bytes(b"not a checkpoint")
-    bad = [missing, str(corrupt)] if order == "missing-first" else [str(corrupt), missing]
-    before = threading.enumerate()
-    with pytest.raises(MissingFile if order == "missing-first" else CorruptHeader):
-        load_stages([good] + bad)
-    assert threading.enumerate() == before
 
 
 def test_sample_rate_mismatch_rejected(tmp_path):
