@@ -1,11 +1,13 @@
 """Command-line interface: synth, bootstrap, distill, enhance, evaluate.
 
 Options resolve as: explicit flags > config file (flat key=value lines with
-section prefixes, e.g. ``train.epochs=35``) > built-in defaults. Every
-command but a single-file enhance (one WAV in, one WAV out) echoes its fully
-resolved configuration plus input hashes into the output directory as
-resolved.cfg. Exit codes: 0 success, 2 usage/config error, 3 runtime
-failure.
+section prefixes, e.g. ``train.epochs=35``) > built-in defaults, which are
+those of the config dataclass a command fills. Every command but a
+single-file enhance (one WAV in, one WAV out) records its fully resolved
+configuration, sorted by key, plus input and output hashes: bootstrap,
+distill and evaluate as <output stem>.resolved.cfg next to their output,
+synth and a manifest enhance as resolved.cfg in their output directory.
+Exit codes: 0 success, 2 usage/config error, 3 runtime failure.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +25,8 @@ from . import corpus as corpus_mod
 from . import distill as distill_mod
 from . import inference as inference_mod
 from . import metrics as metrics_mod
-from .audio import DEFAULT_SAMPLE_RATE
+from .corpus import SynthSpec
+from .distill import DistillConfig, MixStrategy, TrainConfig
 from .errors import RemixSEError, UsageError
 from .fileio import atomic_open, make_parents
 from .model import (
@@ -45,7 +48,8 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
 class Option:
     """One command-line option.
 
-    ``key`` is its config-file key (None: flag only). ``type`` parses
+    ``key`` is its config-file key (None: flag only). ``dest`` names the
+    config field it sets, if any, whose default it takes. ``type`` parses
     config-file values and, unless ``action`` is set, the flag's value too.
     ``help`` is one text for every command or a dict from command to text.
     """
@@ -104,13 +108,14 @@ _TRAIN = ("bootstrap", "distill")
 # order (as --help shows them) and resolves each as: explicit flag >
 # config-file key > default.
 OPTIONS = (
-    Option(("synth",), "--seed", "seed", "synth.seed", int, 0),
-    Option(("synth",), "--num", "num", "synth.num", int, 16, help="utterances per family"),
-    Option(("synth",), "--dur", "dur", "synth.dur", float, 1.0,
+    Option(("synth",), "--seed", "seed", "synth.seed", int, SynthSpec.seed),
+    Option(("synth",), "--num", "num_utterances", "synth.num", int, SynthSpec.num_utterances,
+           help="utterances per family"),
+    Option(("synth",), "--dur", "duration_s", "synth.dur", float, SynthSpec.duration_s,
            help="utterance length in seconds"),
-    Option(("synth",), "--sr", "sr", "synth.sr", int, DEFAULT_SAMPLE_RATE),
-    Option(("synth",), "--snr-lo", "snr_lo", "synth.snr_lo", float, 0.0),
-    Option(("synth",), "--snr-hi", "snr_hi", "synth.snr_hi", float, 10.0),
+    Option(("synth",), "--sr", "sample_rate", "synth.sr", int, SynthSpec.sample_rate),
+    Option(("synth",), "--snr-lo", "snr_low_db", "synth.snr_lo", float, SynthSpec.snr_low_db),
+    Option(("synth",), "--snr-hi", "snr_high_db", "synth.snr_hi", float, SynthSpec.snr_high_db),
     Option(("distill",), "--teacher", "teacher", required=True, help="initial teacher checkpoint"),
     Option(_TRAIN, "--noisy", "noisy", required=True, help={"bootstrap": "noisy-speech manifest"}),
     Option(("bootstrap",), "--ext-noise", "ext_noise", required=True,
@@ -125,36 +130,40 @@ OPTIONS = (
         "enhance": "output WAV (file input) or directory (manifest)",
     }),
     Option(_TRAIN, "--stats", "stats"),
-    Option(("distill",), "--strategy", "strategy", "train.strategy", str, "nytt1",
-           choices=tuple(s.value for s in distill_mod.MixStrategy)),
+    Option(("distill",), "--strategy", "strategy", "train.strategy", str,
+           DistillConfig.strategy.value, choices=tuple(s.value for s in MixStrategy)),
     Option(("distill",), "--tup", "tup", "train.tup", str, "static", choices=("static", "ema")),
     Option(("distill",), "--gamma", "gamma", "train.gamma", float, 0.005),
-    # unset: 500 epochs under a static teacher, 35 under EMA
+    # unset: DistillConfig.epochs under a static teacher, 35 under EMA
     Option(("distill",), "--epochs", "epochs", "train.epochs", int, None),
-    Option(_TRAIN, "--loss", "loss", "train.loss", str, "mae", choices=("mae", "mse")),
-    Option(("bootstrap",), "--epochs", "epochs", "train.epochs", int, 500),
-    Option(_TRAIN, "--batch-size", "batch_size", "train.batch_size", int, 8),
-    Option(_TRAIN, "--segment", "segment", "train.segment", int, 16_000,
-           help={"bootstrap": "training segment length in samples"}),
-    Option(_TRAIN, "--lr", "lr", "train.lr", float, 3e-4),
-    Option(_TRAIN, "--snr-lo", "snr_lo", "train.snr_lo", float, -5.0),
-    Option(_TRAIN, "--snr-hi", "snr_hi", "train.snr_hi", float, 5.0),
-    Option(_TRAIN, "--seed", "seed", "train.seed", int, 0),
+    Option(_TRAIN, "--loss", "loss", "train.loss", str, TrainConfig.loss, choices=("mae", "mse")),
+    Option(("bootstrap",), "--epochs", "epochs", "train.epochs", int, TrainConfig.epochs),
+    Option(_TRAIN, "--batch-size", "batch_size", "train.batch_size", int, TrainConfig.batch_size),
+    Option(_TRAIN, "--segment", "segment_samples", "train.segment", int,
+           TrainConfig.segment_samples, help={"bootstrap": "training segment length in samples"}),
+    Option(_TRAIN, "--lr", "learning_rate", "train.lr", float, TrainConfig.learning_rate),
+    Option(_TRAIN, "--snr-lo", "snr_low_db", "train.snr_lo", float, TrainConfig.snr_low_db),
+    Option(_TRAIN, "--snr-hi", "snr_high_db", "train.snr_hi", float, TrainConfig.snr_high_db),
+    Option(_TRAIN, "--seed", "seed", "train.seed", int, TrainConfig.seed),
     Option(("bootstrap",), "--model", "model", "model.preset", str, "tiny",
            choices=tuple(_MODEL_PRESETS)),
+    # unset: the preset's value
     Option(("bootstrap",), "--depth", "depth", "model.depth", int),
     Option(("bootstrap",), "--hidden", "hidden", "model.hidden", int),
-    Option(("bootstrap",), "--kernel", "kernel", "model.kernel", int),
+    Option(("bootstrap",), "--kernel", "kernel_size", "model.kernel", int),
     Option(("bootstrap",), "--stride", "stride", "model.stride", int),
-    Option(("bootstrap",), "--resample-factor", "resample_factor", "model.resample", int),
-    Option(("bootstrap",), "--no-shift", "shift", "train.shift", bool, True, action="store_false"),
-    Option(("bootstrap",), "--no-remix", "remix", "train.remix", bool, True, action="store_false"),
-    Option(("bootstrap",), "--no-bandmask", "bandmask", "train.bandmask", bool, True,
+    Option(("bootstrap",), "--resample-factor", "resample", "model.resample", int),
+    Option(("bootstrap",), "--no-shift", "shift", "train.shift", bool, TrainConfig.shift,
            action="store_false"),
+    Option(("bootstrap",), "--no-remix", "remix", "train.remix", bool, True, action="store_false"),
+    Option(("bootstrap",), "--no-bandmask", "bandmask", "train.bandmask", bool,
+           TrainConfig.bandmask, action="store_false"),
     Option(("distill",), "--augment", "augment", "train.augment", bool, False, action="store_true",
            help="apply shift/bandmask during distillation too"),
-    Option(_TRAIN, "--shift-max", "shift_max", "train.shift_max", int, 4_000),
-    Option(_TRAIN, "--bandmask-frac", "bandmask_frac", "train.bandmask_frac", float, 0.2),
+    Option(_TRAIN, "--shift-max", "shift_max_samples", "train.shift_max", int,
+           TrainConfig.shift_max_samples),
+    Option(_TRAIN, "--bandmask-frac", "bandmask_fraction", "train.bandmask_frac", float,
+           TrainConfig.bandmask_fraction),
     Option(("enhance",), "--resample", "resample", "enhance.resample", bool, False,
            action="store_true"),
     Option(("enhance",), "--threads", "threads", "enhance.threads", int),
@@ -251,29 +260,31 @@ def _numeric_environment() -> dict[str, str | None]:
     return {"blas": name, **{var: os.environ.get(var) for var in _THREAD_VARS}}
 
 
-def _echo_resolved(out_dir, command: str, resolved: SimpleNamespace, hashes: dict[str, str]) -> None:
+def _echo_resolved(path, command: str, resolved: SimpleNamespace, hashes: dict[str, str]) -> None:
     keys = {o.dest: o.key for o in _options(command) if o.key}
-    lines = []
-    for dest, value in sorted(vars(resolved).items()):
-        key = keys.get(dest, f"{command}.{dest}")
-        lines.append(f"{key}={value}")
-    for name, digest in sorted(hashes.items()):
-        lines.append(f"hash.{name}={digest}")
-    for name, value in _numeric_environment().items():
-        lines.append(f"env.{name}={value}")
-    with atomic_open(out_dir / "resolved.cfg", "w", encoding="utf-8") as fh:
+    values = {keys.get(dest, f"{command}.{dest}"): value for dest, value in vars(resolved).items()}
+    lines = [f"{key}={value}" for key, value in sorted(values.items())]
+    lines += [f"hash.{name}={digest}" for name, digest in sorted(hashes.items())]
+    lines += [f"env.{name}={value}" for name, value in _numeric_environment().items()]
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _settings(cls, args: SimpleNamespace) -> dict:
+    """The resolved options that share a name with a field of the dataclass ``cls``."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
 def _model_config(args: SimpleNamespace) -> ModelConfig:
-    overrides = dict(depth=args.depth, hidden=args.hidden, kernel_size=args.kernel,
-                     stride=args.stride, resample=args.resample_factor)
-    overrides = {name: value for name, value in overrides.items() if value is not None}
+    overrides = {name: v for name, v in _settings(ModelConfig, args).items() if v is not None}
     return _build_config(replace, _MODEL_PRESETS[args.model], **overrides)
 
 
 def _threads(args: SimpleNamespace) -> int:
-    return max(1, args.threads or 1)
+    threads = 1 if args.threads is None else args.threads
+    if threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {threads}")
+    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +292,7 @@ def _threads(args: SimpleNamespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args: SimpleNamespace) -> int:
-    spec = _build_config(
-        corpus_mod.SynthSpec,
-        seed=args.seed,
-        num_utterances=args.num,
-        duration_s=args.dur,
-        sample_rate=args.sr,
-        snr_low_db=args.snr_lo,
-        snr_high_db=args.snr_hi,
-    )
+    spec = _build_config(SynthSpec, **_settings(SynthSpec, args))
     out_dir = Path(args.out)
     _check_outputs(
         args.force,
@@ -303,35 +306,18 @@ def cmd_synth(args: SimpleNamespace) -> int:
         "noise_corpus": corpus_mod.corpus_hash(corpus_mod.load_manifest(noise_path)),
         "clean_corpus": corpus_mod.corpus_hash(corpus_mod.load_manifest(clean_path)),
     }
-    _echo_resolved(out_dir, "synth", args, hashes)
-    print(f"wrote {args.num} utterances to {out_dir}")
+    _echo_resolved(out_dir / "resolved.cfg", "synth", args, hashes)
+    print(f"wrote {spec.num_utterances} utterances to {out_dir}")
     for name, digest in sorted(hashes.items()):
         print(f"{name} sha256 {digest}")
     return 0
-
-
-def _train_config(args: SimpleNamespace, factory, **settings):
-    """``factory(**settings)`` over the options both training commands share."""
-    shared = dict(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        segment_samples=args.segment,
-        learning_rate=args.lr,
-        loss=args.loss,
-        snr_low_db=args.snr_lo,
-        snr_high_db=args.snr_hi,
-        seed=args.seed,
-        shift_max_samples=args.shift_max,
-        bandmask_fraction=args.bandmask_frac,
-    )
-    return _build_config(factory, **{**shared, **settings})
 
 
 def cmd_bootstrap(args: SimpleNamespace) -> int:
     out_path = Path(args.out)
     stats_path = Path(args.stats) if args.stats else out_path.with_suffix(".stats.jsonl")
     _check_outputs(args.force, out_path, stats_path)
-    config = _train_config(args, distill_mod.TrainConfig, shift=args.shift, bandmask=args.bandmask)
+    config = _build_config(TrainConfig, **_settings(TrainConfig, args))
     model_config = _model_config(args)
 
     noisy_manifest = corpus_mod.load_manifest(args.noisy)
@@ -351,20 +337,20 @@ def cmd_bootstrap(args: SimpleNamespace) -> int:
         "noise_corpus": corpus_mod.corpus_hash(noise_manifest),
         "checkpoint": digest,
     }
-    _echo_resolved(out_path.parent, "bootstrap", args, hashes)
+    _echo_resolved(out_path.with_suffix(".resolved.cfg"), "bootstrap", args, hashes)
     print(f"bootstrap done: {config.epochs} epochs, final loss {stats.epochs[-1].mean_loss:.6f}")
     print(f"checkpoint {out_path}")
     return 0
 
 
 def cmd_distill(args: SimpleNamespace) -> int:
-    strategy = distill_mod.MixStrategy(args.strategy)
+    strategy = MixStrategy(args.strategy)
     ema = args.tup == "ema"
-    epochs = args.epochs if args.epochs is not None else (35 if ema else 500)
-    config = _train_config(
-        args, distill_mod.DistillConfig, epochs=epochs, strategy=strategy,
-        shift=args.augment, bandmask=args.augment, ema_gamma=args.gamma if ema else None,
-    )
+    epochs = args.epochs if args.epochs is not None else (35 if ema else DistillConfig.epochs)
+    config = _build_config(DistillConfig, **{
+        **_settings(DistillConfig, args), "epochs": epochs, "strategy": strategy,
+        "shift": args.augment, "bandmask": args.augment, "ema_gamma": args.gamma if ema else None,
+    })
     if strategy.needs_ext_noise and args.ext_noise is None:
         raise UsageError(f"--ext-noise is required for strategy {strategy.value}")
     if not strategy.needs_ext_noise and args.ext_noise is not None:
@@ -401,10 +387,12 @@ def cmd_distill(args: SimpleNamespace) -> int:
         out_path, Checkpoint(result.student, epochs, args.seed, rate)
     )
     if ema:
-        save_checkpoint(teacher_out, Checkpoint(result.teacher, epochs, args.seed, rate))
+        hashes["ema_teacher_checkpoint"] = save_checkpoint(
+            teacher_out, Checkpoint(result.teacher, epochs, args.seed, rate)
+        )
         print(f"combined teacher checkpoint {teacher_out}")
     distill_mod.write_stats(stats_path, result.stats)
-    _echo_resolved(out_path.parent, "distill", args, hashes)
+    _echo_resolved(out_path.with_suffix(".resolved.cfg"), "distill", args, hashes)
     print(
         f"distill done: {strategy.value}+{args.tup}, {epochs} epochs, "
         f"final loss {result.stats.epochs[-1].mean_loss:.6f}"
@@ -414,6 +402,7 @@ def cmd_distill(args: SimpleNamespace) -> int:
 
 
 def cmd_enhance(args: SimpleNamespace) -> int:
+    threads = _threads(args)
     stages = inference_mod.load_stages([p for p in str(args.stages).split(",") if p])
     in_path = Path(args.inp)
     if in_path.suffix.lower() == ".wav":  # one WAV out: no report and no resolved.cfg
@@ -425,13 +414,13 @@ def cmd_enhance(args: SimpleNamespace) -> int:
     out_dir = Path(args.out)
     _check_outputs(args.force, out_dir / "enhance_report.json")
     report = inference_mod.enhance_batch(
-        stages, manifest, out_dir, threads=_threads(args), allow_resample=args.resample
+        stages, manifest, out_dir, threads=threads, allow_resample=args.resample
     )
     with atomic_open(out_dir / "enhance_report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
     hashes = {"input_corpus": corpus_mod.corpus_hash(manifest),
               "stages": ",".join(stage.sha256 for stage in stages)}
-    _echo_resolved(out_dir, "enhance", args, hashes)
+    _echo_resolved(out_dir / "resolved.cfg", "enhance", args, hashes)
     ok = len(report.results) - len(report.failures)
     print(f"enhanced {ok}/{len(report.results)} files into {out_dir}")
     if report.failures:
@@ -446,6 +435,7 @@ def cmd_enhance(args: SimpleNamespace) -> int:
 
 
 def cmd_evaluate(args: SimpleNamespace) -> int:
+    threads = _threads(args)
     names = [m.strip() for m in str(args.metrics).split(",") if m.strip()]
     mapping = {"stoi": "stoi", "sisdr": "si_sdr", "si_sdr": "si_sdr"}
     try:
@@ -469,11 +459,12 @@ def cmd_evaluate(args: SimpleNamespace) -> int:
     }
     report = metrics_mod.evaluate_manifest(
         ref, deg, metrics=selected, pesq_values=pesq_values, metadata=metadata,
-        threads=_threads(args),
+        threads=threads,
     )
     report.write_json(report_path)
     report.write_csv(csv_path)
-    _echo_resolved(report_path.parent, "evaluate", args, {"ref_corpus": metadata["corpus_hash"]})
+    _echo_resolved(report_path.with_suffix(".resolved.cfg"), "evaluate", args,
+                   {"ref_corpus": metadata["corpus_hash"]})
     means = report.to_dict()["mean"]
     print(f"evaluated {len(report.utterances)} pairs -> {report_path}")
     for key in ("stoi", "si_sdr_db", "pesq"):

@@ -3,7 +3,9 @@ import errno
 import hashlib
 import json
 import re
+import shlex
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +17,10 @@ import remixse.audio
 import remixse.autodiff
 import remixse.distill
 from remixse.cli import OPTIONS, _resolve, build_parser, main
-from remixse.corpus import ManifestEntry, write_manifest
+from remixse.corpus import ManifestEntry, SynthSpec, write_manifest
+from remixse.distill import DistillConfig, TrainConfig
 from remixse.errors import RemixSEError, UsageError
-from remixse.model import DenoiserModel, load_checkpoint
+from remixse.model import DenoiserModel, ModelConfig, load_checkpoint
 from conftest import fail_reading
 
 
@@ -91,7 +94,7 @@ def test_bootstrap_outputs_exist(workspace):
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert set(record) == {"epoch", "mean_loss", "seconds", "steps"}
-    resolved = (workspace["ckpt"].parent / "resolved.cfg").read_text()
+    resolved = workspace["ckpt"].with_suffix(".resolved.cfg").read_text()
     assert "train.epochs=1" in resolved
     digest = hashlib.sha256(workspace["ckpt"].read_bytes()).hexdigest()
     assert f"hash.checkpoint={digest}" in resolved
@@ -160,7 +163,7 @@ def test_force_keeps_old_outputs_when_the_run_fails(tmp_path):
     assert run(*args, "--batch-size", "8", "--force") == 2
     assert (ckpt.read_bytes(), stats.read_bytes()) == before
     leftovers = sorted(p.name for p in tmp_path.iterdir())
-    assert leftovers == ["b.ckpt", "b.stats.jsonl", "data", "resolved.cfg"]
+    assert leftovers == ["b.ckpt", "b.resolved.cfg", "b.stats.jsonl", "data"]
 
 
 def test_force_rerun_replaces_stats_instead_of_appending(workspace, tmp_path):
@@ -666,6 +669,22 @@ def test_evaluate_identical_manifests(workspace, tmp_path):
     assert report_path.with_suffix(".csv").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", ["enhance", "evaluate"])
+def test_threads_below_1_is_usage_error(workspace, tmp_path, capsys, command, threads):
+    data = workspace["data"]
+    out = tmp_path / "out"
+    argv = {
+        "enhance": ["--stages", str(workspace["ckpt"]), "--in", str(data / "noisy.manifest.jsonl"),
+                    "--out", str(out)],
+        "evaluate": ["--ref", str(data / "clean.manifest.jsonl"),
+                     "--deg", str(data / "clean.manifest.jsonl"), "--report", str(out / "r.json")],
+    }[command]
+    assert run(command, *argv, "--threads", threads) == 2
+    assert capsys.readouterr().err.startswith("error: --threads must be >= 1, got ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", [0, 100])
 def test_evaluate_reference_shorter_than_a_stoi_frame_exits_3(tmp_path, capsys, samples):
     wave = remixse.audio.Waveform(np.full(samples, 0.1), 16_000)
@@ -808,7 +827,7 @@ def test_config_file_supplies_defaults_and_cli_overrides(workspace, tmp_path):
         "--epochs", "1",  # overrides the file's 2
     )
     assert code == 0
-    resolved = (tmp_path / "resolved.cfg").read_text()
+    resolved = (tmp_path / "m.resolved.cfg").read_text()
     assert "train.epochs=1" in resolved
     assert "train.batch_size=4" in resolved
 
@@ -861,7 +880,7 @@ def test_config_key_without_a_default_is_parsed_by_its_type(workspace, tmp_path,
     argv = [command, *_training_inputs(workspace, command), *flags, "--config", str(cfg),
             "--out", str(out)]
     assert run(*argv) == 0
-    assert line in (out.parent / "resolved.cfg").read_text().splitlines()
+    assert line in out.with_suffix(".resolved.cfg").read_text().splitlines()
     assert stored(load_checkpoint(out))
 
 
@@ -874,14 +893,14 @@ def test_resolved_cfg_records_the_numeric_environment_and_loads_as_config(
     first = tmp_path / "first" / "model.ckpt"
     assert run("distill", *_training_inputs(workspace, "distill"), "--epochs", "1",
                "--config", str(tmp_path / "run.cfg"), "--out", str(first)) == 0
-    lines = (first.parent / "resolved.cfg").read_text().splitlines()
+    lines = first.with_suffix(".resolved.cfg").read_text().splitlines()
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert f"env.blas={blas['name']} {blas['version']}" in lines
     assert "env.OPENBLAS_NUM_THREADS=1" in lines
     assert "env.OMP_NUM_THREADS=None" in lines
     again = tmp_path / "again" / "model.ckpt"
     assert run("distill", *_training_inputs(workspace, "distill"), "--config",
-               str(first.parent / "resolved.cfg"), "--out", str(again)) == 0
+               str(first.with_suffix(".resolved.cfg")), "--out", str(again)) == 0
     assert again.read_bytes() == first.read_bytes()
 
 
@@ -903,13 +922,58 @@ def test_resolved_cfg_passed_back_as_config_reruns_the_same(workspace, tmp_path,
     first = tmp_path / "first" / "model.ckpt"
     assert run(command, *_training_inputs(workspace, command), "--epochs", "1",
                "--config", str(tmp_path / "run.cfg"), "--out", str(first)) == 0
-    resolved = (first.parent / "resolved.cfg").read_text()
+    resolved = first.with_suffix(".resolved.cfg").read_text()
     again = tmp_path / "again" / "model.ckpt"
     assert run(command, *_training_inputs(workspace, command), "--config",
-               str(first.parent / "resolved.cfg"), "--out", str(again)) == 0
-    rerun = (again.parent / "resolved.cfg").read_text()
+               str(first.with_suffix(".resolved.cfg")), "--out", str(again)) == 0
+    rerun = again.with_suffix(".resolved.cfg").read_text()
     differ = lambda text: [l for l in text.splitlines() if not l.startswith(f"{command}.out=")]
     assert differ(rerun) == differ(resolved)
+
+
+def _readme_quick_start() -> list[list[str]]:
+    """The README quick start's commands, each as the argv after ``remixse``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("remixse ")]
+
+
+def _records(path: Path) -> tuple[list[str], dict[str, str]]:
+    """A resolved.cfg's configuration keys in file order, and its hash lines."""
+    pairs = [line.split("=", 1) for line in path.read_text().splitlines()]
+    keys = [key for key, _ in pairs if not key.startswith(("hash.", "env."))]
+    return keys, {key[5:]: value for key, value in pairs if key.startswith("hash.")}
+
+
+def test_readme_quick_start_keeps_a_record_of_every_command(tmp_path, monkeypatch):
+    # bootstrap, distill and evaluate all write into runs/: each keeps its own record.
+    monkeypatch.chdir(tmp_path)
+    for argv in _readme_quick_start():
+        if argv[0] in ("bootstrap", "distill"):
+            argv += ["--epochs", "1"]  # the README trains 100 and 35 epochs
+        assert run(*argv) == 0
+    runs = tmp_path / "runs"
+    sha = lambda name: hashlib.sha256((runs / name).read_bytes()).hexdigest()
+    _, train = _records(tmp_path / "data" / "train" / "resolved.cfg")
+    _, test = _records(tmp_path / "data" / "test" / "resolved.cfg")
+    expected = {
+        "boot.resolved.cfg": {"noisy_corpus": train["noisy_corpus"],
+                              "noise_corpus": train["noise_corpus"],
+                              "checkpoint": sha("boot.ckpt")},
+        "student.resolved.cfg": {"noisy_corpus": train["noisy_corpus"],
+                                 "teacher_checkpoint": sha("boot.ckpt"),
+                                 "checkpoint": sha("student.ckpt"),
+                                 "ema_teacher_checkpoint": sha("student.teacher.ckpt")},
+        "report.resolved.cfg": {"ref_corpus": test["clean_corpus"]},
+        "enhanced/resolved.cfg": {"input_corpus": test["noisy_corpus"],
+                                  "stages": f"{sha('boot.ckpt')},{sha('student.ckpt')}"},
+    }
+    assert sorted(str(p.relative_to(runs)) for p in runs.rglob("*resolved.cfg")) == sorted(expected)
+    for name, hashes in expected.items():
+        keys, recorded = _records(runs / name)
+        assert recorded == hashes, name
+        assert keys == sorted(keys), name
 
 
 @pytest.mark.parametrize(
@@ -926,9 +990,12 @@ def test_resolved_cfg_passed_back_as_config_reruns_the_same(workspace, tmp_path,
         ("bootstrap", b"train.epoch=1"),
         ("evaluate", b"eval.metric=sisdr"),
         ("bootstrap", b"train.lr=nan"),
+        ("enhance", b"enhance.threads=0"),
+        ("evaluate", b"eval.threads=-1"),
     ],
     ids=["int", "float", "bool", "strategy-choice", "tup-choice", "not-utf8", "enhance-bool",
-         "eval-threads", "unknown-train-key", "unknown-eval-key", "lr-nan"],
+         "eval-threads", "unknown-train-key", "unknown-eval-key", "lr-nan", "enhance-threads-0",
+         "eval-threads-negative"],
 )
 def test_bad_config_input_exits_2_and_writes_nothing(workspace, tmp_path, capsys, command,
                                                      config):
@@ -1037,3 +1104,30 @@ def test_readme_lists_every_config_key_with_its_type():
                                           re.MULTILINE):
         listed |= {(command, key, kind) for command in commands.split(", ")}
     assert listed == expected
+
+
+# The options each command resolves that no config field takes.
+_CLI_ONLY = {"out", "stats", "noisy", "teacher", "ext_noise", "model", "remix", "augment",
+             "strategy", "tup", "gamma", "config", "force"}
+
+
+# Each command's configs, and the options whose unset default defers to the
+# model preset or, for distill --epochs, to --tup.
+@pytest.mark.parametrize("command, configs, deferred", [
+    ("synth", [SynthSpec], set()),
+    ("bootstrap", [TrainConfig, ModelConfig], {field.name for field in fields(ModelConfig)}),
+    ("distill", [DistillConfig], {"epochs"}),
+])
+def test_every_option_fills_a_config_field_of_the_same_name_and_default(command, configs,
+                                                                        deferred):
+    # The commands fill their configs by field name, so a dest that names no
+    # field would leave the field at its default without a word.
+    by_name = {field.name: field for config in configs for field in fields(config)}
+    for option in OPTIONS:
+        if command not in option.commands or option.dest in _CLI_ONLY:
+            continue
+        assert option.dest in by_name, f"{command} {option.flag}: no config field {option.dest!r}"
+        if option.dest in deferred:
+            assert option.default is None, option.flag
+        else:
+            assert option.default == by_name[option.dest].default, option.flag
