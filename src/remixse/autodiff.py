@@ -18,10 +18,16 @@ inputs requires a gradient, so constants (model inputs, loss targets) cost
 nothing in backward.
 
 A convolution applies the activation after it inside the op (``act=relu``
-or ``act=glu``), with the bits of the two ops in a row but one graph node:
-ReLU runs in place in the convolution's output, so the pair keeps one
-buffer, and GLU's backward writes its input gradient over the
-pre-activation it keeps.
+or ``act=glu``), with the bits of the two ops in a row but one graph node
+that keeps only its output: ReLU runs in place in the convolution's output,
+and GLU lets its pre-activation go. GLU's backward computes the
+pre-activation again from the convolution's input, which the graph holds
+anyway, and writes its input gradient over it. That costs one more GEMM
+per GLU convolution and step (the model's are 1x1 projections) and frees
+the largest buffers a training forward would otherwise keep. It needs the
+weight and the input unchanged until that closure runs: no op writes over
+another's output, and ``adam_step`` updates a parameter only after the
+last closure that reads it.
 
 A training step is one call, ``adam_step(params, state, loss)``. It runs
 ``backward`` and hides Adam behind it: a parameter's gradient is final once
@@ -358,18 +364,25 @@ def _batch_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activate(pre: np.ndarray, act):
-    """``act`` (None, ``relu`` or ``glu``) of ``pre``, a convolution's fresh
-    output buffer, and the map from the gradient of the result to that of
-    ``pre``. ReLU runs in place and masks by its output; GLU keeps ``pre``
-    and writes ``pre``'s gradient over it."""
-    if act is None:
-        return pre, lambda g: g
-    if act is relu:
-        np.maximum(pre, 0.0, out=pre)
-        return pre, lambda g: _relu_grad(g, pre)
+def _activate(pre, act):
+    """``act`` (None, ``relu`` or ``glu``) of the pre-activation that
+    ``pre()`` computes into a fresh buffer, and the map from the gradient of
+    the result to that of the pre-activation. ReLU runs in place and masks
+    by its output. GLU lets the pre-activation go and calls ``pre()`` again
+    in backward, which gives the forward's bits, then writes the gradient
+    over that buffer."""
     if act is glu:
-        return _glu(pre), lambda g: _glu_grad(g, pre, pre)
+        def glu_grad(g):
+            x = pre()
+            return _glu_grad(g, x, x)
+
+        return _glu(pre()), glu_grad
+    out = pre()
+    if act is None:
+        return out, lambda g: g
+    if act is relu:
+        np.maximum(out, 0.0, out=out)
+        return out, lambda g: _relu_grad(g, out)
     raise ValueError(f"a convolution's activation is None, relu or glu, not {act!r}")
 
 
@@ -380,7 +393,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, act=None) -> Te
     x: (B, C_in, T), weight: (C_out, C_in, K), bias: (C_out,).
     Output: (B, C_out, F) with F = (T - K) // stride + 1, halved in channels
     by ``glu``. The bits are those of ``act(conv1d(x, weight, bias, stride))``,
-    in one graph node that keeps no buffer that no backward reads.
+    in one graph node that keeps no buffer beside its output. With ``glu``,
+    backward runs the GEMM again for the pre-activation.
     """
     batch, c_in, length = x.data.shape
     c_out, c_in_w, kernel = weight.data.shape
@@ -390,9 +404,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, act=None) -> Te
         raise ValueError(f"conv1d input length {length} < kernel {kernel}")
     frames = (length - kernel) // stride + 1
     w2 = weight.data.reshape(c_out, c_in * kernel)
-    out_data = w2 @ _im2col(x.data, kernel, stride, frames)
-    out_data += bias.data[:, None]
-    out_data, pre_grad = _activate(out_data, act)
+
+    def pre():
+        y = w2 @ _im2col(x.data, kernel, stride, frames)
+        y += bias.data[:, None]
+        return y
+
+    out_data, pre_grad = _activate(pre, act)
     out = Tensor(out_data)
 
     def bwd(g):
@@ -420,9 +438,13 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, act=N
         raise ValueError(f"conv_transpose1d channel mismatch: input {c_in}, weight {c_in_w}")
     length = (frames - 1) * stride + kernel
     w2 = weight.data.reshape(c_in, c_out * kernel)
-    out_data = _col2im(w2.T @ x.data, kernel, stride, length)
-    out_data += bias.data[:, None]
-    out_data, pre_grad = _activate(out_data, act)
+
+    def pre():
+        y = _col2im(w2.T @ x.data, kernel, stride, length)
+        y += bias.data[:, None]
+        return y
+
+    out_data, pre_grad = _activate(pre, act)
     out = Tensor(out_data)
 
     def bwd(g):

@@ -837,20 +837,24 @@ def test_fused_relu_at_exact_zeros_has_subgradient_zero(conv):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("conv, act", FUSED, ids=FUSED_IDS)
 def test_fused_conv_is_bit_identical_to_the_unfused_pair(conv, act, dtype):
+    # K=1, stride 1 is every GLU projection's shape, where _im2col returns the
+    # input itself and GLU's backward recomputes the pre-activation from it
     rng = np.random.default_rng(21)
-    fused = _conv_case(rng, conv, dtype, batch=3, c_in=5, c_out=8, frames=40, kernel=8, stride=4)
-    _zero_first_channel(conv, *fused[1:])  # exact zeros into ReLU
-    pair = [ad.Tensor(t.data.copy()) for t in fused]
-    op, fn = getattr(ad, conv), getattr(ad, act)
-    out_fused = op(*fused, 4, act=fn)
-    out_pair = fn(op(*pair, 4))
-    assert out_fused.data.dtype == dtype
-    assert out_fused.data.tobytes() == out_pair.data.tobytes()
-    loss_of = _off_target(out_fused.data, rng)
-    ad.backward(loss_of(out_fused))
-    ad.backward(loss_of(out_pair))
-    for got, want in zip(fused, pair):
-        assert got.grad.dtype == dtype and got.grad.tobytes() == want.grad.tobytes()
+    for kernel, stride in [(8, 4), (1, 1)]:
+        fused = _conv_case(rng, conv, dtype, batch=3, c_in=5, c_out=8, frames=40, kernel=kernel,
+                           stride=stride)
+        _zero_first_channel(conv, *fused[1:])  # exact zeros into ReLU
+        pair = [ad.Tensor(t.data.copy()) for t in fused]
+        op, fn = getattr(ad, conv), getattr(ad, act)
+        out_fused = op(*fused, stride, act=fn)
+        out_pair = fn(op(*pair, stride))
+        assert out_fused.data.dtype == dtype
+        assert out_fused.data.tobytes() == out_pair.data.tobytes()
+        loss_of = _off_target(out_fused.data, rng)
+        ad.backward(loss_of(out_fused))
+        ad.backward(loss_of(out_pair))
+        for got, want in zip(fused, pair):
+            assert got.grad.dtype == dtype and got.grad.tobytes() == want.grad.tobytes()
 
 
 def _traced_bytes(fn) -> tuple[int, int]:
@@ -866,25 +870,27 @@ def _traced_bytes(fn) -> tuple[int, int]:
     return current - before, peak - before
 
 
-@pytest.mark.parametrize("conv", ["conv1d", "conv_transpose1d"])
-def test_a_recorded_fused_conv_relu_allocates_only_its_output(conv):
+@pytest.mark.parametrize("conv, act", FUSED, ids=FUSED_IDS)
+def test_a_recorded_fused_conv_allocates_only_its_output(conv, act):
     rng = np.random.default_rng(3)
     x, w, b = _conv_case(rng, conv, np.float32, c_in=8, c_out=16, frames=4096, kernel=1, stride=1)
-    op = getattr(ad, conv)
-    op(x, w, b, 1, act=ad.relu)  # numpy's one-time state is set up outside the window
+    op, fn = getattr(ad, conv), getattr(ad, act)
+    op(x, w, b, 1, act=fn)  # numpy's one-time state is set up outside the window
     out = []
-    retained, peak = _traced_bytes(lambda: out.append(op(x, w, b, 1, act=ad.relu)))
+    retained, peak = _traced_bytes(lambda: out.append(op(x, w, b, 1, act=fn)))
     assert out[0]._backward is not None
+    nbytes = out[0].data.nbytes
     # the Tensor, its closures and numpy's 8192-element buffer for the bias add
     slack = 65536
-    assert peak <= out[0].data.nbytes + slack
-    assert retained <= out[0].data.nbytes + slack
+    # GLU's pre-activation (twice its output) lives only until the GLU is taken
+    assert peak <= nbytes + (2 * nbytes if act == "glu" else 0) + slack
+    assert retained <= nbytes + slack
     pair = []
-    retained, _ = _traced_bytes(lambda: pair.append(ad.relu(op(x, w, b, 1))))
-    assert retained >= 2 * out[0].data.nbytes
+    retained, _ = _traced_bytes(lambda: pair.append(fn(op(x, w, b, 1))))
+    assert retained >= 2 * nbytes
 
 
-def test_a_fused_glu_backward_adds_only_the_gate_to_the_convs_own_gradients():
+def test_a_fused_glu_backward_adds_only_the_recomputed_pre_activation_and_the_gate():
     rng = np.random.default_rng(4)
     x, w, b = _conv_case(rng, "conv1d", np.float32, c_in=8, c_out=32, frames=4096, kernel=1,
                          stride=1)
@@ -896,12 +902,14 @@ def test_a_fused_glu_backward_adds_only_the_gate_to_the_convs_own_gradients():
         return _traced_bytes(lambda: out._backward(g))[1]
 
     g = rng.normal(size=(2, 16, 4096)).astype(np.float32)  # the gate's shape too
+    pre_nbytes = 2 * g.nbytes
     backward_peak(ad.glu, g)
     conv_own = backward_peak(None, rng.normal(size=(2, 32, 4096)).astype(np.float32))
     fused = backward_peak(ad.glu, g)
-    assert fused <= conv_own + g.nbytes + 4096
+    # the forward kept no pre-activation, so backward computes it again
+    assert fused <= conv_own + pre_nbytes + g.nbytes + 4096
 
-    # the unfused pair also holds GLU's input gradient while the conv runs
+    # the unfused pair allocates GLU's input gradient and the gate in the same way
     pre = ad.conv1d(x, w, b, 1)
     out = ad.glu(pre)
 
@@ -909,7 +917,42 @@ def test_a_fused_glu_backward_adds_only_the_gate_to_the_convs_own_gradients():
         out._backward(g)
         pre._backward(pre.grad)
 
-    assert _traced_bytes(pair_backward)[1] >= fused + 2 * g.nbytes - 4096
+    assert fused <= _traced_bytes(pair_backward)[1] + 4096
+
+
+def _lstm_state_nbytes(t: ad.Tensor) -> int:
+    """What a recorded ``lstm_layer`` keeps beside its output ``t``: the
+    gates (4H), the cells (one step more) and their tanh (H), per step and row."""
+    batch, steps, hidden = t.data.shape
+    return (4 * steps + (steps + 1) + steps) * batch * hidden * t.data.itemsize
+
+
+def test_a_recorded_model_forward_keeps_only_its_nodes_outputs():
+    """A recorded float32 forward retains the buffers its graph nodes output,
+    each view counted once by its base, and the LSTM's state for backward:
+    no op keeps a private buffer."""
+    config = ModelConfig(depth=3, hidden=8, kernel_size=8, stride=4, resample=2)
+    model = init_model(config, 0).astype(np.float32)
+    x = 0.1 * np.random.default_rng(0).standard_normal((2, 4000))
+    model.apply(x)  # numpy's one-time state is set up outside the window
+    out = []
+    retained, _ = _traced_bytes(lambda: out.append(model.apply(x)))
+    params = {id(p) for p in model.params.values()}
+    buffers, lstm_state, stack, seen = {}, 0, [out[0]], set()
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or id(t) in params:
+            continue
+        seen.add(id(t))
+        stack.extend(t._parents)
+        base = t.data if t.data.base is None else t.data.base
+        buffers[id(base)] = base.nbytes
+        if t._backward is not None and t._backward.__qualname__.startswith("lstm_layer."):
+            lstm_state += _lstm_state_nbytes(t)
+    assert lstm_state > 0
+    # Tensors, closures and the small per-row arrays (sigma, the bias views)
+    slack = 65536
+    assert retained <= sum(buffers.values()) + lstm_state + slack
 
 
 def test_a_conv_rejects_another_activation():
