@@ -29,6 +29,15 @@ weight and the input unchanged until that closure runs: no op writes over
 another's output, and ``adam_step`` updates a parameter only after the
 last closure that reads it.
 
+A convolution's forward also keeps no whole-array product while it runs.
+It computes its GEMM one tile of frames at a time, per batch row, into the
+preallocated output: ``conv1d`` adds the bias and applies the activation to
+each tile, and ``conv_transpose1d`` scatter-adds each tile's taps, tiles in
+reverse order so that each sample sums its taps in ascending k, as on whole
+arrays. GLU's backward fills its pre-activation with the same tiles. The
+tile geometry (``CONV_TILE_BYTES``) gives the bits of the whole-array GEMM,
+so the forward's outputs are those of one GEMM per batch row.
+
 A training step is one call, ``adam_step(params, state, loss)``. It runs
 ``backward`` and hides Adam behind it: a parameter's gradient is final once
 the last op that consumed the parameter has run its closure, which for the
@@ -241,10 +250,10 @@ def _relu_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return g * (y > 0.0)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """0.5 * (1 + tanh(z / 2)): cannot overflow for any z, no sign split.
-    Allocates only the result."""
-    s = np.multiply(z, 0.5)
+    Allocates only the result, and nothing given ``out``."""
+    s = np.multiply(z, 0.5, out=out)
     np.tanh(s, out=s)
     s += 1.0
     s *= 0.5
@@ -264,13 +273,14 @@ def glu(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def _glu(x: np.ndarray) -> np.ndarray:
-    """GLU of an array, as ``glu``; allocates only the result."""
+def _glu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """GLU of an array, as ``glu``, into ``out`` if given; allocates at most
+    the result."""
     n = x.shape[1]
     if n % 2 != 0:
         raise ValueError(f"glu needs an even channel count, got {n}")
     half = n // 2
-    gated = _sigmoid(x[:, half:])
+    gated = _sigmoid(x[:, half:], out)
     gated *= x[:, :half]
     return gated
 
@@ -340,13 +350,21 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, frames: int) -> np.ndarray:
     return windows.transpose(0, 1, 3, 2).reshape(batch, chans * kernel, frames)
 
 
-def _col2im(cols: np.ndarray, kernel: int, stride: int, length: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add (B, C*K, F) columns into (B, C, length)."""
+def _col2im(
+    cols: np.ndarray, kernel: int, stride: int, length: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Adjoint of _im2col: scatter-add (B, C*K, F) columns into (B, C, length).
+
+    Tap k of frame f lands on sample f*stride + k, and each sample sums its
+    taps in ascending k. Given ``out``, whose first sample is that of frame
+    0, the taps are added into it instead (``length`` is then unused).
+    """
     batch, rows, frames = cols.shape
     taps = cols.reshape(batch, rows // kernel, kernel, frames)
-    if kernel == 1 and stride == 1 and length == frames:
-        return taps[:, :, 0]
-    out = np.zeros((batch, rows // kernel, length), dtype=cols.dtype)
+    if out is None:
+        if kernel == 1 and stride == 1 and length == frames:
+            return taps[:, :, 0]
+        out = np.zeros((batch, rows // kernel, length), dtype=cols.dtype)
     for k in range(kernel):
         out[:, :, k : k + stride * frames : stride] += taps[:, :, k]
     return out
@@ -364,25 +382,69 @@ def _batch_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activate(pre, act):
-    """``act`` (None, ``relu`` or ``glu``) of the pre-activation that
-    ``pre()`` computes into a fresh buffer, and the map from the gradient of
-    the result to that of the pre-activation. ReLU runs in place and masks
-    by its output. GLU lets the pre-activation go and calls ``pre()`` again
-    in backward, which gives the forward's bits, then writes the gradient
+# A convolution's forward runs its GEMM one tile of frames at a time, per
+# batch row, and finishes each tile (bias and activation, or the scatter of
+# a transposed convolution's taps) before the next, so no whole-array product
+# exists. A tile is a multiple of CONV_TILE_FRAMES frames that holds about
+# CONV_TILE_BYTES of product (half a 2 MiB L2), but at least CONV_TILE_FRAMES
+# frames and CONV_TILE_MACS multiply-adds; the last tile of a row takes the
+# remainder, so none is shorter. That keeps the bits of the whole-array GEMM.
+# Every output element is the same dot product, and a full block of 16 frames
+# gets the same bits in any call. Only the frames past the last multiple of
+# 16, which all fall in the last tile, depend on the size of the call:
+# OpenBLAS 0.3.31 (SkylakeX kernels) runs a call of up to 1e6 multiply-adds
+# with a small-matrix kernel, and in float64 it computes them otherwise when
+# a thread's share of the call is 192 frames or fewer. So 64-frame tiles
+# moved the float64 `paper` forward by 4e-20 (a 252-frame transposed
+# convolution whose last tile had 124 frames), and these tiles kept its bits.
+CONV_TILE_BYTES = 1 << 20
+CONV_TILE_FRAMES = 512
+CONV_TILE_MACS = 1 << 20
+
+
+def _tile_frames(rows: int, depth: int, dtype) -> int:
+    """Frames per tile of a convolution's GEMM that makes ``rows`` products
+    of ``dtype`` per frame, each a dot product of length ``depth``."""
+    by_bytes = CONV_TILE_BYTES // (rows * np.dtype(dtype).itemsize) // CONV_TILE_FRAMES
+    by_macs = -(-CONV_TILE_MACS // (rows * depth * CONV_TILE_FRAMES))
+    return max(1, by_bytes, by_macs) * CONV_TILE_FRAMES
+
+
+def _tiles(batch: int, frames: int, rows: int, depth: int, dtype) -> list[tuple[int, int, int]]:
+    """(row, start, stop) of each tile of a convolution's GEMM (see
+    ``_tile_frames``), row by row in ascending frames."""
+    step = _tile_frames(rows, depth, dtype)
+    starts = [i * step for i in range(max(1, frames // step))]
+    bounds = list(zip(starts, starts[1:] + [frames]))
+    return [(b, f0, f1) for b in range(batch) for f0, f1 in bounds]
+
+
+def _activate(act, y: np.ndarray, out: np.ndarray) -> None:
+    """Write ``act`` (None, ``relu`` or ``glu``) of the pre-activation ``y``
+    into ``out``. For None and ReLU ``out`` is ``y``, and ReLU runs in place;
+    GLU writes half of ``y``'s channels."""
+    if act is glu:
+        _glu(y, out)
+    elif act is relu:
+        np.maximum(y, 0.0, out=out)
+
+
+def _activation_grad(act, out: np.ndarray, pre):
+    """The map from the gradient of a convolution's output ``out`` (after
+    ``act``) to that of its pre-activation. ReLU masks by its output. GLU
+    calls ``pre()``, which computes the whole pre-activation into a fresh
+    buffer with the forward's tiles and so its bits, and writes the gradient
     over that buffer."""
     if act is glu:
         def glu_grad(g):
-            x = pre()
-            return _glu_grad(g, x, x)
+            y = pre()
+            return _glu_grad(g, y, y)
 
-        return _glu(pre()), glu_grad
-    out = pre()
-    if act is None:
-        return out, lambda g: g
+        return glu_grad
     if act is relu:
-        np.maximum(out, 0.0, out=out)
-        return out, lambda g: _relu_grad(g, out)
+        return lambda g: _relu_grad(g, out)
+    if act is None:
+        return lambda g: g
     raise ValueError(f"a convolution's activation is None, relu or glu, not {act!r}")
 
 
@@ -392,9 +454,12 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, act=None) -> Te
 
     x: (B, C_in, T), weight: (C_out, C_in, K), bias: (C_out,).
     Output: (B, C_out, F) with F = (T - K) // stride + 1, halved in channels
-    by ``glu``. The bits are those of ``act(conv1d(x, weight, bias, stride))``,
-    in one graph node that keeps no buffer beside its output. With ``glu``,
-    backward runs the GEMM again for the pre-activation.
+    by ``glu``. The bits are those of ``act(conv1d(x, weight, bias, stride))``
+    on whole arrays, in one graph node that keeps no buffer beside its
+    output. The forward runs GEMM, bias and activation tile by tile (see
+    CONV_TILE_BYTES) into the output, so it allocates the output and one
+    tile's columns and, for ``glu``, its product. With ``glu``, backward
+    runs the same tiles again for the whole pre-activation.
     """
     batch, c_in, length = x.data.shape
     c_out, c_in_w, kernel = weight.data.shape
@@ -404,14 +469,28 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, act=None) -> Te
         raise ValueError(f"conv1d input length {length} < kernel {kernel}")
     frames = (length - kernel) // stride + 1
     w2 = weight.data.reshape(c_out, c_in * kernel)
+    dtype = np.result_type(x.data, w2)
+    tiles = _tiles(batch, frames, c_out, c_in * kernel, dtype)
 
-    def pre():
-        y = w2 @ _im2col(x.data, kernel, stride, frames)
+    def pre_tile(b, f0, f1, y):
+        """The pre-activation of row ``b``'s frames [f0, f1), computed into ``y``."""
+        np.matmul(w2, _im2col(x.data[b : b + 1, :, f0 * stride :], kernel, stride, f1 - f0), out=y)
         y += bias.data[:, None]
         return y
 
-    out_data, pre_grad = _activate(pre, act)
-    out = Tensor(out_data)
+    def pre():
+        y = np.empty((batch, c_out, frames), dtype)
+        for b, f0, f1 in tiles:
+            pre_tile(b, f0, f1, y[b : b + 1, :, f0:f1])
+        return y
+
+    out = Tensor(np.empty((batch, c_out // 2 if act is glu else c_out, frames), dtype))
+    pre_grad = _activation_grad(act, out.data, pre)
+    for b, f0, f1 in tiles:
+        o = out.data[b : b + 1, :, f0:f1]
+        y = np.empty((1, c_out, f1 - f0), dtype) if act is glu else o
+        _activate(act, pre_tile(b, f0, f1, y), o)
+        del y  # GLU's product goes before the next tile's is made
 
     def bwd(g):
         g = pre_grad(g)
@@ -431,6 +510,13 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, act=N
 
     x: (B, C_in, F), weight: (C_in, C_out, K), bias: (C_out,).
     Output: (B, C_out, T') with T' = (F - 1) * stride + K.
+
+    The forward runs the GEMM tile by tile over input frames (see
+    CONV_TILE_BYTES) and scatter-adds each tile's taps into the output, so
+    it allocates the output and one tile's taps. The tiles run in reverse
+    order: a sample's taps from a later tile have smaller k, so each sample
+    still sums its taps in ascending k, as ``_col2im`` sums them on whole
+    arrays, and gets their bits. Bias and activation follow on the output.
     """
     batch, c_in, frames = x.data.shape
     c_in_w, c_out, kernel = weight.data.shape
@@ -438,14 +524,24 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int, act=N
         raise ValueError(f"conv_transpose1d channel mismatch: input {c_in}, weight {c_in_w}")
     length = (frames - 1) * stride + kernel
     w2 = weight.data.reshape(c_in, c_out * kernel)
+    dtype = np.result_type(x.data, w2)
+    tiles = _tiles(batch, frames, c_out * kernel, c_in, dtype)
 
     def pre():
-        y = _col2im(w2.T @ x.data, kernel, stride, length)
+        y = np.zeros((batch, c_out, length), dtype)
+        for b, f0, f1 in reversed(tiles):
+            x_tile, y_tile = x.data[b : b + 1, :, f0:f1], y[b : b + 1, :, f0 * stride :]
+            if kernel == 1 and stride == 1:  # the taps are the output, as in _col2im
+                np.matmul(w2.T, x_tile, out=y_tile[:, :, : f1 - f0])
+            else:
+                _col2im(w2.T @ x_tile, kernel, stride, length, y_tile)
         y += bias.data[:, None]
         return y
 
-    out_data, pre_grad = _activate(pre, act)
-    out = Tensor(out_data)
+    y = pre()
+    out = Tensor(np.empty((batch, c_out // 2, length), dtype) if act is glu else y)
+    pre_grad = _activation_grad(act, out.data, pre)
+    _activate(act, y, out.data)
 
     def bwd(g):
         g = pre_grad(g)

@@ -207,8 +207,8 @@ class DenoiserModel:
         h = ad.swap_time_channels(h)
 
         for i in range(1, cfg.depth + 1):
-            skip = skips.pop()
-            h = ad.add(h, ad.slice_time(skip, 0, h.shape[-1]))
+            # No local name keeps the skip: a no-grad forward frees it once added.
+            h = ad.add(h, ad.slice_time(skips.pop(), 0, h.shape[-1]))
             h = ad.conv1d(
                 h, self.params[f"dec{i}.proj.w"], self.params[f"dec{i}.proj.b"], 1, act=ad.glu
             )

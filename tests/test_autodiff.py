@@ -857,6 +857,61 @@ def test_fused_conv_is_bit_identical_to_the_unfused_pair(conv, act, dtype):
             assert got.grad.dtype == dtype and got.grad.tobytes() == want.grad.tobytes()
 
 
+# (conv, c_in, c_out, kernel, stride, act): a level-1 projection, the first
+# encoder convolution, transposed convolutions with K = 3 * stride, so that
+# every output sample sums three taps, from two tiles at a tile edge, and a
+# transposed convolution with K=1 and stride 1, whose taps are its output
+TILED = [("conv1d", 8, 96, 1, 1, "glu"), ("conv1d", 1, 48, 8, 4, "relu"),
+         ("conv_transpose1d", 8, 16, 6, 2, "relu"), ("conv_transpose1d", 8, 8, 12, 4, None),
+         ("conv_transpose1d", 8, 64, 1, 1, "relu")]
+TILED_IDS = ["conv1d-k1s1-glu", "conv1d-k8s4-relu", "conv_transpose1d-k6s2-relu",
+             "conv_transpose1d-k12s4", "conv_transpose1d-k1s1-relu"]
+
+
+def _whole_array_conv(conv, x, w, b, stride, act):
+    """The convolution as one GEMM over all frames of each row, with
+    _im2col's columns or _col2im's scatter, then the bias and ``act``."""
+    kernel = w.shape[-1]
+    if conv == "conv1d":
+        frames = (x.shape[-1] - kernel) // stride + 1
+        y = w.reshape(w.shape[0], -1) @ ad._im2col(x, kernel, stride, frames)
+    else:
+        length = (x.shape[-1] - 1) * stride + kernel
+        y = ad._col2im(w.reshape(w.shape[0], -1).T @ x, kernel, stride, length)
+    y += b[:, None]
+    return {None: y, "relu": np.maximum(y, 0.0), "glu": ad._glu(y)}[act]
+
+
+@pytest.mark.parametrize("tail", [1, 63, 65])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("conv, c_in, c_out, kernel, stride, act", TILED, ids=TILED_IDS)
+def test_a_tiled_conv_gives_the_bits_of_the_whole_array_conv(conv, c_in, c_out, kernel, stride,
+                                                              act, dtype, tail):
+    rows, depth = (c_out, c_in * kernel) if conv == "conv1d" else (c_out * kernel, c_in)
+    step = ad._tile_frames(rows, depth, dtype)
+    frames = 3 * step + tail  # three tiles, the last with the tail
+    assert [t[1:] for t in ad._tiles(1, frames, rows, depth, dtype)] == [
+        (0, step), (step, 2 * step), (2 * step, frames)]
+    rng = np.random.default_rng(tail)
+    fused = _conv_case(rng, conv, dtype, batch=2, c_in=c_in, c_out=c_out, frames=frames,
+                       kernel=kernel, stride=stride)
+    op, fn = getattr(ad, conv), act and getattr(ad, act)
+    out = op(*fused, stride, act=fn)
+    want = _whole_array_conv(conv, *(t.data for t in fused), stride, act)
+    assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes()
+    if act is None:
+        return
+    # GLU's backward computes the pre-activation again with the same tiles
+    pair = [ad.Tensor(t.data.copy()) for t in fused]
+    out_pair = fn(op(*pair, stride))
+    g = rng.normal(size=out.data.shape).astype(dtype)
+    out._backward(g)
+    out_pair._backward(g)
+    out_pair._parents[0]._backward(out_pair._parents[0].grad)
+    for got, want in zip(fused, pair):
+        assert got.grad.tobytes() == want.grad.tobytes()
+
+
 def _traced_bytes(fn) -> tuple[int, int]:
     """(retained, peak) bytes that tracemalloc sees ``fn()`` allocate."""
     tracemalloc.start()
@@ -870,23 +925,39 @@ def _traced_bytes(fn) -> tuple[int, int]:
     return current - before, peak - before
 
 
-@pytest.mark.parametrize("conv, act", FUSED, ids=FUSED_IDS)
-def test_a_recorded_fused_conv_allocates_only_its_output(conv, act):
+# (conv, act, c_out, frames, kernel, stride); in the last two cases GLU's
+# product, or the transposed convolution's taps, has 64 rows, so a 1 MiB
+# float32 tile is 4096 frames, and 12353 frames make three tiles
+ALLOC = [(conv, act, 16, 4096, 1, 1) for conv, act in FUSED] + [
+    ("conv1d", "glu", 64, 12353, 1, 1), ("conv_transpose1d", "relu", 16, 12353, 4, 4)]
+ALLOC_IDS = FUSED_IDS + ["conv1d-glu-tiled", "conv_transpose1d-relu-tiled"]
+
+
+@pytest.mark.parametrize("conv, act, c_out, frames, kernel, stride", ALLOC, ids=ALLOC_IDS)
+def test_a_recorded_fused_conv_allocates_only_its_output(conv, act, c_out, frames, kernel,
+                                                         stride):
     rng = np.random.default_rng(3)
-    x, w, b = _conv_case(rng, conv, np.float32, c_in=8, c_out=16, frames=4096, kernel=1, stride=1)
+    x, w, b = _conv_case(rng, conv, np.float32, c_in=8, c_out=c_out, frames=frames,
+                         kernel=kernel, stride=stride)
     op, fn = getattr(ad, conv), getattr(ad, act)
-    op(x, w, b, 1, act=fn)  # numpy's one-time state is set up outside the window
+    op(x, w, b, stride, act=fn)  # numpy's one-time state is set up outside the window
     out = []
-    retained, peak = _traced_bytes(lambda: out.append(op(x, w, b, 1, act=fn)))
+    retained, peak = _traced_bytes(lambda: out.append(op(x, w, b, stride, act=fn)))
     assert out[0]._backward is not None
     nbytes = out[0].data.nbytes
     # the Tensor, its closures and numpy's 8192-element buffer for the bias add
     slack = 65536
-    # GLU's pre-activation (twice its output) lives only until the GLU is taken
-    assert peak <= nbytes + (2 * nbytes if act == "glu" else 0) + slack
     assert retained <= nbytes + slack
+    if frames == 4096:
+        # GLU's pre-activation (twice its output) lives only until the GLU is taken
+        assert peak <= nbytes + (2 * nbytes if act == "glu" else 0) + slack
+    else:  # beside its output, the forward holds one tile's product at a time
+        rows, depth = (c_out, 8) if conv == "conv1d" else (c_out * kernel, 8)
+        tiles = ad._tiles(1, frames, rows, depth, np.float32)
+        assert len(tiles) == 3
+        assert peak <= nbytes + max(f1 - f0 for _, f0, f1 in tiles) * rows * 4 + slack
     pair = []
-    retained, _ = _traced_bytes(lambda: pair.append(fn(op(x, w, b, 1))))
+    retained, _ = _traced_bytes(lambda: pair.append(fn(op(x, w, b, stride))))
     assert retained >= 2 * nbytes
 
 
