@@ -403,23 +403,23 @@ def cmd_distill(args: SimpleNamespace) -> int:
 
 def cmd_enhance(args: SimpleNamespace) -> int:
     threads = _threads(args)
-    stages = inference_mod.load_stages([p for p in str(args.stages).split(",") if p])
+    plan = inference_mod.StagePlan([p for p in str(args.stages).split(",") if p])
     in_path = Path(args.inp)
     if in_path.suffix.lower() == ".wav":  # one WAV out: no report and no resolved.cfg
         _check_outputs(args.force, args.out)
-        inference_mod.enhance_file(stages, in_path, args.out, args.resample)
-        print(f"enhanced {in_path} -> {args.out} ({len(stages)} stages)")
+        inference_mod.enhance_file(plan, in_path, args.out, args.resample)
+        print(f"enhanced {in_path} -> {args.out} ({len(plan)} stages)")
         return 0
     manifest = corpus_mod.load_manifest(in_path)
     out_dir = Path(args.out)
     _check_outputs(args.force, out_dir / "enhance_report.json")
     report = inference_mod.enhance_batch(
-        stages, manifest, out_dir, threads=threads, allow_resample=args.resample
+        plan, manifest, out_dir, threads=threads, allow_resample=args.resample
     )
     with atomic_open(out_dir / "enhance_report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
     hashes = {"input_corpus": corpus_mod.corpus_hash(manifest),
-              "stages": ",".join(stage.sha256 for stage in stages)}
+              "stages": ",".join(plan.sha256)}
     _echo_resolved(out_dir / "resolved.cfg", "enhance", args, hashes)
     ok = len(report.results) - len(report.failures)
     print(f"enhanced {ok}/{len(report.results)} files into {out_dir}")

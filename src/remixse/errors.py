@@ -49,6 +49,10 @@ class CorruptHeader(RemixSEError):
     pass
 
 
+class CheckpointChanged(RemixSEError):
+    """A checkpoint's file changed between two loads in one run."""
+
+
 # -- training ----------------------------------------------------------
 
 class EmptyCorpus(RemixSEError):

@@ -371,6 +371,29 @@ def _header_fields(header, payload_size: int):
     return config, entries
 
 
+@dataclass(frozen=True)
+class CheckpointHeader:
+    """What a checkpoint's header says that a stage plan needs: its sample
+    rate and the size of its float32 payload in bytes."""
+
+    sample_rate_hz: int
+    payload_bytes: int
+
+
+def read_checkpoint_header(path) -> CheckpointHeader:
+    """Read and check a checkpoint's header without reading its payload.
+
+    It raises every error ``load_checkpoint`` raises from the header, the
+    file size and the array shapes; only the payload's CRC32 is left to the
+    load.
+    """
+    with open_input(path, "checkpoint") as fh:
+        header, _, entries, _ = _read_header(fh)
+    return CheckpointHeader(
+        header.get("sample_rate_hz", DEFAULT_SAMPLE_RATE), sum(e["nbytes"] for e in entries)
+    )
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by ``save_checkpoint``; its model has
     float32 parameters, exactly as stored.
@@ -378,16 +401,21 @@ def load_checkpoint(path) -> Checkpoint:
     A missing file raises ``MissingFile``, one that cannot be read
     ``UnreadableFile``, another format version ``VersionMismatch``, any
     other malformed input ``CorruptHeader``, and a missing or mis-shaped
-    array ``ConfigMismatch``. The header is read first; each array is then
-    read from the file straight into its own buffer, so the payload is
-    never held in memory twice. The CRC32 and the file's SHA-256
-    (``Checkpoint.sha256``) are taken in that one pass.
+    array ``ConfigMismatch``. The header is read and checked first
+    (``read_checkpoint_header``); each array is then read from the file
+    straight into its own buffer, so the payload is never held in memory
+    twice. The CRC32 and the file's SHA-256 (``Checkpoint.sha256``) are
+    taken in that one pass.
     """
     with open_input(path, "checkpoint") as fh:
         return _read_checkpoint(fh)
 
 
-def _read_checkpoint(fh) -> Checkpoint:
+def _read_header(fh):
+    """Read and check the header at the start of ``fh``; returns the parsed
+    header, the model config, the array entries (in payload order, each
+    matching the config's shape) and the file's bytes up to and including
+    the header's NUL."""
     start = len(CHECKPOINT_MAGIC) + 1
     head = bytearray()
     nul = -1
@@ -416,8 +444,19 @@ def _read_checkpoint(fh) -> Checkpoint:
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptHeader(f"malformed header: {exc!r}") from exc
 
-    fh.seek(nul + 1)
-    arrays, crc, digest = {}, 0, hashlib.sha256(head[: nul + 1])
+    shapes = {entry["name"]: tuple(entry["shape"]) for entry in entries}
+    for name, shape, _ in _parameter_spec(config):
+        if name not in shapes:
+            raise ConfigMismatch(f"checkpoint missing array {name}")
+        if shapes[name] != shape:
+            raise ConfigMismatch(f"array {name} has shape {shapes[name]}, expected {shape}")
+    return header, config, entries, head[: nul + 1]
+
+
+def _read_checkpoint(fh) -> Checkpoint:
+    header, config, entries, head = _read_header(fh)
+    fh.seek(len(head))
+    arrays, crc, digest = {}, 0, hashlib.sha256(head)
     for entry in entries:  # in payload order
         flat = np.empty(entry["nbytes"] // 4, dtype="<f4")
         if fh.readinto(flat) != flat.nbytes:
@@ -430,15 +469,10 @@ def _read_checkpoint(fh) -> Checkpoint:
     if (crc & 0xFFFFFFFF) != int.from_bytes(stored, "little"):
         raise CorruptHeader("payload checksum mismatch")
 
-    shapes = {entry["name"]: tuple(entry["shape"]) for entry in entries}
-    params: dict[str, ad.Tensor] = {}
-    for name, shape, _ in _parameter_spec(config):
-        if name not in shapes:
-            raise ConfigMismatch(f"checkpoint missing array {name}")
-        if shapes[name] != shape:
-            raise ConfigMismatch(f"array {name} has shape {shapes[name]}, expected {shape}")
-        params[name] = ad.Tensor(arrays[name].astype(np.float32, copy=False).reshape(shape))
-
+    params = {
+        name: ad.Tensor(arrays[name].astype(np.float32, copy=False).reshape(shape))
+        for name, shape, _ in _parameter_spec(config)
+    }
     return Checkpoint(
         model=DenoiserModel(config, params),
         epoch=header["epoch"],

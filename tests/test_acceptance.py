@@ -21,9 +21,9 @@ from remixse.distill import (
     bootstrap_nytt,
     distill,
 )
-from remixse.inference import enhance, load_stages
+from remixse.inference import enhance
 from remixse.metrics import si_sdr, stoi
-from remixse.model import PAPER_CONFIG, TINY_CONFIG, init_model
+from remixse.model import PAPER_CONFIG, TINY_CONFIG, init_model, load_checkpoint
 from conftest import assert_grad_close, fd_gradients
 from test_distill import _oracle_pair, record_teacher_updates
 from test_metrics import _speechlike
@@ -360,9 +360,9 @@ def test_criterion_8_stage_composition(pipeline):
     with criterion(8, "stage plans 1-5: finite, length-preserving, equal to chaining"):
         boot = str(pipeline["boot"])
         wave = Waveform(np.random.default_rng(11).normal(size=3200) * 0.1, RATE)
-        single = load_stages([boot])
+        single = [load_checkpoint(boot)]
         for count in range(1, 6):
-            plan = load_stages([boot] * count)
+            plan = [load_checkpoint(boot) for _ in range(count)]
             out = enhance(plan, wave)
             assert len(out) == len(wave)
             assert np.all(np.isfinite(out.samples))
@@ -403,10 +403,8 @@ def test_criterion_10_directional_report(pipeline):
         noisy = load_manifest(test_dir / "noisy.manifest.jsonl")
         clean_by_id = {e.id: e for e in clean}
 
-        student_plan = load_stages([str(pipeline["student"])])
-        two_stage = load_stages(
-            [str(pipeline["boot"]), str(pipeline["student"])]
-        )
+        student_plan = [load_checkpoint(pipeline["student"])]
+        two_stage = [load_checkpoint(pipeline["boot"]), *student_plan]
 
         rows = {"noisy": [], "student_1stage": [], "two_stage": []}
         for entry in noisy:

@@ -605,6 +605,25 @@ def test_enhance_bad_checkpoint_exits_3(workspace, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("target", ["manifest", "file"])
+def test_enhance_second_stage_with_a_bad_payload_exits_3_and_writes_nothing(workspace, tmp_path,
+                                                                           capsys, target):
+    blob = bytearray(workspace["ckpt"].read_bytes())
+    blob[-100] ^= 0xFF  # a payload byte: only the CRC32 can catch it, when the stage loads
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    data = workspace["data"]
+    inp, out = {
+        "manifest": (data / "noisy.manifest.jsonl", tmp_path / "enh"),
+        "file": (next((data / "noisy").glob("*.wav")), tmp_path / "enh" / "o.wav"),
+    }[target]
+    code = run("enhance", "--stages", f"{workspace['ckpt']},{bad}", "--in", str(inp),
+               "--out", str(out))
+    assert code == 3
+    assert "payload checksum mismatch" in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [bad]
+
+
 def test_enhance_output_name_collision_is_usage_error(workspace, tmp_path):
     # Two ids whose paths share a stem would write one output file.
     data = workspace["data"]

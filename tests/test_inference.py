@@ -1,14 +1,17 @@
 """Stage plans, composition semantics, and batch enhancement."""
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from remixse import autodiff as ad
-from remixse.audio import Waveform, write_wav
+from remixse import inference
+from remixse.audio import Waveform, read_wav, write_wav
+from remixse.cli import main as cli_main
 from remixse.corpus import ManifestEntry, load_manifest, write_manifest
 from remixse.errors import SampleRateMismatch, UsageError
-from remixse.inference import enhance, enhance_batch, load_stages
+from remixse.inference import StagePlan, enhance, enhance_batch
 from remixse.model import (
     Checkpoint,
     DenoiserModel,
@@ -56,7 +59,7 @@ def _save(model, path, rate=RATE):
 
 def test_identity_model_single_stage_is_near_identity(tmp_path):
     path = _save(_identity_model(), tmp_path / "id.ckpt")
-    plan = load_stages([path])
+    plan = [load_checkpoint(path)]
     wave = Waveform(np.random.default_rng(0).normal(size=2000) * 0.1, RATE)
     out = enhance(plan, wave)
     assert len(out) == len(wave)
@@ -67,9 +70,9 @@ def test_multistage_equals_chained_single_stages(trained_tiny_model, tmp_path):
     path = _save(trained_tiny_model, tmp_path / "m.ckpt")
     wave = Waveform(np.random.default_rng(1).normal(size=2000) * 0.1, RATE)
     for stages in range(1, 6):
-        plan_n = load_stages([path] * stages)
+        plan_n = [load_checkpoint(path) for _ in range(stages)]
         chained = wave
-        single = load_stages([path])
+        single = [load_checkpoint(path)]
         for _ in range(stages):
             chained = enhance(single, chained)
         multi = enhance(plan_n, wave)
@@ -82,21 +85,21 @@ def test_two_stage_with_distinct_models(trained_tiny_model, tmp_path):
     a = _save(trained_tiny_model, tmp_path / "a.ckpt")
     b = _save(init_model(TINY_CONFIG, seed=99), tmp_path / "b.ckpt")
     wave = Waveform(np.random.default_rng(2).normal(size=1500) * 0.1, RATE)
-    plan = load_stages([a, b])
+    plan = [load_checkpoint(a), load_checkpoint(b)]
     out = enhance(plan, wave)
-    stage1 = enhance(load_stages([a]), wave)
-    stage2 = enhance(load_stages([b]), stage1)
+    stage1 = enhance([load_checkpoint(a)], wave)
+    stage2 = enhance([load_checkpoint(b)], stage1)
     assert np.array_equal(out.samples, stage2.samples)
 
 
 def test_plan_requires_a_stage():
     with pytest.raises(UsageError):
-        load_stages([])
+        StagePlan([])
 
 
 def test_sample_rate_mismatch_rejected(tmp_path):
     path = _save(_identity_model(), tmp_path / "id.ckpt")
-    plan = load_stages([path])
+    plan = [load_checkpoint(path)]
     with pytest.raises(SampleRateMismatch):
         enhance(plan, Waveform(np.zeros(1000), 8000))
 
@@ -105,7 +108,7 @@ def test_plan_rejects_mixed_rates(tmp_path):
     a = _save(_identity_model(), tmp_path / "a.ckpt", rate=16000)
     b = _save(_identity_model(), tmp_path / "b.ckpt", rate=8000)
     with pytest.raises(SampleRateMismatch):
-        load_stages([a, b])
+        StagePlan([a, b])
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +127,7 @@ def _make_manifest(tmp_path, n):
 
 def test_enhance_batch_writes_all_outputs(trained_tiny_model, tmp_path):
     manifest = _make_manifest(tmp_path, 3)
-    plan = load_stages([_save(trained_tiny_model, tmp_path / "m.ckpt")])
+    plan = StagePlan([_save(trained_tiny_model, tmp_path / "m.ckpt")])
     out_dir = tmp_path / "out"
     report = enhance_batch(plan, manifest, out_dir)
     assert len(report.results) == 3
@@ -139,7 +142,7 @@ def test_enhance_batch_writes_all_outputs(trained_tiny_model, tmp_path):
 def test_enhance_batch_empty_manifest(trained_tiny_model, tmp_path):
     write_manifest(tmp_path / "in.jsonl", [])
     manifest = load_manifest(tmp_path / "in.jsonl")
-    plan = load_stages([_save(trained_tiny_model, tmp_path / "m.ckpt")])
+    plan = StagePlan([_save(trained_tiny_model, tmp_path / "m.ckpt")])
     report = enhance_batch(plan, manifest, tmp_path / "out")
     assert report.results == []
     assert report.failures == []
@@ -148,7 +151,7 @@ def test_enhance_batch_empty_manifest(trained_tiny_model, tmp_path):
 def test_enhance_batch_isolates_failures(trained_tiny_model, tmp_path):
     manifest = _make_manifest(tmp_path, 3)
     (tmp_path / "u1.wav").write_bytes(b"not a wav at all")
-    plan = load_stages([_save(trained_tiny_model, tmp_path / "m.ckpt")])
+    plan = StagePlan([_save(trained_tiny_model, tmp_path / "m.ckpt")])
     report = enhance_batch(plan, manifest, tmp_path / "out")
     assert report.failures == ["u1"]
     ok = [r for r in report.results if r.error is None]
@@ -166,7 +169,7 @@ def test_enhance_batch_rejects_shared_output_stem(trained_tiny_model, tmp_path):
         ManifestEntry("first", "noisy/utt0000.wav", "noisy", 0.1),
         ManifestEntry("second", "alt/utt0000.wav", "noisy", 0.1),
     ])
-    plan = load_stages([_save(trained_tiny_model, tmp_path / "m.ckpt")])
+    plan = StagePlan([_save(trained_tiny_model, tmp_path / "m.ckpt")])
     with pytest.raises(UsageError, match="'first' and 'second'"):
         enhance_batch(plan, load_manifest(tmp_path / "in.jsonl"), tmp_path / "out")
     assert not (tmp_path / "out").exists()
@@ -174,7 +177,7 @@ def test_enhance_batch_rejects_shared_output_stem(trained_tiny_model, tmp_path):
 
 def test_enhance_batch_threaded_matches_serial(trained_tiny_model, tmp_path):
     manifest = _make_manifest(tmp_path, 4)
-    plan = load_stages([_save(trained_tiny_model, tmp_path / "m.ckpt")])
+    plan = StagePlan([_save(trained_tiny_model, tmp_path / "m.ckpt")])
     enhance_batch(plan, manifest, tmp_path / "serial")
     enhance_batch(plan, manifest, tmp_path / "threaded", threads=4)
     assert ad.grad_enabled()
@@ -186,11 +189,87 @@ def test_enhance_batch_threaded_matches_serial(trained_tiny_model, tmp_path):
 
 def test_report_serializes(trained_tiny_model, tmp_path):
     manifest = _make_manifest(tmp_path, 2)
-    plan = load_stages([_save(trained_tiny_model, tmp_path / "m.ckpt")])
+    plan = StagePlan([_save(trained_tiny_model, tmp_path / "m.ckpt")])
     report = enhance_batch(plan, manifest, tmp_path / "out")
     blob = json.dumps(report.to_dict())
     data = json.loads(blob)
     assert {r["id"] for r in data["results"]} == {"u0", "u1"}
+
+
+# ---------------------------------------------------------------------------
+# stage-major runs
+# ---------------------------------------------------------------------------
+
+def _two_stages(trained_tiny_model, tmp_path):
+    a = _save(trained_tiny_model, tmp_path / "a.ckpt")
+    b = _save(init_model(TINY_CONFIG, seed=99), tmp_path / "b.ckpt")
+    return a, b
+
+
+@pytest.mark.parametrize("target", ["manifest", "file"])
+def test_one_stage_model_is_alive_at_a_time(trained_tiny_model, tmp_path, monkeypatch, target):
+    a, b = _two_stages(trained_tiny_model, tmp_path)
+    _make_manifest(tmp_path, 3)
+    alive, peak = [0], [0]
+    load = inference.load_checkpoint
+
+    def counting(path):
+        ckpt = load(path)
+        alive[0] += 1
+        peak[0] = max(peak[0], alive[0])
+        weakref.finalize(ckpt.model, lambda: alive.__setitem__(0, alive[0] - 1))
+        return ckpt
+
+    monkeypatch.setattr(inference, "load_checkpoint", counting)
+    inp, out = {"manifest": ("in.jsonl", "out"), "file": ("u0.wav", "o.wav")}[target]
+    argv = ["enhance", "--stages", f"{a},{b}", "--in", str(tmp_path / inp),
+            "--out", str(tmp_path / out), "--threads", "2"]
+    assert cli_main(argv) == 0
+    assert peak == [1]
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_tiny_stages_run_in_chunks_of_threads_entries(trained_tiny_model, tmp_path, monkeypatch,
+                                                      threads):
+    a, b = _two_stages(trained_tiny_model, tmp_path)
+    plan = StagePlan([a, b])
+    # An entry's estimate is 1600 float32 samples (6400 bytes): one fits in
+    # the payload, two do not, so a chunk holds `threads` entries.
+    assert plan.payload_bytes == 8196
+    manifest = _make_manifest(tmp_path, 5)
+    loads = []
+    load = inference.load_checkpoint
+    monkeypatch.setattr(inference, "load_checkpoint", lambda path: loads.append(path) or load(path))
+    report = enhance_batch(plan, manifest, tmp_path / "out", threads=threads)
+    assert report.failures == []
+    assert loads == [a, b] * -(-5 // threads)
+    first, second = [load_checkpoint(a)], [load_checkpoint(b)]
+    assert plan.sha256 == [first[0].sha256, second[0].sha256]
+    for i in range(5):
+        ref = tmp_path / "ref.wav"
+        write_wav(ref, enhance(second, enhance(first, read_wav(tmp_path / f"u{i}.wav"))))
+        assert (tmp_path / "out" / f"u{i}.enhanced.wav").read_bytes() == ref.read_bytes()
+
+
+def test_a_stage_file_that_changes_between_chunks_exits_3(trained_tiny_model, tmp_path, monkeypatch,
+                                                          capsys):
+    a, b = _two_stages(trained_tiny_model, tmp_path)
+    _make_manifest(tmp_path, 5)  # one entry per chunk at one thread
+    load = inference.load_checkpoint
+
+    def replacing(path):
+        ckpt = load(path)
+        if path == b:  # the next chunk loads another file
+            _save(init_model(TINY_CONFIG, seed=100), b)
+        return ckpt
+
+    monkeypatch.setattr(inference, "load_checkpoint", replacing)
+    out = tmp_path / "out"
+    argv = ["enhance", "--stages", f"{a},{b}", "--in", str(tmp_path / "in.jsonl"),
+            "--out", str(out)]
+    assert cli_main(argv) == 3
+    assert f"stage 2 checkpoint {b} changed during the run" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["u0.enhanced.wav"]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +278,7 @@ def test_report_serializes(trained_tiny_model, tmp_path):
 
 def test_plan_stages_are_float32_and_loaded_without_a_copy(trained_tiny_model, tmp_path):
     path = _save(trained_tiny_model, tmp_path / "m.ckpt")
-    stages = load_stages([path])
+    stages = [StagePlan([path]).load(0)]
     assert all(p.data.dtype == np.float32 for p in stages[0].model.parameters())
     wave = Waveform(np.random.default_rng(4).normal(size=2000) * 0.1, RATE)
     in_memory = enhance([Checkpoint(trained_tiny_model)], wave)
@@ -217,7 +296,7 @@ def test_load_checkpoint_gives_float32_parameters(trained_tiny_model, tmp_path):
 
 def test_float32_enhance_matches_the_float64_forward(trained_tiny_model, tmp_path):
     path = _save(trained_tiny_model, tmp_path / "m.ckpt")
-    plan = load_stages([path] * 2)
+    plan = [load_checkpoint(path) for _ in range(2)]
     reference = load_checkpoint(path).model.astype(np.float64)
     wave = Waveform(np.random.default_rng(3).normal(size=3000) * 0.1, RATE)
     ref = wave.samples[None, :]
