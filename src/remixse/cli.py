@@ -2,11 +2,11 @@
 
 Options resolve as: explicit flags > config file (flat key=value lines with
 section prefixes, e.g. ``train.epochs=35``) > built-in defaults, which are
-those of the config dataclass a command fills. Every command but a
-single-file enhance (one WAV in, one WAV out) records its fully resolved
-configuration, sorted by key, plus input and output hashes: bootstrap,
-distill and evaluate as <output stem>.resolved.cfg next to their output,
-synth and a manifest enhance as resolved.cfg in their output directory.
+those of the config dataclass a command fills. Every command records its
+fully resolved configuration, sorted by key, plus input and output hashes:
+bootstrap, distill, evaluate and a single-file enhance (one WAV in, one WAV
+out) as <output stem>.resolved.cfg next to their output, synth and a
+manifest enhance as resolved.cfg in their output directory.
 Exit codes: 0 success, 2 usage/config error, 3 runtime failure.
 """
 from __future__ import annotations
@@ -405,10 +405,15 @@ def cmd_enhance(args: SimpleNamespace) -> int:
     threads = _threads(args)
     plan = inference_mod.StagePlan([p for p in str(args.stages).split(",") if p])
     in_path = Path(args.inp)
-    if in_path.suffix.lower() == ".wav":  # one WAV out: no report and no resolved.cfg
-        _check_outputs(args.force, args.out)
-        inference_mod.enhance_file(plan, in_path, args.out, args.resample)
-        print(f"enhanced {in_path} -> {args.out} ({len(plan)} stages)")
+    if in_path.suffix.lower() == ".wav":  # one WAV out, and its record: no report
+        out_path = Path(args.out)
+        record = out_path.with_suffix(".resolved.cfg")
+        _check_outputs(args.force, out_path, record)
+        input_hash = corpus_mod.wav_hash([in_path])
+        inference_mod.enhance_file(plan, in_path, out_path, args.resample)
+        hashes = {"input_corpus": input_hash, "stages": ",".join(plan.sha256)}
+        _echo_resolved(record, "enhance", args, hashes)
+        print(f"enhanced {in_path} -> {out_path} ({len(plan)} stages)")
         return 0
     manifest = corpus_mod.load_manifest(in_path)
     out_dir = Path(args.out)

@@ -144,9 +144,14 @@ def shared_sample_rate(items, what: str) -> int:
 
 def corpus_hash(manifest: Manifest) -> str:
     """SHA-256 over all WAV bytes in manifest order."""
+    return wav_hash(manifest.resolve(entry) for entry in manifest)
+
+
+def wav_hash(paths) -> str:
+    """SHA-256 over the bytes of the WAV files at paths, in order."""
     digest = hashlib.sha256()
-    for entry in manifest:
-        with open_input(manifest.resolve(entry), "WAV file") as fh:
+    for path in paths:
+        with open_input(path, "WAV file") as fh:
             digest.update(fh.read())
     return digest.hexdigest()
 

@@ -49,10 +49,6 @@ class CorruptHeader(RemixSEError):
     pass
 
 
-class CheckpointChanged(RemixSEError):
-    """A checkpoint's file changed between two loads in one run."""
-
-
 # -- training ----------------------------------------------------------
 
 class EmptyCorpus(RemixSEError):

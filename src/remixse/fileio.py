@@ -1,9 +1,12 @@
 """File access shared by every module: crash-safe writes into directories
-made on demand, and reads whose failures map onto the package errors. This
-is the one module that creates directories."""
+made on demand, scratch directories that go when the work is done, and reads
+whose failures map onto the package errors. This is the one module that
+creates directories."""
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -22,6 +25,22 @@ def make_parents(*paths) -> None:
         except OSError as exc:
             reason = exc.strerror or exc
             raise UnwritableFile(f"cannot create the directory of {path}: {reason}") from exc
+
+
+@contextmanager
+def scratch_dir(parent):
+    """A new, empty directory under ``parent`` for the block; it is removed
+    with everything in it when the block ends, however it ends. ``parent``
+    must exist. A directory that cannot be made raises ``UnwritableFile``."""
+    try:
+        path = Path(tempfile.mkdtemp(prefix=".scratch-", dir=parent))
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise UnwritableFile(f"cannot create a scratch directory in {parent}: {reason}") from exc
+    try:
+        yield path
+    finally:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 @contextmanager

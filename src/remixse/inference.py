@@ -10,10 +10,11 @@ A ``StagePlan`` names checkpoint files in stage order and holds only their
 headers, read and checked when it is built, so a stage that is missing,
 malformed or at another sample rate fails before any file is enhanced.
 ``enhance_file`` (one WAV file to another) and ``enhance_batch`` (every
-entry of a manifest) run a plan stage-major: they load one stage, pass
-every file through it, keep each speech estimate, and drop the stage before
-loading the next, so one model is resident at a time. The arithmetic is
-that of ``enhance``, file by file, so the outputs are the same bits.
+entry of a manifest) run a plan stage-major: each stage is loaded once,
+passes every file through, and is dropped before the next one loads, so one
+model is resident at a time. ``enhance_batch`` hands each estimate to the
+next stage as a float32 WAV in a scratch directory, which holds exactly the
+float32 samples, so the outputs are the bits of ``enhance``, file by file.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ import numpy as np
 from .audio import Waveform, read_wav, resample, write_wav
 from .autodiff import no_grad
 from .corpus import Manifest, ManifestEntry, shared_sample_rate, write_manifest
-from .errors import CheckpointChanged, SampleRateMismatch, TooShort, UsageError
-from .fileio import make_parents
+from .errors import SampleRateMismatch, TooShort, UsageError
+from .fileio import make_parents, scratch_dir
 from .model import Checkpoint, load_checkpoint, read_checkpoint_header
 
 
@@ -37,7 +38,7 @@ class StagePlan:
     Building one reads every header: no path raises UsageError, a header
     that ``load_checkpoint`` would reject raises its error, and stages at
     different sample rates raise SampleRateMismatch. A payload's CRC32 is
-    checked when ``load`` reads it.
+    checked when ``load`` reads it, and its SHA-256 recorded.
     """
 
     def __init__(self, paths):
@@ -46,24 +47,16 @@ class StagePlan:
         self.paths = list(paths)
         headers = [read_checkpoint_header(p) for p in self.paths]
         self.sample_rate_hz = shared_sample_rate(headers, "stages")
-        self.payload_bytes = max(h.payload_bytes for h in headers)
-        # The SHA-256 of each stage's first load (None until then).
+        # The SHA-256 of each stage's file as loaded (None until then).
         self.sha256: list[str | None] = [None] * len(self.paths)
 
     def __len__(self):
         return len(self.paths)
 
     def load(self, k: int) -> Checkpoint:
-        """Stage k's checkpoint, read now. A file whose bytes differ from
-        those of stage k's first load raises CheckpointChanged, so one run
-        uses one model per stage."""
+        """Stage k's checkpoint, read now; its digest goes to ``sha256[k]``."""
         stage = load_checkpoint(self.paths[k])
-        if self.sha256[k] is None:
-            self.sha256[k] = stage.sha256
-        elif stage.sha256 != self.sha256[k]:
-            raise CheckpointChanged(
-                f"stage {k + 1} checkpoint {self.paths[k]} changed during the run"
-            )
+        self.sha256[k] = stage.sha256
         return stage
 
 
@@ -125,42 +118,25 @@ class BatchReport:
         return asdict(self)
 
 
-def _chunks(entries: list[ManifestEntry], plan: StagePlan, threads: int):
-    """Runs of consecutive entry indices whose speech estimates (float32,
-    ``duration_s`` at the plan's rate) fit in the largest stage's payload
-    bytes, so the estimates held between stages never outweigh a second
-    resident stage. A chunk holds at least ``threads`` entries (or all that
-    remain), so every thread has a file."""
-    chunk, size = [], 0.0
-    for i, entry in enumerate(entries):
-        nbytes = 4.0 * entry.duration_s * plan.sample_rate_hz
-        if len(chunk) >= threads and size + nbytes > plan.payload_bytes:
-            yield chunk
-            chunk, size = [], 0.0
-        chunk.append(i)
-        size += nbytes
-    if chunk:
-        yield chunk
-
-
 def enhance_batch(
     plan: StagePlan, manifest: Manifest, out_dir, threads=1, allow_resample=False
 ) -> BatchReport:
     """Enhance every manifest entry into <stem>.enhanced.wav under out_dir.
 
-    The entries run in chunks (``_chunks``). For each chunk every stage is
-    loaded in turn and run over the chunk's files on ``threads`` threads;
-    each speech estimate is kept as a float32 array for the next stage, and
-    the last stage's pass writes the outputs. Every stage loads at least
-    once, so an empty manifest still checks every payload and records every
-    digest (``plan.sha256``).
+    Each stage is loaded once and run over every file that has not failed,
+    on ``threads`` threads. A stage before the last writes each speech
+    estimate as a float32 WAV into a scratch directory under out_dir, where
+    the next stage reads it; the scratch directory is removed when the call
+    returns or raises. The last stage writes the outputs, so a stage that
+    fails to load raises before any output is written. Every stage loads
+    even for an empty manifest, so its payload is checked and its digest
+    recorded (``plan.sha256``).
 
     Failures are recorded per entry without aborting the rest; a file that
-    fails goes through no later stage. A stage that fails to load raises,
-    before the outputs of its chunk are written. Also writes an
-    "enhanced"-role manifest next to the outputs so evaluation can pair files
-    by id. Two entries whose paths share a stem would write the same output,
-    so that is a UsageError, raised before anything is written.
+    fails goes through no later stage. Also writes an "enhanced"-role
+    manifest next to the outputs so evaluation can pair files by id. Two
+    entries whose paths share a stem would write the same output, so that
+    is a UsageError, raised before anything is written.
     """
     entries = list(manifest)
     names = [f"{Path(entry.path).stem}.enhanced.wav" for entry in entries]
@@ -177,31 +153,22 @@ def enhance_batch(
     make_parents(out_dir / "enhanced.manifest.jsonl")
     rate, last = plan.sample_rate_hz, len(plan) - 1
     errors: list[str | None] = [None] * len(entries)
-    estimates: list[np.ndarray | None] = [None] * len(entries)
 
     def run(i: int) -> None:
         # Reads the stage through the enclosing name, so that no worker
         # holds it once the pass is over.
         try:
-            if k == 0:
-                wave = _read_input(manifest.resolve(entries[i]), rate, allow_resample)
-            else:
-                wave = Waveform(estimates[i], rate)
-                estimates[i] = None
-            out = enhance([stage], wave)
-            if k == last:
-                write_wav(out_dir / names[i], out)
-            else:  # exact: the samples are float32 values
-                estimates[i] = out.samples.astype(np.float32)
+            source = manifest.resolve(entries[i]) if k == 0 else scratch / f"{i}.wav"
+            out = enhance([stage], _read_input(source, rate, allow_resample))
+            write_wav(out_dir / names[i] if k == last else scratch / f"{i}.wav", out)
         except Exception as exc:  # per-file isolation is the contract
             errors[i] = str(exc)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for chunk in list(_chunks(entries, plan, threads)) or [[]]:
-            for k in range(len(plan)):
-                stage = plan.load(k)
-                list(pool.map(run, [i for i in chunk if errors[i] is None]))
-                stage = None  # freed before the next stage loads
+    with scratch_dir(out_dir) as scratch, ThreadPoolExecutor(max_workers=threads) as pool:
+        for k in range(len(plan)):
+            stage = plan.load(k)
+            list(pool.map(run, [i for i, error in enumerate(errors) if error is None]))
+            stage = None  # freed before the next stage loads
 
     report = BatchReport()
     out_entries = []

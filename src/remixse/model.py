@@ -373,25 +373,22 @@ def _header_fields(header, payload_size: int):
 
 @dataclass(frozen=True)
 class CheckpointHeader:
-    """What a checkpoint's header says that a stage plan needs: its sample
-    rate and the size of its float32 payload in bytes."""
+    """What a checkpoint's header says that a stage plan needs: its sample rate."""
 
     sample_rate_hz: int
-    payload_bytes: int
 
 
 def read_checkpoint_header(path) -> CheckpointHeader:
-    """Read and check a checkpoint's header without reading its payload.
+    """Read and check a checkpoint's header without reading its payload, so
+    a stage plan can reject a bad stage before any file is enhanced.
 
     It raises every error ``load_checkpoint`` raises from the header, the
     file size and the array shapes; only the payload's CRC32 is left to the
     load.
     """
     with open_input(path, "checkpoint") as fh:
-        header, _, entries, _ = _read_header(fh)
-    return CheckpointHeader(
-        header.get("sample_rate_hz", DEFAULT_SAMPLE_RATE), sum(e["nbytes"] for e in entries)
-    )
+        header = _read_header(fh)[0]
+    return CheckpointHeader(header.get("sample_rate_hz", DEFAULT_SAMPLE_RATE))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -486,6 +486,24 @@ def test_enhance_single_file(workspace, tmp_path):
     assert out.exists()
 
 
+def test_enhance_single_file_keeps_a_record_that_force_guards(workspace, tmp_path, capsys):
+    wav_in = next((workspace["data"] / "noisy").glob("*.wav"))
+    out, record = tmp_path / "out.wav", tmp_path / "out.resolved.cfg"
+    argv = ["enhance", "--stages", f"{workspace['ckpt']},{workspace['ckpt']}",
+            "--in", str(wav_in), "--out", str(out)]
+    assert run(*argv) == 0
+    sha = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    _, hashes = _records(record)
+    assert hashes == {"input_corpus": sha(wav_in),
+                      "stages": f"{sha(workspace['ckpt'])},{sha(workspace['ckpt'])}"}
+    out.unlink()  # the record alone still refuses a rerun without --force
+    assert run(*argv) == 2
+    assert f"refusing to overwrite [{str(record)!r}]" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*argv, "--force") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.resolved.cfg", "out.wav"]
+
+
 def test_enhance_single_file_creates_the_output_directory(workspace, tmp_path):
     wav_in = next((workspace["data"] / "noisy").glob("*.wav"))
     out = tmp_path / "new" / "out.wav"

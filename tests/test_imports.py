@@ -7,8 +7,8 @@ re-exported through ``__all__``. One scope per file: a name imported in one
 function and used in another counts as used. Each function, class and
 method defined in src/remixse/ (dunder methods excepted) must appear as a
 name or an attribute in src/, scripts/ or perfbench/, test files not counted.
-Only ``fileio`` creates directories: no other package module names ``mkdir``
-or ``makedirs``.
+Only ``fileio`` creates directories: no other package module names ``mkdir``,
+``makedirs``, ``mkdtemp`` or ``TemporaryDirectory``.
 """
 import ast
 from pathlib import Path
@@ -114,7 +114,7 @@ def test_finds_a_definition_nothing_names():
 
 
 def _makes_directories(tree: ast.Module) -> set[str]:
-    return _named(tree) & {"mkdir", "makedirs"}
+    return _named(tree) & {"mkdir", "makedirs", "mkdtemp", "TemporaryDirectory"}
 
 
 def test_only_fileio_creates_directories():
@@ -123,9 +123,12 @@ def test_only_fileio_creates_directories():
         for path in (ROOT / "src" / "remixse").rglob("*.py")
         if path.name != "fileio.py" and _makes_directories(_parse(path))
     )
-    assert not offenders, f"create directories through fileio.make_parents: {offenders}"
+    assert not offenders, f"create directories through fileio: {offenders}"
 
 
 def test_finds_a_directory_being_made():
-    tree = ast.parse("Path('a').mkdir(parents=True)\nmakedirs('b')\n")
-    assert _makes_directories(tree) == {"mkdir", "makedirs"}
+    tree = ast.parse(
+        "Path('a').mkdir(parents=True)\nmakedirs('b')\n"
+        "tempfile.mkdtemp()\nwith TemporaryDirectory() as d: pass\n"
+    )
+    assert _makes_directories(tree) == {"mkdir", "makedirs", "mkdtemp", "TemporaryDirectory"}

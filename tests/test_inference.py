@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from remixse import autodiff as ad
-from remixse import inference
+from remixse import fileio, inference
 from remixse.audio import Waveform, read_wav, write_wav
 from remixse.cli import main as cli_main
 from remixse.corpus import ManifestEntry, load_manifest, write_manifest
@@ -229,20 +229,16 @@ def test_one_stage_model_is_alive_at_a_time(trained_tiny_model, tmp_path, monkey
 
 
 @pytest.mark.parametrize("threads", [1, 4])
-def test_tiny_stages_run_in_chunks_of_threads_entries(trained_tiny_model, tmp_path, monkeypatch,
-                                                      threads):
+def test_each_stage_loads_once(trained_tiny_model, tmp_path, monkeypatch, threads):
     a, b = _two_stages(trained_tiny_model, tmp_path)
     plan = StagePlan([a, b])
-    # An entry's estimate is 1600 float32 samples (6400 bytes): one fits in
-    # the payload, two do not, so a chunk holds `threads` entries.
-    assert plan.payload_bytes == 8196
     manifest = _make_manifest(tmp_path, 5)
     loads = []
     load = inference.load_checkpoint
     monkeypatch.setattr(inference, "load_checkpoint", lambda path: loads.append(path) or load(path))
     report = enhance_batch(plan, manifest, tmp_path / "out", threads=threads)
     assert report.failures == []
-    assert loads == [a, b] * -(-5 // threads)
+    assert loads == [a, b]
     first, second = [load_checkpoint(a)], [load_checkpoint(b)]
     assert plan.sha256 == [first[0].sha256, second[0].sha256]
     for i in range(5):
@@ -251,25 +247,53 @@ def test_tiny_stages_run_in_chunks_of_threads_entries(trained_tiny_model, tmp_pa
         assert (tmp_path / "out" / f"u{i}.enhanced.wav").read_bytes() == ref.read_bytes()
 
 
-def test_a_stage_file_that_changes_between_chunks_exits_3(trained_tiny_model, tmp_path, monkeypatch,
-                                                          capsys):
+# What a manifest enhance leaves in its output directory, besides one
+# <stem>.enhanced.wav per file that did not fail.
+_RECORDS = ["enhance_report.json", "enhanced.manifest.jsonl", "resolved.cfg"]
+
+
+def _enhance_manifest(stages, tmp_path, *extra):
+    argv = ["enhance", "--stages", ",".join(stages), "--in", str(tmp_path / "in.jsonl"),
+            "--out", str(tmp_path / "out"), *extra]
+    return cli_main(argv)
+
+
+@pytest.mark.parametrize("broken", [None, 1], ids=["every-file", "one-file-fails"])
+def test_a_three_stage_run_leaves_only_its_outputs(trained_tiny_model, tmp_path, broken):
     a, b = _two_stages(trained_tiny_model, tmp_path)
-    _make_manifest(tmp_path, 5)  # one entry per chunk at one thread
-    load = inference.load_checkpoint
+    _make_manifest(tmp_path, 5)
+    if broken is not None:
+        (tmp_path / f"u{broken}.wav").write_bytes(b"not a wav at all")
+    assert _enhance_manifest([a, b, a], tmp_path, "--threads", "2") == 0
+    wavs = [f"u{i}.enhanced.wav" for i in range(5) if i != broken]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(wavs + _RECORDS)
 
-    def replacing(path):
-        ckpt = load(path)
-        if path == b:  # the next chunk loads another file
-            _save(init_model(TINY_CONFIG, seed=100), b)
-        return ckpt
 
-    monkeypatch.setattr(inference, "load_checkpoint", replacing)
-    out = tmp_path / "out"
-    argv = ["enhance", "--stages", f"{a},{b}", "--in", str(tmp_path / "in.jsonl"),
-            "--out", str(out)]
-    assert cli_main(argv) == 3
-    assert f"stage 2 checkpoint {b} changed during the run" in capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == ["u0.enhanced.wav"]
+def test_a_second_stage_that_fails_to_load_leaves_nothing(trained_tiny_model, tmp_path, capsys):
+    a, b = _two_stages(trained_tiny_model, tmp_path)
+    blob = bytearray((tmp_path / "b.ckpt").read_bytes())
+    blob[-100] ^= 0xFF  # a payload byte: only the CRC32 can catch it, when the stage loads
+    (tmp_path / "b.ckpt").write_bytes(bytes(blob))
+    _make_manifest(tmp_path, 5)
+    assert _enhance_manifest([a, b], tmp_path, "--threads", "1") == 3
+    assert "payload checksum mismatch" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_a_scratch_directory_that_cannot_be_made_exits_3(trained_tiny_model, tmp_path, capsys,
+                                                         monkeypatch):
+    a, b = _two_stages(trained_tiny_model, tmp_path)
+    _make_manifest(tmp_path, 2)
+
+    def refused(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(fileio.tempfile, "mkdtemp", refused)
+    assert _enhance_manifest([a, b], tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create a scratch directory in {tmp_path / 'out'}: ")
+    assert "Traceback" not in err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
